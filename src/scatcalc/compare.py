@@ -68,10 +68,10 @@ NotLe-rules
              min-glue-max is not below the min atom.
 
 Verdicts carry a shallow trace naming the rule and the sub-queries it
-used.  Queries are memoized on normalized pairs; in-progress queries
-re-entered during their own derivation yield UNKNOWN for that path
-(coinductive failure), and a depth bound turns runaway searches into
-UNKNOWN with a "depth" blocker.
+used, formatted to text only when read.  Queries are memoized on
+normalized pairs; in-progress queries re-entered during their own
+derivation yield UNKNOWN for that path (coinductive failure), and a
+depth bound turns runaway searches into UNKNOWN with a "depth" blocker.
 """
 
 from __future__ import annotations
@@ -107,12 +107,19 @@ class Outcome(Enum):
 
 
 TraceStep = tuple[str, str]
+# (rule, f, g, note parts); g is None for a step that names no target
+Step = tuple[str, Term, Term | None, tuple]
 
 
 @dataclass(frozen=True)
 class Verdict:
     outcome: Outcome
-    trace: tuple[TraceStep, ...] = ()
+    steps: tuple[Step, ...] = ()
+
+    @property
+    def trace(self) -> tuple[TraceStep, ...]:
+        """The steps as (rule, query text) pairs, formatted on each read."""
+        return tuple(_render(*step) for step in self.steps)
 
     def __bool__(self) -> bool:  # pragma: no cover - guard against misuse
         raise TypeError("Verdict is three-valued; test .outcome explicitly")
@@ -124,18 +131,25 @@ class EngineConfig:
     fin_glue_bound: int = 3  # k-range for member-into-finite-gluing searches
 
 
-def _step(rule: str, f: Term, g: Term, note: str = "") -> TraceStep:
+def _step(rule: str, f: Term, g: Term, *note) -> Step:
+    return (rule, f, g, note)
+
+
+def _render(rule: str, f: Term, g: Optional[Term], note: tuple) -> TraceStep:
+    note = "".join(format_term(p) if isinstance(p, Term) else str(p) for p in note)
+    if g is None:
+        return (rule, f"{format_term(f)} {note}")
     text = f"{format_term(f)} <= {format_term(g)}"
     if note:
         text += f" [{note}]"
     return (rule, text)
 
 
-def _LE(*steps: TraceStep) -> Verdict:
+def _LE(*steps: Step) -> Verdict:
     return Verdict(Outcome.LE, tuple(steps))
 
 
-def _NOT_LE(*steps: TraceStep) -> Verdict:
+def _NOT_LE(*steps: Step) -> Verdict:
     return Verdict(Outcome.NOT_LE, tuple(steps))
 
 
@@ -187,7 +201,7 @@ class Engine:
     def dominates(self, fs: Iterable[Term], gs: Iterable[Term]) -> Verdict:
         """Every member of ``fs`` reduces to some member of ``gs``."""
         gs = list(gs)
-        steps: list[TraceStep] = []
+        steps: list[Step] = []
         unknown = False
         for f in fs:
             verdicts = [self.compare(f, g) for g in gs]
@@ -197,10 +211,10 @@ class Engine:
                 continue
             if all(v.outcome is Outcome.NOT_LE for v in verdicts):
                 # cite the refutation of the first target; all failed
-                steps.extend(verdicts[0].trace)
+                steps.extend(verdicts[0].steps)
                 return Verdict(Outcome.NOT_LE, tuple(steps))
             unknown = True
-            steps.append(("blocked:pair", f"{format_term(f)} vs every target undecided"))
+            steps.append(("blocked:pair", f, None, ("vs every target undecided",)))
         if unknown:
             return Verdict(Outcome.UNKNOWN, tuple(steps))
         return Verdict(Outcome.LE, tuple(steps))
@@ -215,11 +229,11 @@ class Engine:
         if key in self._in_progress:
             if self._taint_stack:
                 self._taint_stack[-1] = True
-            return Verdict(Outcome.UNKNOWN, (("blocked:cycle", _step("", f, g)[1]),))
+            return Verdict(Outcome.UNKNOWN, (_step("blocked:cycle", f, g),))
         if depth <= 0:
             if self._taint_stack:
                 self._taint_stack[-1] = True
-            return Verdict(Outcome.UNKNOWN, (("blocked:depth", _step("", f, g)[1]),))
+            return Verdict(Outcome.UNKNOWN, (_step("blocked:depth", f, g),))
         self._in_progress.add(key)
         self._taint_stack.append(False)
         try:
@@ -257,7 +271,7 @@ class Engine:
 
         tf, tg = cb_type(f), cb_type(g)
         if not lex_le(tf, tg):
-            return _NOT_LE(_step("N-lex", f, g, f"tp {tf} > tp {tg}"))
+            return _NOT_LE(_step("N-lex", f, g, "tp ", tf, " > tp ", tg))
 
         ax = self._axioms(f, g)
         if ax is not None:
@@ -295,27 +309,27 @@ class Engine:
         v = self._rule_mono(f, g, d)
         if v is not None:
             return v
-        return Verdict(Outcome.UNKNOWN, (("blocked:rules", _step("", f, g)[1]),))
+        return Verdict(Outcome.UNKNOWN, (_step("blocked:rules", f, g),))
 
     # -- recorded axiom table ------------------------------------------
 
     def _axioms(self, f: Term, g: Term) -> Optional[Verdict]:
         lam = _max_atom_level(f)
         if lam is not None and _min_atom_level(g) == lam:
-            return _LE(_step("A1", f, g, f"level {lam}"))
+            return _LE(_step("A1", f, g, "level ", lam))
         lam = _pgl_max_level(f)
         if lam is not None:
             if _min_atom_level(g) == lam:
-                return _NOT_LE(_step("A4", f, g, f"level {lam}"))
+                return _NOT_LE(_step("A4", f, g, "level ", lam))
             if _min_glue_max_level(g) == lam:
-                return _NOT_LE(_step("A5b", f, g, f"level {lam}"))
+                return _NOT_LE(_step("A5b", f, g, "level ", lam))
         lam = _min_glue_max_level(f)
         if lam is not None and _min_atom_level(g) == lam:
-            return _NOT_LE(_step("A5a", f, g, f"level {lam}"))
+            return _NOT_LE(_step("A5a", f, g, "level ", lam))
         if isinstance(f, Omega):
             lam = _pgl_max_level(f.body)
             if lam is not None and _wedge_generator_level(g) == lam:
-                return _NOT_LE(_step("A3", f, g, f"level {lam}"))
+                return _NOT_LE(_step("A3", f, g, "level ", lam))
         return None
 
     # -- individual rules ----------------------------------------------
@@ -380,7 +394,7 @@ class Engine:
                 ]
             if not _bipartite_saturates(edges, len(leftovers), len(gs)):
                 return None
-        return _LE(_step("L-glue", f, g, f"matched {len(fs)} summand(s)"))
+        return _LE(_step("L-glue", f, g, "matched ", len(fs), " summand(s)"))
 
     def _absorbs(self, target: Term, s: Term, d: int) -> bool:
         """Whether ``target`` can receive unboundedly many summands like
@@ -534,13 +548,13 @@ class Engine:
             p = rewrite.normalize(p)
             if self._not_le(p, g, d):
                 return _NOT_LE(
-                    _step("N-mono", p, g, f"lower bound of {format_term(f)} refuted")
+                    _step("N-mono", p, g, "lower bound of ", f, " refuted")
                 )
         if isinstance(g, Wedge):
             upper = rewrite.normalize(_wedge_upper_bound(g))
             if self._not_le(f, upper, d):
                 return _NOT_LE(
-                    _step("N-mono", f, upper, f"upper bound of {format_term(g)} refuted")
+                    _step("N-mono", f, upper, "upper bound of ", g, " refuted")
                 )
         return None
 

@@ -184,18 +184,18 @@ def generator_raw(alpha: Ordinal, max_raw: int = DEFAULT_MAX_RAW) -> list[Term]:
         push(c)
     for c in centered:
         push(Omega(c))
-    if len(prev_gen) > 16:
-        # 2^(2^17) vertical families; don't even materialize the pool
+    # 2^(2^p - 1) - 1 vertical families times 2^c diagonals, counted
+    # before any pool is built; exponents are clipped where the count
+    # passes the bound anyway, so no huge integer is built either
+    clip = max_raw.bit_length() + 1
+    vertical_sets = (1 << min(len(prev_gen), clip)) - 1
+    family_count = (1 << min(vertical_sets, clip)) - 1
+    if (family_count << min(len(centered), clip)) + len(out) > max_raw:
         raise FeasibilityError(
             f"generator set at {alpha} exceeds the raw bound {max_raw}"
         )
     vertical_pool = _power_set_nonempty(prev_gen)
     diagonal_pool = _power_set(centered)
-    family_count = (1 << len(vertical_pool)) - 1
-    if family_count * len(diagonal_pool) + len(out) > max_raw:
-        raise FeasibilityError(
-            f"generator set at {alpha} exceeds the raw bound {max_raw}"
-        )
     for family_mask in range(1, 1 << len(vertical_pool)):
         family = [
             vertical_pool[i]

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import ordinal as ord_mod
 from .ordinal import Ordinal, ZERO
@@ -85,8 +84,15 @@ def is_scattered(t: Term) -> bool:
     return not isinstance(t, (IdQ, IdBaire))
 
 
-@lru_cache(maxsize=None)
 def cb_type(t: Term) -> CbType:
+    """The CB-type of a scattered term, computed once per node and
+    cached on the node itself (terms are interned: see ``term``)."""
+    if t._cb_type is None:
+        object.__setattr__(t, "_cb_type", _cb_type_of(t))
+    return t._cb_type
+
+
+def _cb_type_of(t: Term) -> CbType:
     if isinstance(t, (IdQ, IdBaire)):
         raise NotScatteredError("rank undefined for non-scattered function")
     if isinstance(t, Empty):

@@ -44,6 +44,7 @@ converting any unforeseen cycle into a diagnosable failure.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from . import ordinal as ord_mod
@@ -114,15 +115,16 @@ def _expand_minmax(t: Term) -> Term:
 
 
 def _map_children(t: Term, f: Callable[[Term], Term]) -> Term:
+    # map() and partial() add no stack frame per level of nesting
     if isinstance(t, Glue):
-        return Glue([f(s) for s in t.summands])
+        return Glue(list(map(f, t.summands)))
     if isinstance(t, Omega):
         return Omega(f(t.body))
     if isinstance(t, PglSet):
-        return PglSet([f(m) for m in t.members])
+        return PglSet(list(map(f, t.members)))
     if isinstance(t, Wedge):
         return merged_wedge(
-            [[f(x) for x in v] for v in t.verticals], [f(d) for d in t.diagonal]
+            [list(map(f, v)) for v in t.verticals], list(map(f, t.diagonal))
         )
     return t
 
@@ -133,7 +135,7 @@ def _fix(t: Term, counter: list[int]) -> Term:
         return hit
     original = t
     while True:
-        t2 = _map_children(t, lambda c: _fix(c, counter))
+        t2 = _map_children(t, partial(_fix, counter=counter))
         rewritten = _apply_top(t2)
         if rewritten is None:
             _cache[original] = t2

@@ -21,6 +21,14 @@ metrizable spaces, built from a closed constructor set:
 * ``MinFn(a)`` / ``MaxFn(a)``: atoms for the minimum function among
   ranks >= a (a must be a successor) and the maximum among ranks <= a.
 
+Terms are immutable and interned (hash-consed): a constructor
+validates and orders its arguments, then returns the one live node with
+those fields, so equal terms are one object and equality is identity.
+A node's hash, sort key and size are computed once, at construction,
+from its children's; ``rank.cb_type`` stores the CB-type on the node
+when first asked.  The intern table holds nodes weakly and is guarded
+by a lock.  Copying and unpickling return the interned node.
+
 Pointed gluings of non-constant sequences are not representable.  Every
 centered function is still covered up to equivalence by ``PglSet``, but
 a finitely-supported or monotone non-constant pointed gluing has no
@@ -30,7 +38,10 @@ form by hand.  Points, spaces and reducing maps are never materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+import weakref
+from operator import attrgetter
+
 from . import ordinal as ord_mod
 from .ordinal import Ordinal, OrdinalSyntaxError
 
@@ -43,122 +54,146 @@ class TermSyntaxError(ValueError):
         self.position = position
 
 
-class Term:
-    """Base class; all term values are immutable and hashable."""
+# (variant, *fields) -> the live node; see _intern
+_table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_table_lock = threading.Lock()
+_key_of = attrgetter("_key")
 
-    __slots__ = ()
+
+class Term:
+    """Base class of the interned nodes.  A subclass lists its fields
+    in ``__slots__`` in constructor order, numbers itself in
+    ``_variant`` and returns ``(sort key, size)`` from ``_measure``."""
+
+    __slots__ = ("_hash", "_key", "_size", "_cb_type", "__weakref__")
+    _variant: int
+
+    def __new__(cls) -> "Term":  # the atoms; the other variants take fields
+        return _intern(cls)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} terms are immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} terms are immutable")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # unpickling calls the constructor, which returns the interned node
+        return type(self), tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __deepcopy__(self, memo) -> "Term":
+        return self
+
+    def _measure(self) -> tuple[tuple, int]:
+        return (self._variant,), 1
+
+    def __repr__(self) -> str:
+        args = self.__reduce__()[1]
+        return f"{type(self).__name__}({', '.join(repr(_listed(a)) for a in args)})"
 
     def __str__(self) -> str:
         return format_term(self)
 
 
-def _cache_hash(cls):
-    """Memoize the dataclass hash per instance; terms are deep and get
-    hashed constantly by the memo tables."""
-    plain = cls.__hash__
-
-    def cached(self):
-        h = self.__dict__.get("_hash")
-        if h is None:
-            h = plain(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls.__hash__ = cached
-    return cls
+def _listed(x):
+    return [_listed(y) for y in x] if isinstance(x, tuple) else x
 
 
-@dataclass(frozen=True, repr=False)
+def _intern(cls, *fields) -> Term:
+    """The one live node of ``cls`` with these (canonical) fields."""
+    ident = (cls._variant, *fields)
+    with _table_lock:
+        node = _table.get(ident)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__slots__, fields):
+                object.__setattr__(node, name, value)
+            key, size = node._measure()
+            object.__setattr__(node, "_key", key)
+            object.__setattr__(node, "_size", size)
+            object.__setattr__(node, "_hash", hash(ident))
+            object.__setattr__(node, "_cb_type", None)
+            _table[ident] = node
+    return node
+
+
 class Empty(Term):
     __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "Empty()"
+    _variant = 0
 
 
-@dataclass(frozen=True, repr=False)
 class One(Term):
     __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "One()"
+    _variant = 1
 
 
-@dataclass(frozen=True, repr=False)
 class IdQ(Term):
     __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "IdQ()"
+    _variant = 2
 
 
-@dataclass(frozen=True, repr=False)
 class IdBaire(Term):
     __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "IdBaire()"
+    _variant = 3
 
 
-def _check_inner(t: Term, where: str) -> None:
-    if isinstance(t, (IdQ, IdBaire)):
+def _check_inner(items, where: str) -> None:
+    if any(isinstance(t, (IdQ, IdBaire)) for t in items):
         raise ValueError(f"non-scattered sentinel cannot occur inside {where}")
 
 
-@_cache_hash
-@dataclass(frozen=True, repr=False)
 class Glue(Term):
     """Finite multiset gluing.  Summands are kept sorted by the fixed
     syntactic order; nesting is permitted in raw terms and removed by
     normalization."""
 
-    summands: tuple[Term, ...]
+    __slots__ = ("summands",)
+    _variant = 7
 
-    def __init__(self, summands) -> None:
-        items = tuple(sorted(summands, key=sort_key))
-        for s in items:
-            _check_inner(s, "glue")
-        object.__setattr__(self, "summands", items)
+    def __new__(cls, summands) -> "Glue":
+        items = tuple(sorted(summands, key=_key_of))
+        _check_inner(items, "glue")
+        return _intern(cls, items)
 
-    def __repr__(self) -> str:
-        return f"Glue({list(self.summands)!r})"
+    def _measure(self) -> tuple[tuple, int]:
+        ss = self.summands
+        return (self._variant, len(ss), tuple(s._key for s in ss)), 1 + sum(s._size for s in ss)
 
 
-@_cache_hash
-@dataclass(frozen=True, repr=False)
 class Omega(Term):
-    body: Term
+    __slots__ = ("body",)
+    _variant = 6
 
-    def __init__(self, body: Term) -> None:
-        _check_inner(body, "omega")
-        object.__setattr__(self, "body", body)
+    def __new__(cls, body: Term) -> "Omega":
+        _check_inner((body,), "omega")
+        return _intern(cls, body)
 
-    def __repr__(self) -> str:
-        return f"Omega({self.body!r})"
+    def _measure(self) -> tuple[tuple, int]:
+        return (self._variant, self.body._key), 1 + self.body._size
 
 
-@_cache_hash
-@dataclass(frozen=True, repr=False)
 class PglSet(Term):
     """Pointed gluing of the constant sequence on the gluing of
     ``members`` (a non-empty finite set, stored sorted)."""
 
-    members: tuple[Term, ...]
+    __slots__ = ("members",)
+    _variant = 8
 
-    def __init__(self, members) -> None:
+    def __new__(cls, members) -> "PglSet":
         items = _sorted_set(members)
         if not items:
             raise ValueError("pgl needs at least one member")
-        for m in items:
-            _check_inner(m, "pgl")
-        object.__setattr__(self, "members", items)
+        _check_inner(items, "pgl")
+        return _intern(cls, items)
 
-    def __repr__(self) -> str:
-        return f"PglSet({list(self.members)!r})"
+    def _measure(self) -> tuple[tuple, int]:
+        ms = self.members
+        return (self._variant, len(ms), tuple(m._key for m in ms)), 1 + sum(m._size for m in ms)
 
 
-@_cache_hash
-@dataclass(frozen=True, repr=False)
 class Wedge(Term):
     """Wedge of vertical set families over a diagonal set.
 
@@ -168,55 +203,55 @@ class Wedge(Term):
     ``diagonal`` is a finite (possibly empty) set of terms.
     """
 
-    verticals: tuple[tuple[Term, ...], ...]
-    diagonal: tuple[Term, ...]
+    __slots__ = ("verticals", "diagonal")
+    _variant = 9
 
-    def __init__(self, verticals, diagonal) -> None:
+    def __new__(cls, verticals, diagonal) -> "Wedge":
         vert = tuple(sorted((_sorted_set(v) for v in verticals), key=_family_key))
         if not vert:
             raise ValueError("wedge needs at least one vertical set")
         for v in vert:
             if not v:
                 raise ValueError("wedge vertical sets must be non-empty")
-            for t in v:
-                _check_inner(t, "wedge")
+            _check_inner(v, "wedge")
         if len(set(vert)) != len(vert):
             raise ValueError("wedge vertical sets must be pairwise distinct")
         diag = _sorted_set(diagonal)
-        for t in diag:
-            _check_inner(t, "wedge")
-        object.__setattr__(self, "verticals", vert)
-        object.__setattr__(self, "diagonal", diag)
+        _check_inner(diag, "wedge")
+        return _intern(cls, vert, diag)
 
-    def __repr__(self) -> str:
-        return f"Wedge({[list(v) for v in self.verticals]!r}, {list(self.diagonal)!r})"
+    def _measure(self) -> tuple[tuple, int]:
+        vs, ds = self.verticals, self.diagonal
+        key = (self._variant, tuple(map(_family_key, vs)), tuple(d._key for d in ds))
+        return key, 1 + sum(x._size for v in vs + (ds,) for x in v)
 
 
-@_cache_hash
-@dataclass(frozen=True, repr=False)
 class MinFn(Term):
     """Minimum function among scattered functions of rank >= ``rank``;
     the rank argument must classify as a successor."""
 
-    rank: Ordinal
+    __slots__ = ("rank",)
+    _variant = 4
 
-    def __post_init__(self) -> None:
-        if not self.rank.is_successor:
-            raise ValueError(f"min() needs a successor rank, got {self.rank}")
+    def __new__(cls, rank: Ordinal) -> "MinFn":
+        if not rank.is_successor:
+            raise ValueError(f"min() needs a successor rank, got {rank}")
+        return _intern(cls, rank)
 
-    def __repr__(self) -> str:
-        return f"MinFn({self.rank!r})"
+    def _measure(self) -> tuple[tuple, int]:
+        return (self._variant, self.rank.terms, self.rank.finite), 1
 
 
-@_cache_hash
-@dataclass(frozen=True, repr=False)
 class MaxFn(Term):
     """Maximum function among scattered functions of rank <= ``rank``."""
 
-    rank: Ordinal
+    __slots__ = ("rank",)
+    _variant = 5
 
-    def __repr__(self) -> str:
-        return f"MaxFn({self.rank!r})"
+    def __new__(cls, rank: Ordinal) -> "MaxFn":
+        return _intern(cls, rank)
+
+    _measure = MinFn._measure
 
 
 EMPTY = Empty()
@@ -230,12 +265,7 @@ def merged_wedge(verticals, diagonal) -> "Wedge":
     can collapse two distinct sets to the same one; a family listing a
     set twice is equivalent for domination to the deduplicated family,
     so the denotations agree."""
-    seen: list[tuple[Term, ...]] = []
-    for v in verticals:
-        key = _sorted_set(v)
-        if key not in seen:
-            seen.append(key)
-    return Wedge(seen, diagonal)
+    return Wedge(list(dict.fromkeys(_sorted_set(v) for v in verticals)), diagonal)
 
 
 def glue(*summands: Term) -> Glue:
@@ -258,56 +288,23 @@ def omega(t: Term) -> Omega:
 # Fixed total order on terms
 
 
-_VARIANT_ORDER = {
-    Empty: 0,
-    One: 1,
-    IdQ: 2,
-    IdBaire: 3,
-    MinFn: 4,
-    MaxFn: 5,
-    Omega: 6,
-    Glue: 7,
-    PglSet: 8,
-    Wedge: 9,
-}
-
-
 def sort_key(t: Term) -> tuple:
-    """Stable structural key: variant index first, then components.
+    """Stable structural key: variant index first, then components
+    (the rank's CNF for min/max atoms, the children's keys otherwise).
 
     This is an arbitrary but fixed total order used for canonical
     multiset ordering and tie-breaking; it has no semantic content.
+    Each node stores its key at construction.
     """
-    v = _VARIANT_ORDER[type(t)]
-    if isinstance(t, (Empty, One, IdQ, IdBaire)):
-        return (v,)
-    if isinstance(t, (MinFn, MaxFn)):
-        return (v, t.rank.terms, t.rank.finite)
-    if isinstance(t, Omega):
-        return (v, sort_key(t.body))
-    if isinstance(t, Glue):
-        return (v, len(t.summands), tuple(sort_key(s) for s in t.summands))
-    if isinstance(t, PglSet):
-        return (v, len(t.members), tuple(sort_key(m) for m in t.members))
-    if isinstance(t, Wedge):
-        return (
-            v,
-            tuple(_family_key(f) for f in t.verticals),
-            tuple(sort_key(d) for d in t.diagonal),
-        )
-    raise TypeError(f"not a term: {t!r}")
+    return t._key
 
 
 def _family_key(family: tuple[Term, ...]) -> tuple:
-    return (len(family),) + tuple(sort_key(t) for t in family)
+    return (len(family),) + tuple(t._key for t in family)
 
 
 def _sorted_set(items) -> tuple[Term, ...]:
-    seen = []
-    for t in sorted(items, key=sort_key):
-        if not seen or seen[-1] != t:
-            seen.append(t)
-    return tuple(seen)
+    return tuple(sorted(set(items), key=_key_of))
 
 
 def syntactic_cmp(a: Term, b: Term) -> int:
@@ -316,22 +313,9 @@ def syntactic_cmp(a: Term, b: Term) -> int:
 
 
 def term_size(t: Term) -> int:
-    """Number of constructor nodes (ordinal arguments do not count)."""
-    if isinstance(t, (Empty, One, IdQ, IdBaire, MinFn, MaxFn)):
-        return 1
-    if isinstance(t, Omega):
-        return 1 + term_size(t.body)
-    if isinstance(t, Glue):
-        return 1 + sum(term_size(s) for s in t.summands)
-    if isinstance(t, PglSet):
-        return 1 + sum(term_size(m) for m in t.members)
-    if isinstance(t, Wedge):
-        return (
-            1
-            + sum(term_size(x) for v in t.verticals for x in v)
-            + sum(term_size(d) for d in t.diagonal)
-        )
-    raise TypeError(f"not a term: {t!r}")
+    """Number of constructor nodes (ordinal arguments do not count),
+    stored on each node at construction."""
+    return t._size
 
 
 # ---------------------------------------------------------------------------
@@ -470,10 +454,7 @@ class _Parser:
             self.eat("(")
             rank = self.read_ordinal_until(")")
             self.eat(")")
-            try:
-                return MinFn(rank) if word == "min" else MaxFn(rank)
-            except ValueError as exc:
-                raise TermSyntaxError(str(exc), word_start) from exc
+            return self.build(MinFn if word == "min" else MaxFn, word_start, rank)
         if word == "omega":
             self.eat("(")
             body = self.parse_term()
@@ -504,10 +485,7 @@ class _Parser:
             self.eat("|")
             diagonal = self.parse_set()
             self.eat(")")
-            try:
-                return Wedge(verticals, diagonal)
-            except ValueError as exc:
-                raise TermSyntaxError(str(exc), word_start) from exc
+            return self.build(Wedge, word_start, verticals, diagonal)
         raise TermSyntaxError(f"unknown term {word!r}" if word else "expected a term", word_start)
 
     def parse_set(self) -> list[Term]:

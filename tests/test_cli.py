@@ -49,6 +49,24 @@ def test_compare_trace_and_json(capsys):
     assert set(payload["trace"][0]) == {"rule", "query"}
 
 
+def test_trace_text_is_pinned(capsys):
+    code, out, _ = run(capsys, "compare", "max(w)", "min(w+1)", "--trace")
+    assert (code, out.splitlines()) == (0, ["LE", "  A1: max(w) <= min(w+1) [level w]"])
+    code, out, _ = run(capsys, "compare", "one", "2*one", "--json")
+    assert json.loads(out)["trace"] == [
+        {"rule": "L-min", "query": "one <= 2*one [minimum below target rank]"}
+    ]
+    code, out, _ = run(capsys, "compare", "glue(one,omega(one))", "pgl{one}", "--trace")
+    assert (code, out.splitlines()) == (0, ["LE", "  A1: omega(one) <= pgl{one} [level 1]"])
+    code, out, _ = run(capsys, "compare", "omega(one)", "one", "--trace")
+    assert (code, out.splitlines()) == (
+        1, ["NOT_LE", "  N-lex: omega(one) <= one [tp (1, w) > tp (1, 1)]"]
+    )
+    left, right = "pgl{omega(pgl{omega(one)})}", "pgl{omega(pgl{one})}"
+    code, out, _ = run(capsys, "compare", left, right, "--trace")
+    assert (code, out.splitlines()) == (2, ["UNKNOWN", f"  blocked:rules: {left} <= {right}"])
+
+
 def test_generators_raw(capsys):
     code, out, _ = run(capsys, "generators", "1", "--raw")
     assert code == 0

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -103,6 +104,19 @@ def test_dominates_examples():
     assert v.outcome is Outcome.LE
     v = dominates([parse_term("min(w+1)")], [parse_term("one"), parse_term("max(w)")])
     assert v.outcome is Outcome.NOT_LE
+    v = dominates([parse_term("max(2)")], [parse_term("min(3)")])
+    assert v.trace == (("blocked:pair", "max(2) vs every target undecided"),)
+
+
+def test_trace_text_is_formatted_only_when_read(monkeypatch):
+    def fail(t):
+        raise AssertionError("trace text formatted before it was read")
+
+    monkeypatch.setattr(sys.modules["scatcalc.compare"], "format_term", fail)
+    v = Engine().compare(parse_term("glue(pgl{max(w)}, one)"), parse_term("omega(min(w+1))"))
+    monkeypatch.undo()
+    assert v.outcome is Outcome.NOT_LE
+    assert v.trace and all(isinstance(text, str) for _, text in v.trace)
 
 
 def test_le_compact_examples():

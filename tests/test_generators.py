@@ -125,6 +125,31 @@ def test_feasibility_bound():
         centered_raw(from_int(2), max_raw=2)
 
 
+def test_refusal_builds_no_pool(monkeypatch):
+    # the wedge count is known before any power set is built, so the
+    # refusal at w+2 must not build one
+    from scatcalc import generators
+
+    prev_gen = generator_raw(po("w+1"))
+    centered = centered_raw(po("w+2"))
+
+    def fail(items):
+        raise AssertionError("power set built for a refused level")
+
+    monkeypatch.setattr(generators, "generator_raw", lambda alpha, max_raw: prev_gen)
+    monkeypatch.setattr(generators, "centered_raw", lambda alpha, max_raw: centered)
+    monkeypatch.setattr(generators, "_power_set", fail)
+    monkeypatch.setattr(generators, "_power_set_nonempty", fail)
+    with pytest.raises(FeasibilityError, match="exceeds the raw bound"):
+        generator_raw(po("w+2"))
+
+
+def test_feasibility_bound_is_exact():
+    assert len(generator_raw(from_int(2), max_raw=120)) == 120
+    with pytest.raises(FeasibilityError):
+        generator_raw(from_int(2), max_raw=119)
+
+
 def test_six_generators_dedupe_and_classes():
     lam = po("w")
     gens = generator_set(po("w+1"))

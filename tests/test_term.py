@@ -1,3 +1,8 @@
+import copy
+import pickle
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 
@@ -12,6 +17,7 @@ from scatcalc.term import (
     MinFn,
     ONE,
     Omega,
+    One,
     PglSet,
     TermSyntaxError,
     Wedge,
@@ -91,6 +97,68 @@ def test_multiset_semantics():
     assert Glue([ONE, Omega(ONE)]) == Glue([Omega(ONE), ONE])
     assert PglSet([ONE, ONE]) == PglSet([ONE])
     assert Wedge([[ONE], [Omega(ONE)]], []) == Wedge([[Omega(ONE)], [ONE]], [])
+
+
+def test_equal_terms_are_one_object():
+    assert Glue([ONE, Omega(ONE)]) is Glue([Omega(ONE), ONE])
+    assert One() is ONE
+    for text in ("wedge({max(w)}, {one, min(2)} | {min(w+1)})", "pgl{omega(one), 2*one}"):
+        assert parse_term(text) is parse_term(text)
+
+
+def test_copy_and_pickle_return_the_interned_term():
+    t = parse_term("wedge({max(w)}, {one, min(2)} | {omega(min(w+1))})")
+    assert copy.copy(t) is t
+    assert copy.deepcopy(t) is t
+    assert pickle.loads(pickle.dumps(t)) is t
+    assert pickle.loads(pickle.dumps(ONE)) is ONE
+
+
+def test_terms_are_immutable():
+    t = Glue([ONE, Omega(ONE)])
+    with pytest.raises(AttributeError):
+        t.summands = ()
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    with pytest.raises(AttributeError):
+        del t.summands
+    assert t.summands == (ONE, Omega(ONE))
+
+
+def test_deep_terms_need_no_recursion():
+    t = ONE
+    for _ in range(1000):
+        t = Omega(t)
+    assert term_size(t) == 1001
+    assert isinstance(hash(t), int)
+    assert sort_key(t) == (sort_key(Omega(ONE))[0], sort_key(t.body))
+    assert term_size(normalize(parse_term("min(300)"))) == 300
+
+
+def test_concurrent_construction_interns_once():
+    # threads build the same fresh terms at once; a lost race between
+    # lookup and insert would hand two threads two distinct nodes
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for r in range(1, 6):
+            texts = [f"pgl{{glue(min({n}), omega(max(w^{r}*{n}+{k})))}}"
+                     for n in range(2, 12) for k in range(30)]
+            results: list[list] = []
+            threads = [
+                threading.Thread(target=lambda: results.append(list(map(parse_term, texts))))
+                for _ in range(8)
+            ]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert len(results) == len(threads)
+            for built in results[1:]:
+                assert all(a is b for a, b in zip(built, results[0]))
+    finally:
+        sys.setswitchinterval(old)
 
 
 def test_merged_wedge_collapses_duplicates():
