@@ -47,7 +47,6 @@ from .compare import (
     EngineConfig,
     Outcome,
     Verdict,
-    compare,
     dominates,
     equivalent,
     le_compact,

@@ -16,7 +16,7 @@ import sys
 from . import generators as gen_mod
 from . import oracle as oracle_mod
 from . import rewrite
-from .compare import Engine, EngineConfig, Outcome, default_engine
+from .compare import Engine, EngineConfig, Outcome
 from .ordinal import OrdinalSyntaxError, parse_ordinal
 from .rank import cb_type
 from .term import TermSyntaxError, format_term, parse_term
@@ -41,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=gen_mod.DEFAULT_MAX_RAW,
         help="generator enumeration feasibility bound",
     )
-    parser.add_argument("--seed", type=int, default=0, help="property sampling seed")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("type", help="print the CB-type of a term")
@@ -72,12 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _engine(args) -> Engine:
-    if args.depth == 64:
-        return default_engine()
-    return Engine(EngineConfig(depth=args.depth))
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -91,6 +84,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
+    engine = Engine(EngineConfig(depth=args.depth))
     if args.command == "type":
         t = parse_term(args.term)
         print(cb_type(t))
@@ -98,11 +92,10 @@ def _dispatch(args) -> int:
 
     if args.command == "normalize":
         t = parse_term(args.term)
-        print(format_term(rewrite.normalize(t)))
+        print(format_term(rewrite.normalize(t, engine)))
         return 0
 
     if args.command == "compare":
-        engine = _engine(args)
         verdict = engine.compare(parse_term(args.left), parse_term(args.right))
         if args.json:
             print(
@@ -126,20 +119,18 @@ def _dispatch(args) -> int:
     if args.command == "generators":
         level = parse_ordinal(args.level)
         build = gen_mod.centered_set if args.centered else gen_mod.generator_set
-        gens = build(level, max_raw=args.max_raw)
-        terms = gens.raw if args.raw else [rep for rep, _ in gens.classes]
+        raw = build(level, max_raw=args.max_raw).raw
+        terms = raw if args.raw else _representatives(raw, engine)
         for t in terms:
             print(format_term(t))
         return 0
 
     if args.command == "hasse":
         level = parse_ordinal(args.level)
-        engine = _engine(args)
-        gens = gen_mod.generator_set(level, max_raw=args.max_raw)
-        reps = [rep for rep, _ in gens.classes]
+        reps = _representatives(gen_mod.generator_set(level, max_raw=args.max_raw).raw, engine)
         edges = gen_mod.hasse(reps, engine)
         if args.dot:
-            print(render_dot(reps, edges))
+            print(render_dot(reps, edges, engine))
         else:
             for a, b in edges:
                 print(f"{format_term(a)} -> {format_term(b)}")
@@ -155,18 +146,23 @@ def _dispatch(args) -> int:
     raise AssertionError(f"unhandled command {args.command}")
 
 
-def _node_id(t) -> str:
-    digest = hashlib.sha256(format_term(rewrite.normalize(t)).encode()).hexdigest()
+def _representatives(raw, engine: Engine) -> list:
+    classes, _ = gen_mod.equivalence_classes(raw, engine)
+    return [rep for rep, _ in classes]
+
+
+def _node_id(t, engine: Engine | None) -> str:
+    digest = hashlib.sha256(format_term(rewrite.normalize(t, engine)).encode()).hexdigest()
     return "n" + digest[:12]
 
 
-def render_dot(terms, edges) -> str:
+def render_dot(terms, edges, engine: Engine | None = None) -> str:
     lines = ["digraph hasse {"]
     for t in terms:
         label = format_term(t).replace('"', '\\"')
-        lines.append(f'  {_node_id(t)} [label="{label}"];')
+        lines.append(f'  {_node_id(t, engine)} [label="{label}"];')
     for a, b in edges:
-        lines.append(f"  {_node_id(a)} -> {_node_id(b)};")
+        lines.append(f"  {_node_id(a, engine)} -> {_node_id(b, engine)};")
     lines.append("}")
     return "\n".join(lines)
 

@@ -72,6 +72,11 @@ used, formatted to text only when read.  Queries are memoized on
 normalized pairs; in-progress queries re-entered during their own
 derivation yield UNKNOWN for that path (coinductive failure), and a
 depth bound turns runaway searches into UNKNOWN with a "depth" blocker.
+
+An :class:`Engine` owns its memo and its normal-form cache, and runs
+normalization on itself: the rewrite rules that decide reducibilities
+query the engine that asked for the normal form, within its depth
+bound.  The module-level functions use one shared default engine.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from . import ordinal as ord_mod
 from . import rewrite
@@ -97,6 +102,8 @@ from .term import (
     Term,
     Wedge,
     format_term,
+    glue_of,
+    summands_of,
 )
 
 
@@ -125,10 +132,17 @@ class Verdict:
         raise TypeError("Verdict is three-valued; test .outcome explicitly")
 
 
+# k-range for member-into-finite-gluing searches
+FIN_GLUE_BOUND = 3
+
+
 @dataclass(frozen=True)
 class EngineConfig:
     depth: int = 64
-    fin_glue_bound: int = 3  # k-range for member-into-finite-gluing searches
+
+    def __post_init__(self) -> None:
+        if self.depth < 1:
+            raise ValueError(f"derivation depth must be positive, got {self.depth}")
 
 
 def _step(rule: str, f: Term, g: Term, *note) -> Step:
@@ -154,14 +168,16 @@ def _NOT_LE(*steps: Step) -> Verdict:
 
 
 class Engine:
-    """Holds the memo table; safe for concurrent readers, and writes
-    are idempotent (verdicts for a pair never change).  The state of an
-    in-flight derivation (the query stack and taint marks) is kept
-    per-thread."""
+    """Holds the memo table and the normal-form cache; safe for
+    concurrent readers, and writes are idempotent (verdicts for a pair
+    and normal forms never change).  The state of an in-flight
+    derivation (the query stack and taint marks) is kept per-thread."""
 
     def __init__(self, config: EngineConfig | None = None) -> None:
         self.config = config or EngineConfig()
         self._memo: dict[tuple[Term, Term], Verdict] = {}
+        # term -> normal form, filled by rewrite.normalize
+        self._nf: dict[Term, Term] = {}
         self._local = threading.local()
 
     @property
@@ -185,8 +201,13 @@ class Engine:
     # -- public API ---------------------------------------------------
 
     def compare(self, f: Term, g: Term) -> Verdict:
-        nf = rewrite.normalize(f)
-        ng = rewrite.normalize(g)
+        # a cached normal form costs one lookup, not a normalize call
+        nf = self._nf.get(f)
+        if nf is None:
+            nf = rewrite.normalize(f, self)
+        ng = self._nf.get(g)
+        if ng is None:
+            ng = rewrite.normalize(g, self)
         return self._query(nf, ng, self.config.depth)
 
     def equivalent(self, f: Term, g: Term) -> str:
@@ -291,8 +312,8 @@ class Engine:
         if v is not None:
             return v
         if isinstance(g, PglSet):
-            body = Omega(_glue_of(g.members))
-            if self._le(f, rewrite.normalize(body), d):
+            body = Omega(glue_of(g.members))
+            if self._le(f, rewrite.normalize(body, self), d):
                 return _LE(_step("L-pgl-lower", f, g, "via omega copies of the member set"))
         v = self._rule_wedge_bounds(f, g, d)
         if v is not None:
@@ -357,24 +378,23 @@ class Engine:
 
     def _rule_pgl_mono(self, f: PglSet, g: PglSet, d: int) -> Optional[Verdict]:
         for m in f.members:
-            if not self._le_fin_glue(m, g.members, d):
+            bound = max(len(summands_of(m)), FIN_GLUE_BOUND)
+            if not self._le_fin_glue(m, g.members, bound, d):
                 return None
         return _LE(_step("L-pgl-mono", f, g, "memberwise into finite gluings"))
 
-    def _le_fin_glue(self, x: Term, members: Sequence[Term], d: int) -> bool:
-        width = len(x.summands) if isinstance(x, Glue) else 1
-        bound = max(width, self.config.fin_glue_bound)
+    def _le_fin_glue(self, x: Term, members: tuple[Term, ...], bound: int, d: int) -> bool:
+        """Whether the normal form ``x`` reduces to k copies of the
+        glued member set for some k <= ``bound``."""
         for k in range(1, bound + 1):
-            target = rewrite.normalize(Glue(list(members) * k))
-            if self._le(x, target, d):
+            if self._le(x, rewrite.normalize(glue_of(members * k), self), d):
                 return True
         return False
 
     # L-glue: multiset matching with absorbing targets
 
     def _rule_glue_match(self, f: Term, g: Term, d: int) -> Optional[Verdict]:
-        fs = list(f.summands) if isinstance(f, Glue) else [f]
-        gs = list(g.summands) if isinstance(g, Glue) else [g]
+        fs, gs = summands_of(f), summands_of(g)
         if not fs:
             return _LE(_step("L-glue", f, g, "empty gluing"))
 
@@ -402,7 +422,7 @@ class Engine:
         if isinstance(target, Omega):
             return self._accept_repeated(s, target.body, d)
         if isinstance(target, PglSet):
-            return self._le(s, rewrite.normalize(_glue_of(target.members)), d)
+            return self._le(s, rewrite.normalize(glue_of(target.members), self), d)
         lam = _max_atom_level(target)
         if lam is not None:
             return cb_type(s).rank <= lam
@@ -423,7 +443,7 @@ class Engine:
             return all(self._accept_repeated(x, base, d) for x in s.summands)
         if isinstance(s, Wedge):
             verticals_ok = all(
-                self._le(rewrite.normalize(PglSet(v)), base, d) for v in s.verticals
+                self._le(rewrite.normalize(PglSet(v), self), base, d) for v in s.verticals
             )
             diagonal_ok = all(self._accept_repeated(x, base, d) for x in s.diagonal)
             return verticals_ok and diagonal_ok
@@ -431,11 +451,11 @@ class Engine:
 
     def _rule_wedge_bounds(self, f: Term, g: Term, d: int) -> Optional[Verdict]:
         if isinstance(g, Wedge):
-            for bound in _wedge_lower_bounds(g):
+            for bound in _wedge_lower_bounds(g, self):
                 if self._le(f, bound, d):
                     return _LE(_step("L-wedge-bounds", f, g, "through a lower bound"))
         if isinstance(f, Wedge):
-            upper = rewrite.normalize(_wedge_upper_bound(f))
+            upper = rewrite.normalize(_wedge_upper_bound(f), self)
             if self._le(upper, g, d):
                 return _LE(_step("L-wedge-bounds", f, g, "through the upper bound"))
         return None
@@ -477,8 +497,8 @@ class Engine:
         if tf.rank == tg.rank:
             # top maps to top, so source rays land in finite prefixes of
             # target rays; the degree comparison is meaningful here
-            deg_f = cb_type(_glue_of(f.members)).degree
-            deg_g = cb_type(_glue_of(g.members)).degree
+            deg_f = cb_type(glue_of(f.members)).degree
+            deg_g = cb_type(glue_of(g.members)).degree
             if deg_f == OMEGA_DEGREE and deg_g != OMEGA_DEGREE:
                 return _NOT_LE(
                     _step("N-pgl-deg", f, g, "rays of omega degree cannot land finitely")
@@ -500,8 +520,7 @@ class Engine:
     def _rule_capacity(self, f: Term, g: Term, tf, tg, d: int) -> Optional[Verdict]:
         if tf.rank != tg.rank or not tf.rank.is_successor:
             return None
-        fs = list(f.summands) if isinstance(f, Glue) else [f]
-        gs = list(g.summands) if isinstance(g, Glue) else [g]
+        fs, gs = summands_of(f), summands_of(g)
         if len(fs) == 1 and len(gs) == 1:
             return None
         r = tf.rank
@@ -544,14 +563,14 @@ class Engine:
         )
 
     def _rule_mono(self, f: Term, g: Term, d: int) -> Optional[Verdict]:
-        for p in _structural_lower_bounds(f):
-            p = rewrite.normalize(p)
+        for p in _structural_lower_bounds(f, self):
+            p = rewrite.normalize(p, self)
             if self._not_le(p, g, d):
                 return _NOT_LE(
                     _step("N-mono", p, g, "lower bound of ", f, " refuted")
                 )
         if isinstance(g, Wedge):
-            upper = rewrite.normalize(_wedge_upper_bound(g))
+            upper = rewrite.normalize(_wedge_upper_bound(g), self)
             if self._not_le(f, upper, d):
                 return _NOT_LE(
                     _step("N-mono", f, upper, "upper bound of ", g, " refuted")
@@ -563,34 +582,30 @@ class Engine:
 # structural helpers
 
 
-def _glue_of(members: Sequence[Term]) -> Term:
-    return members[0] if len(members) == 1 else Glue(members)
-
-
-def _wedge_lower_bounds(w: Wedge) -> list[Term]:
-    bounds = [rewrite.normalize(PglSet(v)) for v in w.verticals]
+def _wedge_lower_bounds(w: Wedge, engine: Engine) -> list[Term]:
+    bounds = [rewrite.normalize(PglSet(v), engine) for v in w.verticals]
     if w.diagonal:
-        bounds.append(rewrite.normalize(Omega(_glue_of(w.diagonal))))
-        bounds.extend(rewrite.normalize(x) for x in w.diagonal)
+        bounds.append(rewrite.normalize(Omega(glue_of(w.diagonal)), engine))
+        bounds.extend(rewrite.normalize(x, engine) for x in w.diagonal)
     return bounds
 
 
 def _wedge_upper_bound(w: Wedge) -> Term:
     parts: list[Term] = [PglSet(v) for v in w.verticals]
     if w.diagonal:
-        parts.append(Omega(_glue_of(w.diagonal)))
-    return _glue_of(parts) if len(parts) > 1 else parts[0]
+        parts.append(Omega(glue_of(w.diagonal)))
+    return glue_of(parts)
 
 
-def _structural_lower_bounds(f: Term) -> list[Term]:
+def _structural_lower_bounds(f: Term, engine: Engine) -> list[Term]:
     if isinstance(f, Glue):
         return list(dict.fromkeys(f.summands))
     if isinstance(f, Omega):
         return [f.body]
     if isinstance(f, PglSet):
-        return [Omega(_glue_of(f.members))] + list(f.members)
+        return [Omega(glue_of(f.members))] + list(f.members)
     if isinstance(f, Wedge):
-        return _wedge_lower_bounds(f)
+        return _wedge_lower_bounds(f, engine)
     return []
 
 

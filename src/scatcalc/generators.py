@@ -80,8 +80,8 @@ class GeneratorSet:
         self._undecided = undecided
 
 
-def _rep_key(t: Term) -> tuple:
-    n = rewrite.normalize(t)
+def _rep_key(t: Term, engine: Engine) -> tuple:
+    n = rewrite.normalize(t, engine)
     return (term_size(n),) + sort_key(n)
 
 
@@ -115,9 +115,9 @@ def equivalence_classes(
         groups.setdefault(find(i), []).append(t)
     classes = []
     for members in groups.values():
-        rep = min(members, key=_rep_key)
+        rep = min(members, key=lambda t: _rep_key(t, engine))
         classes.append((rep, members))
-    classes.sort(key=lambda c: _rep_key(c[0]))
+    classes.sort(key=lambda c: _rep_key(c[0], engine))
     # only report undecided pairs that ended up in distinct classes
     undecided = [
         (items[i], items[j]) for i, j in undecided_ix if find(i) != find(j)

@@ -36,16 +36,24 @@ Rule set (names are the public identifiers accepted by
     gluing, and a wedge whose verticals all reduce to finite gluings
     over the diagonal collapses to omega copies of the diagonal.
 
-The min/max expansion strictly decreases its ordinal argument, so it
-runs to exhaustion first; the remaining rules then run to a joint
-fixpoint under a hard application cap (default ``10 * term_size``),
-converting any unforeseen cycle into a diagnosable failure.
+The min/max expansion (``R-minmax`` at every atom) strictly decreases
+its ordinal argument, so it runs to exhaustion first; the remaining
+rules then run to a joint fixpoint under a hard application cap
+(default ``10 * term_size``), converting any unforeseen cycle into a
+diagnosable failure.
+
+``R-pgl-members``, ``R-pgl-absorb`` and ``R-wedge-reduce`` decide
+reducibilities.  Normalization runs on an :class:`~scatcalc.compare.Engine`:
+every rule asks that engine, within its depth bound, and the normal
+forms are cached on it, so an engine's normal forms and verdicts depend
+on nothing outside it.  Without an engine, the module-level default
+engine of :mod:`scatcalc.compare` is used.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from . import ordinal as ord_mod
 from .term import (
@@ -60,10 +68,16 @@ from .term import (
     PglSet,
     Term,
     Wedge,
+    glue_of,
     merged_wedge,
+    sort_key,
+    summands_of,
     syntactic_cmp,
     term_size,
 )
+
+if TYPE_CHECKING:
+    from .compare import Engine
 
 
 class NormalizationLimitError(RuntimeError):
@@ -72,45 +86,39 @@ class NormalizationLimitError(RuntimeError):
 
 DEFAULT_CAP_FACTOR = 10
 
-_cache: dict[Term, Term] = {}
 
-
-def normalize(t: Term, max_steps: int | None = None) -> Term:
+def normalize(t: Term, engine: Engine | None = None, max_steps: int | None = None) -> Term:
     """Rewrite ``t`` to a fixpoint of the rule set.
 
     The result denotes the same reducibility class: every rule is an
     equivalence.  Idempotent, and rank-preserving on scattered terms.
+    The rules' comparisons run on ``engine`` (by default the default
+    engine), which also caches the result.
     """
-    hit = _cache.get(t)
+    if engine is None:
+        engine = _default_engine()
+    cache = engine._nf
+    hit = cache.get(t)
     if hit is not None:
         return hit
     expanded = _expand_minmax(t)
     cap = max_steps if max_steps is not None else DEFAULT_CAP_FACTOR * term_size(expanded)
-    counter = [0, cap]
-    result = _fix(expanded, counter)
-    _cache[t] = result
-    _cache[result] = result
+    result = _fix(expanded, [0, cap], engine)
+    cache[t] = result
+    cache[result] = result
     return result
 
 
+def _default_engine() -> Engine:
+    from .compare import default_engine  # compare imports this module
+
+    return default_engine()
+
+
 def _expand_minmax(t: Term) -> Term:
-    if isinstance(t, MinFn):
-        r = t.rank
-        if r.finite == 1 and not r.terms:
-            return ONE
-        lam, n = ord_mod.split(r)
-        if n >= 2:
-            return PglSet([_expand_minmax(MinFn(ord_mod.pred_if_successor(r)))])
-        return t
-    if isinstance(t, MaxFn):
-        r = t.rank
-        if r.is_zero:
-            return EMPTY
-        if r.finite == 1 and not r.terms:
-            return Omega(ONE)
-        if r.is_successor:
-            return Omega(PglSet([_expand_minmax(MaxFn(ord_mod.pred_if_successor(r)))]))
-        return t
+    if isinstance(t, (MinFn, MaxFn)):
+        r = _rule_minmax(t, None)
+        return t if r is None else _map_children(r, _expand_minmax)
     return _map_children(t, _expand_minmax)
 
 
@@ -129,17 +137,18 @@ def _map_children(t: Term, f: Callable[[Term], Term]) -> Term:
     return t
 
 
-def _fix(t: Term, counter: list[int]) -> Term:
-    hit = _cache.get(t)
+def _fix(t: Term, counter: list[int], engine: Engine) -> Term:
+    cache = engine._nf
+    hit = cache.get(t)
     if hit is not None:
         return hit
     original = t
     while True:
-        t2 = _map_children(t, partial(_fix, counter=counter))
-        rewritten = _apply_top(t2)
+        t2 = _map_children(t, partial(_fix, counter=counter, engine=engine))
+        rewritten = _apply_top(t2, engine)
         if rewritten is None:
-            _cache[original] = t2
-            _cache[t2] = t2
+            cache[original] = t2
+            cache[t2] = t2
             return t2
         counter[0] += 1
         if counter[0] > counter[1]:
@@ -153,19 +162,25 @@ _TOP_RULE_ORDER = ("R-flat", "R-omega", "R-minmax", "R-pgl-members",
                    "R-pgl-wedge", "R-pgl-absorb", "R-wedge-reduce")
 
 
-def _apply_top(t: Term) -> Optional[Term]:
+def _apply_top(t: Term, engine: Engine) -> Optional[Term]:
     for name in _TOP_RULE_ORDER:
-        r = _RULES[name](t)
+        r = _RULES[name](t, engine)
         if r is not None:
             return r
     return None
 
 
 # ---------------------------------------------------------------------------
-# Individual rules, each applying at the root only
+# Individual rules, each applying at the root only and asking ``engine``
+# for any reducibility they need
 
 
-def _rule_flat(t: Term) -> Optional[Term]:
+def _le(engine: Engine, a: Term, b: Term) -> bool:
+    """Whether ``engine`` decides a <= b."""
+    return engine._le(normalize(a, engine), normalize(b, engine), engine.config.depth)
+
+
+def _rule_flat(t: Term, engine: Engine) -> Optional[Term]:
     if not isinstance(t, Glue):
         return None
     if any(isinstance(s, (Glue, Empty)) for s in t.summands):
@@ -185,7 +200,7 @@ def _rule_flat(t: Term) -> Optional[Term]:
     return None
 
 
-def _rule_minmax(t: Term) -> Optional[Term]:
+def _rule_minmax(t: Term, engine: Engine) -> Optional[Term]:
     if isinstance(t, PglSet) and t.members == (EMPTY,):
         # the pointed gluing of the empty function is the singleton
         # identity, the same base case the min recurrence bottoms out in
@@ -209,7 +224,7 @@ def _rule_minmax(t: Term) -> Optional[Term]:
     return None
 
 
-def _rule_omega(t: Term) -> Optional[Term]:
+def _rule_omega(t: Term, engine: Engine) -> Optional[Term]:
     if isinstance(t, Omega):
         if isinstance(t.body, Empty):
             return EMPTY
@@ -240,16 +255,7 @@ def _rule_omega(t: Term) -> Optional[Term]:
     return None
 
 
-def _verdicts(a: Term, b: Term) -> tuple[bool, bool]:
-    """(a <= b decided, b <= a decided) via the comparison engine."""
-    from scatcalc.compare import Outcome, compare
-
-    le_ab = compare(a, b).outcome is Outcome.LE
-    le_ba = compare(b, a).outcome is Outcome.LE
-    return le_ab, le_ba
-
-
-def _rule_pgl_members(t: Term) -> Optional[Term]:
+def _rule_pgl_members(t: Term, engine: Engine) -> Optional[Term]:
     if not isinstance(t, PglSet) or len(t.members) < 2:
         return None
     doomed: set[Term] = set()
@@ -257,7 +263,7 @@ def _rule_pgl_members(t: Term) -> Optional[Term]:
         for d in t.members:
             if m == d:
                 continue
-            le_md, le_dm = _verdicts(m, d)
+            le_md, le_dm = _le(engine, m, d), _le(engine, d, m)
             if le_md and (not le_dm or syntactic_cmp(d, m) < 0):
                 doomed.add(m)
                 break
@@ -266,7 +272,7 @@ def _rule_pgl_members(t: Term) -> Optional[Term]:
     return PglSet([m for m in t.members if m not in doomed])
 
 
-def _rule_pgl_wedge(t: Term) -> Optional[Term]:
+def _rule_pgl_wedge(t: Term, engine: Engine) -> Optional[Term]:
     if not isinstance(t, PglSet):
         return None
     for m in t.members:
@@ -278,18 +284,14 @@ def _rule_pgl_wedge(t: Term) -> Optional[Term]:
     return None
 
 
-def _glue_of(members: tuple[Term, ...]) -> Term:
-    return members[0] if len(members) == 1 else Glue(members)
-
-
-def _canonical_side_set(members: tuple[Term, ...]) -> tuple[Term, ...]:
+def _canonical_side_set(members: tuple[Term, ...], engine: Engine) -> tuple[Term, ...]:
     """Normalize the gluing a wedge side set denotes, and resplit it
     into a set when the normal form is duplicate-free.  Duplicated
     summands (which a set cannot spell) leave the set unchanged."""
     if not members:
         return members
-    n = normalize(_glue_of(members))
-    parts = n.summands if isinstance(n, Glue) else (n,)
+    n = normalize(glue_of(members), engine)
+    parts = summands_of(n)
     if not parts or len(set(parts)) != len(parts):
         return members
     if isinstance(n, Empty):
@@ -297,23 +299,7 @@ def _canonical_side_set(members: tuple[Term, ...]) -> tuple[Term, ...]:
     return parts
 
 
-def _le_fin_glue(x: Term, members: tuple[Term, ...], bound: int) -> bool:
-    """Bounded search: x <= k copies of the glued member set for some
-    k <= bound."""
-    from scatcalc.compare import Outcome, compare
-
-    for k in range(1, bound + 1):
-        target = Glue(list(members) * k) if k > 1 else _glue_of(members)
-        if compare(x, target).outcome is Outcome.LE:
-            return True
-    return False
-
-
-def _width(t: Term) -> int:
-    return len(t.summands) if isinstance(t, Glue) else 1
-
-
-def _rule_pgl_absorb(t: Term) -> Optional[Term]:
+def _rule_pgl_absorb(t: Term, engine: Engine) -> Optional[Term]:
     if not isinstance(t, Glue):
         return None
     if not any(isinstance(s, PglSet) for s in t.summands):
@@ -322,31 +308,28 @@ def _rule_pgl_absorb(t: Term) -> Optional[Term]:
         for j, p in enumerate(t.summands):
             if i == j or not isinstance(p, PglSet):
                 continue
-            if _le_fin_glue(s, p.members, _width(s)):
+            x = normalize(s, engine)
+            if engine._le_fin_glue(x, p.members, len(summands_of(s)), engine.config.depth):
                 return Glue(t.summands[:i] + t.summands[i + 1 :])
     return None
 
 
-def _dominates_set(fam_a: tuple[Term, ...], fam_b: tuple[Term, ...]) -> bool:
-    from scatcalc.compare import Outcome, compare
-
-    return all(
-        any(compare(f, g).outcome is Outcome.LE for g in fam_b) for f in fam_a
-    )
+def _dominates_set(
+    engine: Engine, fam_a: tuple[Term, ...], fam_b: tuple[Term, ...]
+) -> bool:
+    return all(any(_le(engine, f, g) for g in fam_b) for f in fam_a)
 
 
-def _rule_wedge_reduce(t: Term) -> Optional[Term]:
+def _rule_wedge_reduce(t: Term, engine: Engine) -> Optional[Term]:
     if not isinstance(t, Wedge):
         return None
-    from .term import merged_wedge as mk_wedge, sort_key
-
     # (a0) canonicalize each side set through its glued normal form:
     # the wedge only sees the gluing of a side set, so a duplicate-free
     # resplit of that normal form denotes the same verticals/diagonal
-    new_verticals = [_canonical_side_set(v) for v in t.verticals]
-    new_diagonal = _canonical_side_set(t.diagonal)
+    new_verticals = [_canonical_side_set(v, engine) for v in t.verticals]
+    new_diagonal = _canonical_side_set(t.diagonal, engine)
     if tuple(new_verticals) != t.verticals or new_diagonal != t.diagonal:
-        return mk_wedge(new_verticals, new_diagonal)
+        return merged_wedge(new_verticals, new_diagonal)
 
     # (a) vertical family -> antichain of domination-maximal sets
     fams = list(t.verticals)
@@ -356,8 +339,8 @@ def _rule_wedge_reduce(t: Term) -> Optional[Term]:
         for j, other in enumerate(fams):
             if i == j:
                 continue
-            if _dominates_set(fam, other):
-                if not _dominates_set(other, fam):
+            if _dominates_set(engine, fam, other):
+                if not _dominates_set(engine, other, fam):
                     dominated = True
                 elif [sort_key(x) for x in other] < [sort_key(x) for x in fam]:
                     dominated = True
@@ -369,22 +352,20 @@ def _rule_wedge_reduce(t: Term) -> Optional[Term]:
         return Wedge(keep, t.diagonal)
 
     # (b) drop dominated diagonal members
-    from scatcalc.compare import Outcome, compare
-
-    vertical_terms = [_glue_of(v) for v in t.verticals]
+    vertical_terms = [glue_of(v) for v in t.verticals]
     doomed: set[Term] = set()
     for h in t.diagonal:
         gone = False
         for v in vertical_terms:
-            if compare(h, v).outcome is Outcome.LE:
+            if _le(engine, h, v):
                 gone = True
                 break
         if not gone:
             for h2 in t.diagonal:
                 if h2 == h:
                     continue
-                if compare(h, h2).outcome is Outcome.LE:
-                    le2 = compare(h2, h).outcome is Outcome.LE
+                if _le(engine, h, h2):
+                    le2 = _le(engine, h2, h)
                     if not le2 or syntactic_cmp(h2, h) < 0:
                         gone = True
                         break
@@ -399,13 +380,14 @@ def _rule_wedge_reduce(t: Term) -> Optional[Term]:
 
     # (d) collapse to omega copies of the diagonal
     if t.diagonal and all(
-        _le_fin_glue(PglSet(v), t.diagonal, 1) for v in t.verticals
+        engine._le_fin_glue(normalize(PglSet(v), engine), t.diagonal, 1, engine.config.depth)
+        for v in t.verticals
     ):
         return Glue([Omega(h) for h in t.diagonal])
     return None
 
 
-_RULES: dict[str, Callable[[Term], Optional[Term]]] = {
+_RULES: dict[str, Callable[[Term, Engine], Optional[Term]]] = {
     "R-flat": _rule_flat,
     "R-minmax": _rule_minmax,
     "R-omega": _rule_omega,
@@ -422,11 +404,11 @@ def rule_names() -> tuple[str, ...]:
 
 def apply_rule(t: Term, rule_name: str) -> Optional[Term]:
     """One outermost-leftmost application of the named rule, or None if
-    it applies nowhere in ``t``."""
+    it applies nowhere in ``t``.  Comparisons run on the default engine."""
     rule = _RULES.get(rule_name)
     if rule is None:
         raise ValueError(f"unknown rule {rule_name!r}; known: {', '.join(_RULES)}")
-    return _apply_somewhere(t, rule)
+    return _apply_somewhere(t, partial(rule, engine=_default_engine()))
 
 
 def _apply_somewhere(t: Term, rule: Callable[[Term], Optional[Term]]) -> Optional[Term]:
@@ -463,7 +445,3 @@ def _apply_somewhere(t: Term, rule: Callable[[Term], Optional[Term]]) -> Optiona
                 return Wedge(t.verticals, t.diagonal[:j] + (r,) + t.diagonal[j + 1 :])
         return None
     return None
-
-
-def clear_cache() -> None:
-    _cache.clear()

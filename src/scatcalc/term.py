@@ -272,6 +272,16 @@ def glue(*summands: Term) -> Glue:
     return Glue(summands)
 
 
+def glue_of(members) -> Term:
+    """The gluing of ``members``, or the member itself when it is alone."""
+    return members[0] if len(members) == 1 else Glue(members)
+
+
+def summands_of(t: Term) -> tuple[Term, ...]:
+    """The summands of a gluing, or ``t`` alone."""
+    return t.summands if isinstance(t, Glue) else (t,)
+
+
 def copies(n: int, t: Term) -> Glue:
     return Glue((t,) * n)
 

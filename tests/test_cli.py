@@ -116,6 +116,13 @@ def test_depth_flag(capsys):
     assert code in (0, 2)
 
 
+@pytest.mark.parametrize("depth", ["-5", "0"])
+def test_non_positive_depth_is_rejected(capsys, depth):
+    code, out, err = run(capsys, "--depth", depth, "compare", "one", "one")
+    assert (code, out) == (64, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_render_dot_labels():
     terms = [parse_term("one"), parse_term("omega(one)")]
     dot = render_dot(terms, [(terms[0], terms[1])])

@@ -142,6 +142,37 @@ def test_le_compact_preconditions():
         le_compact(parse_term("0*empty"), parse_term("min(2)"))
 
 
+def test_compare_module_is_reachable():
+    import scatcalc
+    import scatcalc.compare as compare_module
+
+    assert compare_module.Engine is Engine
+    assert scatcalc.compare.Engine is Engine
+
+
+def test_engine_leaves_no_trace_in_the_default_engine(monkeypatch):
+    import scatcalc.compare as compare_module
+
+    default = Engine()
+    monkeypatch.setattr(compare_module, "_default_engine", default)
+    engine = Engine(EngineConfig(depth=3))
+    engine.compare(parse_term("pgl{max(w), min(w+1)}"), parse_term("wedge({max(w)} | {min(w+1)})"))
+    assert not default._memo and not default._nf
+    assert engine._memo and engine._nf
+
+
+def test_verdicts_do_not_depend_on_query_order():
+    from scatcalc.sample import random_term
+
+    rng = random.Random(7)
+    pool = [random_term(rng, 4) for _ in range(120)]
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(400)]
+    first, second = Engine(), Engine()
+    forward = [first.compare(f, g).outcome for f, g in pairs]
+    backward = [second.compare(f, g).outcome for f, g in reversed(pairs)]
+    assert forward == backward[::-1]
+
+
 def test_depth_bound_yields_unknown():
     engine = Engine(EngineConfig(depth=1))
     v = engine.compare(parse_term("glue(min(w+1), pgl{one})"), parse_term("pgl{max(w)}"))
