@@ -3,7 +3,7 @@
 Subcommands: ``type``, ``normalize``, ``compare``, ``generators``,
 ``hasse``, ``oracle``.  Exit codes: compare maps LE/NOT_LE/UNKNOWN to
 0/1/2, oracle maps YES/NO to 0/1, parse errors exit 64, feasibility
-bounds and undecided Hasse pairs exit 65.
+bounds, undecided Hasse pairs and terms nested too deeply exit 65.
 """
 
 from __future__ import annotations
@@ -80,6 +80,9 @@ def main(argv: list[str] | None = None) -> int:
         return EX_PARSE
     except (gen_mod.FeasibilityError, gen_mod.UndecidedPairError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EX_INFEASIBLE
+    except RecursionError:
+        print("error: term nested too deeply", file=sys.stderr)
         return EX_INFEASIBLE
 
 

@@ -14,7 +14,7 @@ Rule set (names are the public identifiers accepted by
     gluings splice, empty summands drop, singletons unwrap.
 ``R-minmax``
     Expands min/max atoms by their defining recurrences until the
-    argument is 1, a limit, or limit-plus-one.
+    argument is 1, a limit, or limit-plus-one; ``pgl{empty}`` is ``one``.
 ``R-omega``
     Countable gluing absorbs finite multiplicity: omega of empty/omega
     collapses, omega distributes over gluing, and inside a gluing an
@@ -36,11 +36,13 @@ Rule set (names are the public identifiers accepted by
     gluing, and a wedge whose verticals all reduce to finite gluings
     over the diagonal collapses to omega copies of the diagonal.
 
-The min/max expansion (``R-minmax`` at every atom) strictly decreases
-its ordinal argument, so it runs to exhaustion first; the remaining
-rules then run to a joint fixpoint under a hard application cap
-(default ``10 * term_size``), converting any unforeseen cycle into a
-diagnosable failure.
+One pass normalizes bottom-up: each node's children are normalized
+first, then ``R-minmax``, or failing it the first of the six other
+rules in the order listed above, rewrites the node until none applies.
+``R-minmax`` stops on its own (it strictly decreases an atom's ordinal,
+or turns ``pgl{empty}`` into ``one``); the six others share a hard
+application cap of ``10 * term_size`` of the input, converting any
+unforeseen cycle into a diagnosable failure.
 
 ``R-pgl-members``, ``R-pgl-absorb`` and ``R-wedge-reduce`` decide
 reducibilities.  Normalization runs on an :class:`~scatcalc.compare.Engine`:
@@ -87,39 +89,26 @@ class NormalizationLimitError(RuntimeError):
 DEFAULT_CAP_FACTOR = 10
 
 
-def normalize(t: Term, engine: Engine | None = None, max_steps: int | None = None) -> Term:
+def normalize(t: Term, engine: Engine | None = None) -> Term:
     """Rewrite ``t`` to a fixpoint of the rule set.
 
     The result denotes the same reducibility class: every rule is an
     equivalence.  Idempotent, and rank-preserving on scattered terms.
     The rules' comparisons run on ``engine`` (by default the default
-    engine), which also caches the result.
+    engine), which also caches the result.  At most
+    ``DEFAULT_CAP_FACTOR * term_size(t)`` applications of the six rules
+    other than ``R-minmax`` are made before
+    :class:`NormalizationLimitError` is raised.
     """
     if engine is None:
         engine = _default_engine()
-    cache = engine._nf
-    hit = cache.get(t)
-    if hit is not None:
-        return hit
-    expanded = _expand_minmax(t)
-    cap = max_steps if max_steps is not None else DEFAULT_CAP_FACTOR * term_size(expanded)
-    result = _fix(expanded, [0, cap], engine)
-    cache[t] = result
-    cache[result] = result
-    return result
+    return _fix(t, [0, DEFAULT_CAP_FACTOR * term_size(t)], engine)
 
 
 def _default_engine() -> Engine:
     from .compare import default_engine  # compare imports this module
 
     return default_engine()
-
-
-def _expand_minmax(t: Term) -> Term:
-    if isinstance(t, (MinFn, MaxFn)):
-        r = _rule_minmax(t, None)
-        return t if r is None else _map_children(r, _expand_minmax)
-    return _map_children(t, _expand_minmax)
 
 
 def _map_children(t: Term, f: Callable[[Term], Term]) -> Term:
@@ -145,29 +134,23 @@ def _fix(t: Term, counter: list[int], engine: Engine) -> Term:
     original = t
     while True:
         t2 = _map_children(t, partial(_fix, counter=counter, engine=engine))
-        rewritten = _apply_top(t2, engine)
+        # R-minmax stops on its own, so it does not count against the cap
+        rewritten = _rule_minmax(t2, engine)
         if rewritten is None:
-            cache[original] = t2
-            cache[t2] = t2
-            return t2
-        counter[0] += 1
-        if counter[0] > counter[1]:
-            raise NormalizationLimitError(
-                f"no fixpoint within {counter[1]} rule applications"
-            )
+            for rule in _CAPPED_RULES:
+                rewritten = rule(t2, engine)
+                if rewritten is not None:
+                    break
+            else:
+                cache[original] = t2
+                cache[t2] = t2
+                return t2
+            counter[0] += 1
+            if counter[0] > counter[1]:
+                raise NormalizationLimitError(
+                    f"no fixpoint within {counter[1]} rule applications"
+                )
         t = rewritten
-
-
-_TOP_RULE_ORDER = ("R-flat", "R-omega", "R-minmax", "R-pgl-members",
-                   "R-pgl-wedge", "R-pgl-absorb", "R-wedge-reduce")
-
-
-def _apply_top(t: Term, engine: Engine) -> Optional[Term]:
-    for name in _TOP_RULE_ORDER:
-        r = _RULES[name](t, engine)
-        if r is not None:
-            return r
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +379,10 @@ _RULES: dict[str, Callable[[Term, Engine], Optional[Term]]] = {
     "R-pgl-absorb": _rule_pgl_absorb,
     "R-wedge-reduce": _rule_wedge_reduce,
 }
+
+# tried in this order at each node, after R-minmax
+_CAPPED_RULES = (_rule_flat, _rule_omega, _rule_pgl_members, _rule_pgl_wedge,
+                 _rule_pgl_absorb, _rule_wedge_reduce)
 
 
 def rule_names() -> tuple[str, ...]:

@@ -1,9 +1,16 @@
+import contextlib
+import io
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scatcalc.cli import main, render_dot
-from scatcalc.term import parse_term
+from scatcalc.term import format_term, parse_term
+
+from conftest import terms
 
 
 def run(capsys, *argv):
@@ -127,3 +134,56 @@ def test_render_dot_labels():
     terms = [parse_term("one"), parse_term("omega(one)")]
     dot = render_dot(terms, [(terms[0], terms[1])])
     assert 'label="one"' in dot and 'label="omega(one)"' in dot
+
+
+@pytest.mark.parametrize(
+    "argv, answer",
+    [
+        (["normalize", "min(400)"], "pgl{" * 399 + "one" + "}" * 399),
+        (["normalize", "omega(" * 1000 + "one" + ")" * 1000], "omega(one)"),
+        (["type", "omega(" * 1000 + "one" + ")" * 1000], "(1, w)"),
+    ],
+    ids=["normalize-min400", "normalize-omega1000", "type-omega1000"],
+)
+def test_deep_terms_answer_or_exit_65(capsys, argv, answer):
+    code, out, err = run(capsys, *argv)
+    assert "Traceback" not in err
+    if code == 0:
+        assert out.strip() == answer
+    else:
+        assert (code, out, err) == (65, "", "error: term nested too deeply\n")
+
+
+_WORDS = ["one", "empty", "omega", "pgl", "glue", "wedge", "min", "max", "idq", "w"]
+_GARBAGE = st.lists(
+    st.sampled_from(_WORDS + list("(){},|*^+ 0123456789")), max_size=12
+).map("".join)
+
+
+# one digit per number: a k-fold gluing builds k summands
+_TERM_TEXT = st.one_of(terms().map(format_term), _GARBAGE).map(
+    lambda s: re.sub(r"\d+", lambda m: m.group()[0], s)
+)
+
+
+def _run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, err.getvalue()
+
+
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(["type", "normalize"]), _TERM_TEXT),
+        st.tuples(st.just("compare"), _TERM_TEXT, _TERM_TEXT),
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_cli_never_crashes(argv):
+    code, err = _run_quietly(list(argv))
+    assert code in (0, 1, 2, 64, 65)
+    assert "Traceback" not in err
