@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Print one sha256 per section of the engine's observable output.
+
+Two trees that print the same lines give the same verdicts, trace text
+and normal forms on these inputs.  Sections:
+
+* ``census <seed> outcomes``: the cold outcome of every pair of
+  ``bench/gen.census_inputs(seed, pool, pairs)`` on a fresh engine;
+* ``census <seed> trace-now``: the same pairs on another fresh engine,
+  each verdict's trace rendered right after it is returned;
+* ``census <seed> trace-after``: on a third fresh engine, every trace
+  rendered after all the verdicts;
+* ``census <seed> normal-forms``: the pool normalized on a fresh engine;
+* ``golden <name>``: the rows ``tests/test_golden.py`` compares with
+  ``tests/data/golden_verdicts.txt``.
+
+Run it from any tree: ``python3 scripts/fingerprint.py`` (census seeds
+1-5 with 1,500 terms and 6,000 pairs each, every golden section).
+"""
+
+import argparse
+import hashlib
+import importlib.util
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+import gen  # noqa: E402  (bench/gen.py)
+from scatcalc.compare import Engine  # noqa: E402
+from scatcalc.rewrite import normalize  # noqa: E402
+from scatcalc.term import format_term, parse_term  # noqa: E402
+
+
+def digest(lines) -> str:
+    h = hashlib.sha256()
+    for line in lines:
+        h.update(line.encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def trace_lines(verdict) -> list[str]:
+    return [verdict.outcome.name] + [f"  {rule}: {text}" for rule, text in verdict.trace]
+
+
+def census_sections(seed: int, pool_size: int, n_pairs: int):
+    inputs = gen.census_inputs(seed, pool_size, n_pairs)
+    pool = [parse_term(text) for text in inputs["pool_text"]]
+    pairs = [(pool[i], pool[j]) for i, j in inputs["pairs"]]
+
+    engine = Engine()
+    yield "outcomes", digest(engine.compare(f, g).outcome.name for f, g in pairs)
+
+    engine = Engine()
+    now = []
+    for f, g in pairs:
+        now += trace_lines(engine.compare(f, g))
+    yield "trace-now", digest(now)
+
+    engine = Engine()
+    verdicts = [engine.compare(f, g) for f, g in pairs]
+    yield "trace-after", digest(line for v in verdicts for line in trace_lines(v))
+
+    engine = Engine()
+    yield "normal-forms", digest(format_term(normalize(t, engine)) for t in pool)
+
+
+def load_golden():
+    spec = importlib.util.spec_from_file_location("golden", ROOT / "tests" / "test_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def main() -> int:
+    golden = load_golden()
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2, 3, 4, 5])
+    parser.add_argument("--pool", type=int, default=1500, help="census pool size")
+    parser.add_argument("--pairs", type=int, default=6000, help="census pairs per seed")
+    parser.add_argument(
+        "--golden", nargs="*", default=list(golden.SECTIONS), choices=list(golden.SECTIONS),
+        help="golden sections to hash (default: all)",
+    )
+    args = parser.parse_args()
+
+    for seed in args.seeds:
+        for name, value in census_sections(seed, args.pool, args.pairs):
+            print(f"census {seed} {name}: {value}", flush=True)
+    for name in args.golden:
+        rows = golden.verdict_rows(golden.SECTIONS[name]())
+        print(f"golden {name}: {digest(rows)}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,7 +3,8 @@
 Subcommands: ``type``, ``normalize``, ``compare``, ``generators``,
 ``hasse``, ``oracle``.  Exit codes: compare maps LE/NOT_LE/UNKNOWN to
 0/1/2, oracle maps YES/NO to 0/1, parse errors exit 64, feasibility
-bounds, undecided Hasse pairs and terms nested too deeply exit 65.
+bounds, undecided Hasse pairs, terms nested too deeply and gluings of
+more than ``term.MAX_SUMMANDS`` summands exit 65.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from . import rewrite
 from .compare import Engine, EngineConfig, Outcome
 from .ordinal import OrdinalSyntaxError, parse_ordinal
 from .rank import cb_type
-from .term import TermSyntaxError, format_term, parse_term
+from .term import TermSyntaxError, TermTooLargeError, format_term, parse_term
 
 EX_PARSE = 64
 EX_INFEASIBLE = 65
@@ -78,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
     except (TermSyntaxError, OrdinalSyntaxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_PARSE
-    except (gen_mod.FeasibilityError, gen_mod.UndecidedPairError) as exc:
+    except (gen_mod.FeasibilityError, gen_mod.UndecidedPairError, TermTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_INFEASIBLE
     except RecursionError:
@@ -100,23 +101,23 @@ def _dispatch(args) -> int:
 
     if args.command == "compare":
         verdict = engine.compare(parse_term(args.left), parse_term(args.right))
+        # a verdict decided by type derives its trace when read, which
+        # may fail; read it before printing anything
+        trace = verdict.trace if args.json or args.trace else ()
         if args.json:
             print(
                 json.dumps(
                     {
                         "schema": 1,
                         "outcome": _OUTCOME_TEXT[verdict.outcome],
-                        "trace": [
-                            {"rule": rule, "query": query} for rule, query in verdict.trace
-                        ],
+                        "trace": [{"rule": rule, "query": query} for rule, query in trace],
                     }
                 )
             )
         else:
             print(_OUTCOME_TEXT[verdict.outcome])
-            if args.trace:
-                for rule, query in verdict.trace:
-                    print(f"  {rule}: {query}")
+            for rule, query in trace:
+                print(f"  {rule}: {query}")
         return _OUTCOME_EXIT[verdict.outcome]
 
     if args.command == "generators":

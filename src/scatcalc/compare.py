@@ -73,6 +73,14 @@ normalized pairs; in-progress queries re-entered during their own
 derivation yield UNKNOWN for that path (coinductive failure), and a
 depth bound turns runaway searches into UNKNOWN with a "depth" blocker.
 
+The CB-type is an invariant of equivalence, so N-lex and L-gst, which
+read only the two types, answer a raw pair as they would its normal
+forms.  ``Engine.compare`` therefore asks them before normalizing a
+pair whose normal forms are not both cached.  Such a type-decided
+verdict is memoized under the raw pair, and derives its steps when
+first read: it normalizes both terms and takes the root rule that
+fires on them, so its trace is the one the full path gives.
+
 An :class:`Engine` owns its memo and its normal-form cache, and runs
 normalization on itself: the rewrite rules that decide reducibilities
 query the engine that asked for the normal form, within its depth
@@ -89,7 +97,7 @@ from typing import Iterable, Optional
 from . import ordinal as ord_mod
 from . import rewrite
 from .ordinal import Ordinal
-from .rank import OMEGA_DEGREE, cb_type, is_compact_domain, lex_le
+from .rank import OMEGA_DEGREE, CbType, cb_type, is_compact_domain, lex_le
 from .term import (
     Glue,
     IdBaire,
@@ -113,15 +121,38 @@ class Outcome(Enum):
     UNKNOWN = "unknown"
 
 
+_SENTINELS = (IdQ, IdBaire)
+
 TraceStep = tuple[str, str]
 # (rule, f, g, note parts); g is None for a step that names no target
 Step = tuple[str, Term, Term | None, tuple]
 
 
-@dataclass(frozen=True)
 class Verdict:
-    outcome: Outcome
-    steps: tuple[Step, ...] = ()
+    """An outcome and the steps of its derivation.  A verdict that
+    ``Engine.compare`` took from the CB-types alone holds its engine and
+    raw pair instead, and derives its steps when they are first read."""
+
+    __slots__ = ("outcome", "_steps", "_pending")
+
+    def __init__(
+        self,
+        outcome: Outcome,
+        steps: tuple[Step, ...] = (),
+        pending: tuple["Engine", Term, Term] | None = None,
+    ) -> None:
+        self.outcome = outcome
+        self._steps = steps
+        self._pending = pending
+
+    @property
+    def steps(self) -> tuple[Step, ...]:
+        pending = self._pending
+        if pending is not None:
+            engine, f, g = pending
+            self._steps = engine._root_steps(f, g)
+            self._pending = None
+        return self._steps
 
     @property
     def trace(self) -> tuple[TraceStep, ...]:
@@ -130,6 +161,11 @@ class Verdict:
 
     def __bool__(self) -> bool:  # pragma: no cover - guard against misuse
         raise TypeError("Verdict is three-valued; test .outcome explicitly")
+
+    def __repr__(self) -> str:
+        # a pending derivation stays pending: repr must not normalize
+        steps = "pending" if self._pending is not None else repr(self._steps)
+        return f"Verdict({self.outcome}, {steps})"
 
 
 # k-range for member-into-finite-gluing searches
@@ -157,6 +193,18 @@ def _render(rule: str, f: Term, g: Optional[Term], note: tuple) -> TraceStep:
     if note:
         text += f" [{note}]"
     return (rule, text)
+
+
+def _gst_note(tf: CbType, tg: CbType) -> Optional[str]:
+    """The L-gst condition on two CB-types: the note its step cites, or
+    None when the rank arithmetic does not apply."""
+    if tg.limit and tf.rank_key <= tg.rank_key:
+        return "limit target rank"
+    if tf.double_key < tg.rank_key:
+        return "doubled rank below target"
+    if not tf.rank.terms and not tg.rank.terms and tf.double_key <= tg.rank_key:
+        return "finite ranks"
+    return None
 
 
 def _LE(*steps: Step) -> Verdict:
@@ -201,8 +249,29 @@ class Engine:
     # -- public API ---------------------------------------------------
 
     def compare(self, f: Term, g: Term) -> Verdict:
-        # a cached normal form costs one lookup, not a normalize call
         nf = self._nf.get(f)
+        if nf is not None:
+            ng = self._nf.get(g)
+            if ng is not None:
+                return self._query(nf, ng, self.config.depth)
+        key = (f, g)
+        hit = self._memo.get(key)
+        if hit is not None:
+            return hit
+        # N-lex and L-gst read only the CB-types, which normalization
+        # preserves, so they settle the raw pair as they would its
+        # normal forms; the steps are derived when read (_root_steps)
+        if not isinstance(f, _SENTINELS) and not isinstance(g, _SENTINELS):
+            tf, tg = cb_type(f), cb_type(g)
+            if not lex_le(tf, tg):
+                outcome = Outcome.NOT_LE
+            elif _gst_note(tf, tg) is not None:
+                outcome = Outcome.LE
+            else:
+                outcome = None
+            if outcome is not None:
+                verdict = self._memo[key] = Verdict(outcome, (), (self, f, g))
+                return verdict
         if nf is None:
             nf = rewrite.normalize(f, self)
         ng = self._nf.get(g)
@@ -268,6 +337,14 @@ class Engine:
             self._memo[key] = verdict
         return verdict
 
+    def _root_steps(self, f: Term, g: Term) -> tuple[Step, ...]:
+        """The steps of a type-decided verdict: those the full path
+        gives.  On the normal forms ``_decide`` stops at a root rule
+        (a sentinel, L-refl, N-lex, an axiom or L-gst), so it issues no
+        sub-query."""
+        nf, ng = rewrite.normalize(f, self), rewrite.normalize(g, self)
+        return self._decide(nf, ng, self.config.depth).steps
+
     def _le(self, f: Term, g: Term, depth: int) -> bool:
         return self._query(f, g, depth).outcome is Outcome.LE
 
@@ -284,7 +361,7 @@ class Engine:
             if isinstance(f, IdBaire):
                 return _NOT_LE(_step("N-scat", f, g, "uncountable image"))
             return _LE(_step("L-sent", f, g))
-        if isinstance(f, (IdQ, IdBaire)):
+        if isinstance(f, _SENTINELS):
             return _NOT_LE(_step("N-scat", f, g, "target is scattered"))
 
         if f == g:
@@ -298,9 +375,9 @@ class Engine:
         if ax is not None:
             return ax
 
-        v = self._rule_gst(f, g, tf, tg)
-        if v is not None:
-            return v
+        note = _gst_note(tf, tg)
+        if note is not None:
+            return _LE(_step("L-gst", f, g, note))
         v = self._rule_min_max(f, g, tf, tg)
         if v is not None:
             return v
@@ -354,15 +431,6 @@ class Engine:
         return None
 
     # -- individual rules ----------------------------------------------
-
-    def _rule_gst(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
-        if tg.rank.is_limit and tf.rank <= tg.rank:
-            return _LE(_step("L-gst", f, g, "limit target rank"))
-        if ord_mod.double(tf.rank) < tg.rank:
-            return _LE(_step("L-gst", f, g, "doubled rank below target"))
-        if not tf.rank.terms and not tg.rank.terms and ord_mod.double(tf.rank) <= tg.rank:
-            return _LE(_step("L-gst", f, g, "finite ranks"))
-        return None
 
     def _rule_min_max(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
         lvl = _min_atom_rank(f)

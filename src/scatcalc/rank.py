@@ -30,7 +30,8 @@ arithmetic is ordinary addition and comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import ordinal as ord_mod
 from .ordinal import Ordinal, ZERO
@@ -63,17 +64,29 @@ class NotNormalizedError(ValueError):
 
 @dataclass(frozen=True)
 class CbType:
+    """A CB-type with what comparisons read of it, built once:
+    ``lex_key`` orders types lexicographically, ``rank_key`` orders
+    their ranks, ``double_key`` is the key of the doubled rank (see
+    ``ordinal.double``) and ``limit`` tells whether the rank is a
+    limit."""
+
     rank: Ordinal
     degree: Degree
+    lex_key: tuple = field(init=False, repr=False, compare=False)
+    rank_key: tuple = field(init=False, repr=False, compare=False)
+    double_key: tuple = field(init=False, repr=False, compare=False)
+    limit: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.degree == 0 and self.rank.is_successor:
             raise ValueError("successor rank forces a positive degree")
         if self.degree != 0 and not self.rank.is_successor:
             raise ValueError("zero or limit rank forces degree 0")
-
-    def lex_key(self) -> tuple:
-        return (self.rank.terms, self.rank.finite, self.degree)
+        rank = self.rank
+        object.__setattr__(self, "lex_key", (rank.terms, rank.finite, self.degree))
+        object.__setattr__(self, "rank_key", (rank.terms, rank.finite))
+        object.__setattr__(self, "double_key", (rank.terms, 2 * rank.finite))
+        object.__setattr__(self, "limit", rank.is_limit)
 
     def __str__(self) -> str:
         deg = "w" if self.degree == OMEGA_DEGREE else str(int(self.degree))
@@ -84,12 +97,23 @@ def is_scattered(t: Term) -> bool:
     return not isinstance(t, (IdQ, IdBaire))
 
 
+_rank_key = attrgetter("rank_key")
+
+# lex_key -> the CbType stored on every node of that type
+_stored_types: dict[tuple, CbType] = {}
+
+
 def cb_type(t: Term) -> CbType:
     """The CB-type of a scattered term, computed once per node and
-    cached on the node itself (terms are interned: see ``term``)."""
-    if t._cb_type is None:
-        object.__setattr__(t, "_cb_type", _cb_type_of(t))
-    return t._cb_type
+    cached on the node itself (terms are interned: see ``term``).
+    Nodes of equal type share one ``CbType``, so comparing the types of
+    many terms reads few objects."""
+    tp = t._cb_type
+    if tp is None:
+        tp = _cb_type_of(t)
+        tp = _stored_types.setdefault(tp.lex_key, tp)
+        object.__setattr__(t, "_cb_type", tp)
+    return tp
 
 
 def _cb_type_of(t: Term) -> CbType:
@@ -129,16 +153,15 @@ def _cb_type_of(t: Term) -> CbType:
 def _glue_type(types: list[CbType]) -> CbType:
     if not types:
         return CbType(ZERO, 0)
-    rank = max(tp.rank for tp in types)
-    if not rank.is_successor:
-        return CbType(rank, 0)
-    degree: Degree = sum(tp.degree for tp in types if tp.rank == rank)
-    return CbType(rank, degree)
+    # zero and limit ranks have degree 0, so the sum is 0 there
+    top = max(types, key=_rank_key)
+    degree: Degree = sum(tp.degree for tp in types if tp.rank_key == top.rank_key)
+    return top if degree == top.degree else CbType(top.rank, degree)
 
 
 def lex_le(a: CbType, b: CbType) -> bool:
     """Lexicographic order on CB-types; reduction is monotone for it."""
-    return a.lex_key() <= b.lex_key()
+    return a.lex_key <= b.lex_key
 
 
 def is_simple(t: Term) -> bool:

@@ -23,11 +23,11 @@ metrizable spaces, built from a closed constructor set:
 
 Terms are immutable and interned (hash-consed): a constructor
 validates and orders its arguments, then returns the one live node with
-those fields, so equal terms are one object and equality is identity.
-A node's hash, sort key and size are computed once, at construction,
-from its children's; ``rank.cb_type`` stores the CB-type on the node
-when first asked.  The intern table holds nodes weakly and is guarded
-by a lock.  Copying and unpickling return the interned node.
+those fields, so equal terms are one object, and equality and hashing
+are by identity.  A node's sort key and size are computed once, at
+construction, from its children's; ``rank.cb_type`` stores the CB-type
+on the node when first asked.  The intern table holds nodes weakly and
+is guarded by a lock.  Copying and unpickling return the interned node.
 
 Pointed gluings of non-constant sequences are not representable.  Every
 centered function is still covered up to equivalence by ``PglSet``, but
@@ -54,6 +54,15 @@ class TermSyntaxError(ValueError):
         self.position = position
 
 
+# the most summands a parsed gluing may flatten to; ``k*t`` builds k
+MAX_SUMMANDS = 100_000
+
+
+class TermTooLargeError(RuntimeError):
+    """Raised on term text whose gluings flatten to more than
+    ``MAX_SUMMANDS`` summands."""
+
+
 # (variant, *fields) -> the live node; see _intern
 _table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 _table_lock = threading.Lock()
@@ -65,7 +74,7 @@ class Term:
     in ``__slots__`` in constructor order, numbers itself in
     ``_variant`` and returns ``(sort key, size)`` from ``_measure``."""
 
-    __slots__ = ("_hash", "_key", "_size", "_cb_type", "__weakref__")
+    __slots__ = ("_key", "_size", "_cb_type", "__weakref__")
     _variant: int
 
     def __new__(cls) -> "Term":  # the atoms; the other variants take fields
@@ -76,9 +85,6 @@ class Term:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"{type(self).__name__} terms are immutable")
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def __reduce__(self):
         # unpickling calls the constructor, which returns the interned node
@@ -114,7 +120,6 @@ def _intern(cls, *fields) -> Term:
             key, size = node._measure()
             object.__setattr__(node, "_key", key)
             object.__setattr__(node, "_size", size)
-            object.__setattr__(node, "_hash", hash(ident))
             object.__setattr__(node, "_cb_type", None)
             _table[ident] = node
     return node
@@ -368,7 +373,9 @@ def _format_set(items: tuple[Term, ...]) -> str:
 
 def parse_term(text: str) -> Term:
     """Parse the term grammar; returns the denoted raw term without
-    normalizing.  ``INT * term`` denotes an INT-fold gluing."""
+    normalizing.  ``INT * term`` denotes an INT-fold gluing.  Raises
+    :class:`TermTooLargeError` before building a gluing that flattens
+    to more than ``MAX_SUMMANDS`` summands."""
     parser = _Parser(text)
     t = parser.parse_term()
     parser.expect_end()
@@ -379,6 +386,8 @@ class _Parser:
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
+        # parsed gluing -> the number of summands it flattens to
+        self.widths: dict[Term, int] = {}
 
     def error(self, message: str) -> TermSyntaxError:
         return TermSyntaxError(message, self.pos)
@@ -407,6 +416,18 @@ class _Parser:
             return ctor(*args)
         except ValueError as exc:
             raise TermSyntaxError(str(exc), at) from exc
+
+    def build_glue(self, at: int, summands: list[Term], repeat: int = 1) -> Term:
+        """The gluing of ``repeat`` copies of ``summands``, refused
+        before it is built when it flattens to too many summands."""
+        width = repeat * sum(self.widths.get(s, 1) for s in summands)
+        if width > MAX_SUMMANDS:
+            raise TermTooLargeError(
+                f"a gluing of {width} summands exceeds the bound of {MAX_SUMMANDS}"
+            )
+        t = self.build(Glue, at, summands * repeat)
+        self.widths[t] = width
+        return t
 
     def read_word(self) -> str:
         self.skip_ws()
@@ -447,7 +468,7 @@ class _Parser:
             count = self.read_int()
             self.eat("*")
             body = self.parse_term()
-            return self.build(Glue, at, (body,) * count)
+            return self.build_glue(at, [body], count)
         if c == "{" or c == "}":
             raise self.error("a set is not a term here")
         word_start = self.pos
@@ -477,7 +498,7 @@ class _Parser:
                 self.eat(",")
                 summands.append(self.parse_term())
             self.eat(")")
-            return self.build(Glue, word_start, summands)
+            return self.build_glue(word_start, summands)
         if word == "pgl":
             self.eat("{")
             members = [self.parse_term()]

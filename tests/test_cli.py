@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -118,6 +119,15 @@ def test_feasibility_exit(capsys):
     assert "bound" in err
 
 
+@pytest.mark.parametrize("text", ["3000000*one", "1000*1000*one", "glue(50000*one, 50001*one)"])
+def test_huge_gluings_are_refused_at_once(capsys, text):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "normalize", text)
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (65, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_depth_flag(capsys):
     code, out, _ = run(capsys, "--depth", "2", "compare", "one", "omega(one)")
     assert code in (0, 2)
@@ -150,6 +160,18 @@ def test_deep_terms_answer_or_exit_65(capsys, argv, answer):
     assert "Traceback" not in err
     if code == 0:
         assert out.strip() == answer
+    else:
+        assert (code, out, err) == (65, "", "error: term nested too deeply\n")
+
+
+def test_trace_is_read_before_the_verdict_is_printed(capsys):
+    # decided by type without normalizing min(400); the trace needs its normal form
+    code, out, _ = run(capsys, "compare", "min(400)", "one")
+    assert (code, out) == (1, "NOT_LE\n")
+    code, out, err = run(capsys, "compare", "min(400)", "one", "--trace")
+    assert "Traceback" not in err
+    if code == 1:
+        assert out.startswith("NOT_LE\n  N-lex: ")
     else:
         assert (code, out, err) == (65, "", "error: term nested too deeply\n")
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -119,6 +120,60 @@ def test_trace_text_is_formatted_only_when_read(monkeypatch):
     assert v.trace and all(isinstance(text, str) for _, text in v.trace)
 
 
+@pytest.mark.parametrize(
+    "f, g, rule",
+    [
+        ("pgl{max(w), min(w+1)}", "wedge({max(w)} | {min(w+1)})", "N-lex"),
+        ("2*pgl{one}", "max(w)", "L-gst"),
+        # the types alone give LE, but the normal form omega(one) matches A1
+        ("glue(one, omega(one))", "pgl{one}", "A1"),
+    ],
+)
+def test_type_decided_pairs_normalize_only_when_the_trace_is_read(f, g, rule):
+    f, g = parse_term(f), parse_term(g)
+    engine = Engine()
+    v = engine.compare(f, g)
+    assert not engine._nf
+    full = Engine()
+    for t in (f, g):
+        normalize(t, full)
+    w = full.compare(f, g)
+    assert v.outcome is w.outcome
+    assert v.trace == w.trace and v.trace[0][0] == rule
+    assert engine._nf
+
+
+@given(terms(), terms())
+@settings(max_examples=200, deadline=None)
+def test_type_decided_verdicts_match_the_full_path(f, g):
+    full = Engine()
+    # the invariant the type shortcut rests on
+    assert cb_type(normalize(f, full)) == cb_type(f)
+    assert cb_type(normalize(g, full)) == cb_type(g)
+    v, w = Engine().compare(f, g), full.compare(f, g)
+    assert v.outcome is w.outcome and v.trace == w.trace
+
+
+def test_concurrent_readers_derive_one_trace():
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            engine = Engine()
+            v = engine.compare(parse_term("glue(one, omega(one))"), parse_term("pgl{one}"))
+            traces: list = []
+            threads = [threading.Thread(target=lambda: traces.append(v.trace)) for _ in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+            assert not any(th.is_alive() for th in threads)
+            assert len(traces) == 8 and all(t == traces[0] for t in traces)
+            assert traces[0][0][0] == "A1"
+    finally:
+        sys.setswitchinterval(old)
+
+
 def test_le_compact_examples():
     assert le_compact(parse_term("2*min(3)"), parse_term("1*min(4)")) is True
     assert le_compact(parse_term("2*min(3)"), parse_term("1*min(3)")) is False
@@ -156,7 +211,7 @@ def test_engine_leaves_no_trace_in_the_default_engine(monkeypatch):
     default = Engine()
     monkeypatch.setattr(compare_module, "_default_engine", default)
     engine = Engine(EngineConfig(depth=3))
-    engine.compare(parse_term("pgl{max(w), min(w+1)}"), parse_term("wedge({max(w)} | {min(w+1)})"))
+    engine.compare(parse_term("pgl{omega(pgl{omega(one)})}"), parse_term("pgl{omega(pgl{one})}"))
     assert not default._memo and not default._nf
     assert engine._memo and engine._nf
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 
 from scatcalc.oracle import FiniteFn, term_of
-from scatcalc.ordinal import parse_ordinal as po
+from scatcalc.ordinal import double, parse_ordinal as po
 from scatcalc.rank import (
     CbType,
     NotNormalizedError,
@@ -44,6 +44,17 @@ def test_cb_type_more_shapes():
     assert tp("wedge({one} | {pgl{one}})") == CbType(po("2"), OMEGA_DEGREE)
     # limit-rank wedge has degree 0
     assert tp("wedge({one} | {max(w)})") == CbType(po("w"), 0)
+
+
+def test_cb_types_carry_their_comparison_keys():
+    for text in ("0*empty", "one", "3*one", "max(w)", "min(w*2+3)", "omega(max(w^2+1))"):
+        t = tp(text)
+        assert t.lex_key == (t.rank.terms, t.rank.finite, t.degree)
+        assert t.rank_key == (t.rank.terms, t.rank.finite)
+        assert t.double_key == (double(t.rank).terms, double(t.rank).finite)
+        assert t.limit is t.rank.is_limit
+    # terms of equal type share one stored CbType
+    assert tp("one") is tp("min(1)") and tp("omega(one)") is tp("max(1)")
 
 
 def test_cb_type_rejects_sentinels():

@@ -1,9 +1,12 @@
 """The experiment scripts run end to end and report their documented
 outcomes."""
 
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
+
+from test_golden import load as load_golden
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -29,3 +32,20 @@ def test_decision_census_decides_every_generator_pair():
     assert len(generator_lines) == 4
     for line in generator_lines:
         assert "unknown=    0" in line, line
+
+
+def test_fingerprint_hashes_every_section():
+    lines = run_script(
+        "fingerprint.py", "--seeds", "1", "--pool", "100", "--pairs", "400",
+        "--golden", "six w", "centered w+2",
+    ).splitlines()
+    hashes = dict(line.rsplit(": ", 1) for line in lines)
+    assert list(hashes) == [
+        "census 1 outcomes", "census 1 trace-now", "census 1 trace-after",
+        "census 1 normal-forms", "golden six w", "golden centered w+2",
+    ]
+    # a trace reads the same whenever it is read
+    assert hashes["census 1 trace-now"] == hashes["census 1 trace-after"]
+    stored = load_golden()["centered w+2"]
+    expected = hashlib.sha256("".join(row + "\n" for row in stored).encode()).hexdigest()
+    assert hashes["golden centered w+2"] == expected

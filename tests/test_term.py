@@ -20,6 +20,7 @@ from scatcalc.term import (
     One,
     PglSet,
     TermSyntaxError,
+    TermTooLargeError,
     Wedge,
     format_term,
     merged_wedge,
@@ -63,6 +64,16 @@ def test_parse_rejections():
     with pytest.raises(TermSyntaxError) as exc:
         parse_term("glue(one, nope)")
     assert exc.value.position == 10
+
+
+def test_gluings_are_bounded_after_flattening():
+    assert len(parse_term("glue(50000*one, 50000*one)").summands) == 2
+    huge = "1" + "0" * 30 + "*one"
+    for text in ("100001*one", "1000*1000*one", "glue(50000*one, 50001*one)", huge):
+        with pytest.raises(TermTooLargeError):
+            parse_term(text)
+    # a gluing under omega or pgl is not flattened into the outer one
+    assert parse_term("2*omega(100000*one)") == Glue([Omega(Glue([ONE] * 100000))] * 2)
 
 
 def test_sentinels_cannot_nest():

@@ -27,7 +27,7 @@ def test_tracer_records_the_layers():
     tracer.install(sc)
     try:
         engine = sc.compare.Engine()
-        engine.compare(parse_term("pgl{max(w), min(w+1)}"), parse_term("wedge({max(w)} | {min(w+1)})"))
+        engine.compare(parse_term("pgl{omega(pgl{omega(one)})}"), parse_term("pgl{omega(pgl{one})}"))
         sc.generators.generator_set(from_int(2))
         names = {span[0] for span in tracer.take()["spans"]}
     finally:
