@@ -18,16 +18,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from scatcalc.compare import Outcome, compare
+from scatcalc.compare import Engine, Outcome
 from scatcalc.generators import generator_raw
 from scatcalc.ordinal import parse_ordinal
 from scatcalc.sample import random_term
 
 
-def census(pairs) -> collections.Counter:
+def census(pairs, engine: Engine) -> collections.Counter:
     counts = collections.Counter()
     for a, b in pairs:
-        counts[compare(a, b).outcome] += 1
+        counts[engine.compare(a, b).outcome] += 1
     return counts
 
 
@@ -48,18 +48,19 @@ def main() -> int:
     parser.add_argument("--random-pairs", type=int, default=20000)
     parser.add_argument("--depth", type=int, default=5, help="random term depth")
     args = parser.parse_args()
+    engine = Engine()
 
     for level in ("1", "2", "w+1", "w*2+1"):
         raw = generator_raw(parse_ordinal(level))
         t0 = time.perf_counter()
-        counts = census(itertools.permutations(raw, 2))
+        counts = census(itertools.permutations(raw, 2), engine)
         show(f"generators {level}", counts, time.perf_counter() - t0)
 
     rng = random.Random(args.seed)
     pool = [random_term(rng, args.depth) for _ in range(2000)]
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(args.random_pairs)]
     t0 = time.perf_counter()
-    counts = census(pairs)
+    counts = census(pairs, engine)
     show(f"random depth<={args.depth}", counts, time.perf_counter() - t0)
     return 0
 

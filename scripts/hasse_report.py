@@ -15,6 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from scatcalc.cli import render_dot
+from scatcalc.compare import Engine
 from scatcalc.generators import equivalence_classes, generator_set, hasse, six_generators
 from scatcalc.ordinal import parse_ordinal, succ
 from scatcalc.term import format_term
@@ -26,19 +27,20 @@ def report(lam_text: str, dot: bool) -> None:
     gens = generator_set(level)
     six = six_generators(lam)
     pool = gens.raw + [t for t in six if t not in gens.raw]
-    classes, undecided = equivalence_classes(pool)
+    engine = Engine()
+    classes, undecided = equivalence_classes(pool, engine)
     print(f"== level {level} ==")
     print(f"raw generators: {len(gens.raw)}, with six-set: {len(pool)} terms")
     print(f"classes: {len(classes)}, undecided pairs: {len(undecided)}")
     for rep, members in classes:
         names = ", ".join(sorted(format_term(m) for m in members))
         print(f"  [{format_term(rep)}]  <=  {{{names}}}")
-    edges = hasse([rep for rep, _ in classes])
+    edges = hasse([rep for rep, _ in classes], engine)
     print("covering relation:")
     for a, b in edges:
         print(f"  {format_term(a)} -> {format_term(b)}")
     if dot:
-        print(render_dot([rep for rep, _ in classes], edges))
+        print(render_dot([rep for rep, _ in classes], edges, engine))
     print()
 
 

@@ -42,15 +42,7 @@ from .term import (
 )
 from .rank import CbType, OMEGA_DEGREE, cb_type, is_centered, is_compact_domain, is_simple
 from .rewrite import apply_rule, normalize
-from .compare import (
-    Engine,
-    EngineConfig,
-    Outcome,
-    Verdict,
-    dominates,
-    equivalent,
-    le_compact,
-)
+from .compare import Engine, Outcome, Verdict, le_compact
 from .generators import centered_set, generator_set, hasse, six_generators
 from .oracle import FiniteFn, brute_force_le, image_formula_le, term_of
 

@@ -17,7 +17,7 @@ import sys
 from . import generators as gen_mod
 from . import oracle as oracle_mod
 from . import rewrite
-from .compare import Engine, EngineConfig, Outcome
+from .compare import Engine, Outcome
 from .ordinal import OrdinalSyntaxError, parse_ordinal
 from .rank import cb_type
 from .term import TermSyntaxError, TermTooLargeError, format_term, parse_term
@@ -36,12 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         "under continuous reducibility",
     )
     parser.add_argument("--depth", type=int, default=64, help="comparison depth bound")
-    parser.add_argument(
-        "--max-raw",
-        type=int,
-        default=gen_mod.DEFAULT_MAX_RAW,
-        help="generator enumeration feasibility bound",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("type", help="print the CB-type of a term")
@@ -88,7 +82,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
-    engine = Engine(EngineConfig(depth=args.depth))
+    engine = Engine(depth=args.depth)
     if args.command == "type":
         t = parse_term(args.term)
         print(cb_type(t))
@@ -123,7 +117,7 @@ def _dispatch(args) -> int:
     if args.command == "generators":
         level = parse_ordinal(args.level)
         build = gen_mod.centered_set if args.centered else gen_mod.generator_set
-        raw = build(level, max_raw=args.max_raw).raw
+        raw = build(level).raw
         terms = raw if args.raw else _representatives(raw, engine)
         for t in terms:
             print(format_term(t))
@@ -131,7 +125,7 @@ def _dispatch(args) -> int:
 
     if args.command == "hasse":
         level = parse_ordinal(args.level)
-        reps = _representatives(gen_mod.generator_set(level, max_raw=args.max_raw).raw, engine)
+        reps = _representatives(gen_mod.generator_set(level).raw, engine)
         edges = gen_mod.hasse(reps, engine)
         if args.dot:
             print(render_dot(reps, edges, engine))
@@ -155,12 +149,12 @@ def _representatives(raw, engine: Engine) -> list:
     return [rep for rep, _ in classes]
 
 
-def _node_id(t, engine: Engine | None) -> str:
+def _node_id(t, engine: Engine) -> str:
     digest = hashlib.sha256(format_term(rewrite.normalize(t, engine)).encode()).hexdigest()
     return "n" + digest[:12]
 
 
-def render_dot(terms, edges, engine: Engine | None = None) -> str:
+def render_dot(terms, edges, engine: Engine) -> str:
     lines = ["digraph hasse {"]
     for t in terms:
         label = format_term(t).replace('"', '\\"')

@@ -1,6 +1,6 @@
 """Three-valued decision engine for continuous reducibility.
 
-``compare(f, g)`` reports whether the function denoted by ``f``
+``Engine.compare(f, g)`` reports whether the function denoted by ``f``
 continuously reduces to the one denoted by ``g``: LE and NOT_LE are
 backed by derivations from a closed rule table, everything else is
 UNKNOWN.  The engine is sound by construction and complete only on
@@ -84,13 +84,14 @@ fires on them, so its trace is the one the full path gives.
 An :class:`Engine` owns its memo and its normal-form cache, and runs
 normalization on itself: the rewrite rules that decide reducibilities
 query the engine that asked for the normal form, within its depth
-bound.  The module-level functions use one shared default engine.
+bound.  Every caller passes its engine explicitly, so a verdict depends
+on the pair and the depth bound alone, never on another caller's
+caches; dropping an engine drops its caches.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional
 
@@ -172,15 +173,6 @@ class Verdict:
 FIN_GLUE_BOUND = 3
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    depth: int = 64
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError(f"derivation depth must be positive, got {self.depth}")
-
-
 def _step(rule: str, f: Term, g: Term, *note) -> Step:
     return (rule, f, g, note)
 
@@ -215,36 +207,31 @@ def _NOT_LE(*steps: Step) -> Verdict:
     return Verdict(Outcome.NOT_LE, tuple(steps))
 
 
+class _QueryState(threading.local):
+    """The state of the derivations in flight on one thread: the pairs
+    being decided, and one taint mark per open query.  Taint marks a
+    computation that saw a cycle or the depth bound; its UNKNOWN is
+    context-dependent and must not be cached."""
+
+    def __init__(self) -> None:
+        self.in_progress: set[tuple[Term, Term]] = set()
+        self.taint: list[bool] = []
+
+
 class Engine:
     """Holds the memo table and the normal-form cache; safe for
     concurrent readers, and writes are idempotent (verdicts for a pair
     and normal forms never change).  The state of an in-flight
     derivation (the query stack and taint marks) is kept per-thread."""
 
-    def __init__(self, config: EngineConfig | None = None) -> None:
-        self.config = config or EngineConfig()
+    def __init__(self, depth: int = 64) -> None:
+        if depth < 1:
+            raise ValueError(f"derivation depth must be positive, got {depth}")
+        self.depth = depth
         self._memo: dict[tuple[Term, Term], Verdict] = {}
         # term -> normal form, filled by rewrite.normalize
         self._nf: dict[Term, Term] = {}
-        self._local = threading.local()
-
-    @property
-    def _in_progress(self) -> set:
-        try:
-            return self._local.in_progress
-        except AttributeError:
-            self._local.in_progress = set()
-            return self._local.in_progress
-
-    @property
-    def _taint_stack(self) -> list:
-        # taint marks computations that saw a cycle or the depth bound;
-        # their UNKNOWNs are context-dependent and must not be cached
-        try:
-            return self._local.taint
-        except AttributeError:
-            self._local.taint = []
-            return self._local.taint
+        self._local = _QueryState()
 
     # -- public API ---------------------------------------------------
 
@@ -253,7 +240,7 @@ class Engine:
         if nf is not None:
             ng = self._nf.get(g)
             if ng is not None:
-                return self._query(nf, ng, self.config.depth)
+                return self._query(nf, ng, self.depth)
         key = (f, g)
         hit = self._memo.get(key)
         if hit is not None:
@@ -277,7 +264,7 @@ class Engine:
         ng = self._nf.get(g)
         if ng is None:
             ng = rewrite.normalize(g, self)
-        return self._query(nf, ng, self.config.depth)
+        return self._query(nf, ng, self.depth)
 
     def equivalent(self, f: Term, g: Term) -> str:
         fwd = self.compare(f, g).outcome
@@ -316,23 +303,25 @@ class Engine:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if key in self._in_progress:
-            if self._taint_stack:
-                self._taint_stack[-1] = True
+        local = self._local
+        in_progress, taint = local.in_progress, local.taint
+        if key in in_progress:
+            if taint:
+                taint[-1] = True
             return Verdict(Outcome.UNKNOWN, (_step("blocked:cycle", f, g),))
         if depth <= 0:
-            if self._taint_stack:
-                self._taint_stack[-1] = True
+            if taint:
+                taint[-1] = True
             return Verdict(Outcome.UNKNOWN, (_step("blocked:depth", f, g),))
-        self._in_progress.add(key)
-        self._taint_stack.append(False)
+        in_progress.add(key)
+        taint.append(False)
         try:
             verdict = self._decide(f, g, depth)
         finally:
-            self._in_progress.discard(key)
-            tainted = self._taint_stack.pop()
-            if tainted and self._taint_stack:
-                self._taint_stack[-1] = True
+            in_progress.discard(key)
+            tainted = taint.pop()
+            if tainted and taint:
+                taint[-1] = True
         if verdict.outcome is not Outcome.UNKNOWN or not tainted:
             self._memo[key] = verdict
         return verdict
@@ -343,7 +332,7 @@ class Engine:
         (a sentinel, L-refl, N-lex, an axiom or L-gst), so it issues no
         sub-query."""
         nf, ng = rewrite.normalize(f, self), rewrite.normalize(g, self)
-        return self._decide(nf, ng, self.config.depth).steps
+        return self._decide(nf, ng, self.depth).steps
 
     def _le(self, f: Term, g: Term, depth: int) -> bool:
         return self._query(f, g, depth).outcome is Outcome.LE
@@ -751,7 +740,8 @@ def _bipartite_saturates(edges: dict[int, list[int]], n_left: int, n_right: int)
 
 
 # ---------------------------------------------------------------------------
-# module-level convenience API on a shared default engine
+# a shared engine, kept only because bench/tracing.py patches compare()
+# and reads default_engine(); nothing in the library calls them
 
 
 _default_engine = Engine()
@@ -763,14 +753,6 @@ def default_engine() -> Engine:
 
 def compare(f: Term, g: Term) -> Verdict:
     return _default_engine.compare(f, g)
-
-
-def equivalent(f: Term, g: Term) -> str:
-    return _default_engine.equivalent(f, g)
-
-
-def dominates(fs: Iterable[Term], gs: Iterable[Term]) -> Verdict:
-    return _default_engine.dominates(fs, gs)
 
 
 def le_compact(f: Term, g: Term) -> bool:

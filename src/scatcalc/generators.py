@@ -18,12 +18,12 @@ are reported separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable
 
 from . import ordinal as ord_mod
 from . import rewrite
-from .compare import Engine, Outcome, default_engine
+from .compare import Engine, Outcome
 from .ordinal import Ordinal
 from .rank import cb_type
 from .term import (
@@ -58,26 +58,6 @@ class UndecidedPairError(RuntimeError):
 class GeneratorSet:
     level: Ordinal
     raw: list[Term]
-    _engine: Engine = field(repr=False, default_factory=default_engine)
-    _classes: Optional[list[tuple[Term, list[Term]]]] = field(default=None, repr=False)
-    _undecided: Optional[list[tuple[Term, Term]]] = field(default=None, repr=False)
-
-    @property
-    def classes(self) -> list[tuple[Term, list[Term]]]:
-        if self._classes is None:
-            self._dedupe()
-        return self._classes
-
-    @property
-    def undecided_pairs(self) -> list[tuple[Term, Term]]:
-        if self._undecided is None:
-            self._dedupe()
-        return self._undecided
-
-    def _dedupe(self) -> None:
-        classes, undecided = equivalence_classes(self.raw, self._engine)
-        self._classes = classes
-        self._undecided = undecided
 
 
 def _rep_key(t: Term, engine: Engine) -> tuple:
@@ -86,12 +66,12 @@ def _rep_key(t: Term, engine: Engine) -> tuple:
 
 
 def equivalence_classes(
-    terms: Iterable[Term], engine: Engine | None = None
+    terms: Iterable[Term], engine: Engine
 ) -> tuple[list[tuple[Term, list[Term]]], list[tuple[Term, Term]]]:
-    """Group terms by bidirectional reducibility.  Undecided pairs never
-    merge classes; they are returned alongside.  Representatives are the
-    smallest members by normalized size, tie-broken syntactically."""
-    engine = engine or default_engine()
+    """Group terms by bidirectional reducibility on ``engine``.  Undecided
+    pairs never merge classes; they are returned alongside.
+    Representatives are the smallest members by normalized size,
+    tie-broken syntactically."""
     items = list(terms)
     parent = list(range(len(items)))
 
@@ -232,13 +212,11 @@ def six_generators(lam: Ordinal) -> list[Term]:
     ]
 
 
-def hasse(
-    terms: Iterable[Term], engine: Engine | None = None
-) -> list[tuple[Term, Term]]:
+def hasse(terms: Iterable[Term], engine: Engine) -> list[tuple[Term, Term]]:
     """Covering relation of the strict order induced on equivalence
-    classes; edges go from the smaller to the larger representative.
-    Raises UndecidedPairError if any pairwise verdict is Unknown."""
-    engine = engine or default_engine()
+    classes, decided on ``engine``; edges go from the smaller to the
+    larger representative.  Raises UndecidedPairError if any pairwise
+    verdict is Unknown."""
     items = list(terms)
     for i in range(len(items)):
         for j in range(len(items)):

@@ -32,8 +32,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import TYPE_CHECKING
 
 from . import ordinal as ord_mod
+from . import rewrite
 from .ordinal import Ordinal, ZERO
 from .term import (
     Empty,
@@ -48,6 +50,9 @@ from .term import (
     Term,
     Wedge,
 )
+
+if TYPE_CHECKING:
+    from .compare import Engine
 
 OMEGA_DEGREE = math.inf
 
@@ -169,16 +174,15 @@ def is_simple(t: Term) -> bool:
     return cb_type(t).degree == 1
 
 
-def is_centered(t: Term) -> bool:
+def is_centered(t: Term, engine: Engine) -> bool:
     """Whether the denoted function reduces to each of its restrictions
     to neighborhoods of some point.  Syntax-directed, hence only valid
     on normalized terms: One, min atoms and pointed gluings are
-    centered, everything else is not."""
+    centered, everything else is not.  ``engine`` checks that ``t`` is
+    its own normal form."""
     if not is_scattered(t):
         raise NotScatteredError("centeredness is only classified for scattered terms")
-    from . import rewrite
-
-    if rewrite.normalize(t) != t:
+    if rewrite.normalize(t, engine) != t:
         raise NotNormalizedError("is_centered needs a normalized term")
     return isinstance(t, (One, MinFn, PglSet))
 

@@ -48,8 +48,8 @@ unforeseen cycle into a diagnosable failure.
 reducibilities.  Normalization runs on an :class:`~scatcalc.compare.Engine`:
 every rule asks that engine, within its depth bound, and the normal
 forms are cached on it, so an engine's normal forms and verdicts depend
-on nothing outside it.  Without an engine, the module-level default
-engine of :mod:`scatcalc.compare` is used.
+on nothing outside it.  :func:`normalize` and :func:`apply_rule` take
+that engine as a required argument.
 """
 
 from __future__ import annotations
@@ -89,26 +89,17 @@ class NormalizationLimitError(RuntimeError):
 DEFAULT_CAP_FACTOR = 10
 
 
-def normalize(t: Term, engine: Engine | None = None) -> Term:
+def normalize(t: Term, engine: Engine) -> Term:
     """Rewrite ``t`` to a fixpoint of the rule set.
 
     The result denotes the same reducibility class: every rule is an
     equivalence.  Idempotent, and rank-preserving on scattered terms.
-    The rules' comparisons run on ``engine`` (by default the default
-    engine), which also caches the result.  At most
-    ``DEFAULT_CAP_FACTOR * term_size(t)`` applications of the six rules
-    other than ``R-minmax`` are made before
+    The rules' comparisons run on ``engine``, which also caches the
+    result.  At most ``DEFAULT_CAP_FACTOR * term_size(t)`` applications
+    of the six rules other than ``R-minmax`` are made before
     :class:`NormalizationLimitError` is raised.
     """
-    if engine is None:
-        engine = _default_engine()
     return _fix(t, [0, DEFAULT_CAP_FACTOR * term_size(t)], engine)
-
-
-def _default_engine() -> Engine:
-    from .compare import default_engine  # compare imports this module
-
-    return default_engine()
 
 
 def _map_children(t: Term, f: Callable[[Term], Term]) -> Term:
@@ -160,7 +151,7 @@ def _fix(t: Term, counter: list[int], engine: Engine) -> Term:
 
 def _le(engine: Engine, a: Term, b: Term) -> bool:
     """Whether ``engine`` decides a <= b."""
-    return engine._le(normalize(a, engine), normalize(b, engine), engine.config.depth)
+    return engine._le(normalize(a, engine), normalize(b, engine), engine.depth)
 
 
 def _rule_flat(t: Term, engine: Engine) -> Optional[Term]:
@@ -292,7 +283,7 @@ def _rule_pgl_absorb(t: Term, engine: Engine) -> Optional[Term]:
             if i == j or not isinstance(p, PglSet):
                 continue
             x = normalize(s, engine)
-            if engine._le_fin_glue(x, p.members, len(summands_of(s)), engine.config.depth):
+            if engine._le_fin_glue(x, p.members, len(summands_of(s)), engine.depth):
                 return Glue(t.summands[:i] + t.summands[i + 1 :])
     return None
 
@@ -363,7 +354,7 @@ def _rule_wedge_reduce(t: Term, engine: Engine) -> Optional[Term]:
 
     # (d) collapse to omega copies of the diagonal
     if t.diagonal and all(
-        engine._le_fin_glue(normalize(PglSet(v), engine), t.diagonal, 1, engine.config.depth)
+        engine._le_fin_glue(normalize(PglSet(v), engine), t.diagonal, 1, engine.depth)
         for v in t.verticals
     ):
         return Glue([Omega(h) for h in t.diagonal])
@@ -389,13 +380,13 @@ def rule_names() -> tuple[str, ...]:
     return tuple(_RULES)
 
 
-def apply_rule(t: Term, rule_name: str) -> Optional[Term]:
+def apply_rule(t: Term, rule_name: str, engine: Engine) -> Optional[Term]:
     """One outermost-leftmost application of the named rule, or None if
-    it applies nowhere in ``t``.  Comparisons run on the default engine."""
+    it applies nowhere in ``t``.  Comparisons run on ``engine``."""
     rule = _RULES.get(rule_name)
     if rule is None:
         raise ValueError(f"unknown rule {rule_name!r}; known: {', '.join(_RULES)}")
-    return _apply_somewhere(t, partial(rule, engine=_default_engine()))
+    return _apply_somewhere(t, partial(rule, engine=engine))
 
 
 def _apply_somewhere(t: Term, rule: Callable[[Term], Optional[Term]]) -> Optional[Term]:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scatcalc.cli import main, render_dot
+from scatcalc.compare import Engine
 from scatcalc.term import format_term, parse_term
 
 from conftest import terms
@@ -142,7 +143,7 @@ def test_non_positive_depth_is_rejected(capsys, depth):
 
 def test_render_dot_labels():
     terms = [parse_term("one"), parse_term("omega(one)")]
-    dot = render_dot(terms, [(terms[0], terms[1])])
+    dot = render_dot(terms, [(terms[0], terms[1])], Engine())
     assert 'label="one"' in dot and 'label="omega(one)"' in dot
 
 

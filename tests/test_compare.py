@@ -6,15 +6,7 @@ import threading
 import pytest
 from hypothesis import given, settings
 
-from scatcalc.compare import (
-    Engine,
-    EngineConfig,
-    Outcome,
-    compare,
-    dominates,
-    equivalent,
-    le_compact,
-)
+from scatcalc.compare import Engine, Outcome, le_compact
 from scatcalc.ordinal import double, parse_ordinal as po
 from scatcalc.rank import cb_type, lex_le
 from scatcalc.rewrite import normalize
@@ -24,7 +16,7 @@ from conftest import terms
 
 
 def outcome(a, b):
-    return compare(parse_term(a), parse_term(b)).outcome
+    return Engine().compare(parse_term(a), parse_term(b)).outcome
 
 
 def test_compare_examples():
@@ -68,8 +60,9 @@ def test_traces_cite_consistent_rule_families():
         ("glue(min(w+1), max(w))", "min(w+1)"),
         ("pgl{pgl{max(w)}}", "pgl{omega(min(w+1))}"),
     ]
+    engine = Engine()
     for a, b in cases:
-        v = compare(parse_term(a), parse_term(b))
+        v = engine.compare(parse_term(a), parse_term(b))
         assert v.trace
         rules = {rule for rule, _ in v.trace}
         if v.outcome is Outcome.LE:
@@ -81,7 +74,7 @@ def test_traces_cite_consistent_rule_families():
 def test_unknown_reports_blockers():
     # whether the level-2 maximum fits below the level-3 minimum is
     # outside every rule; the verdict must be UNKNOWN with a blocker
-    v = compare(parse_term("max(2)"), parse_term("min(3)"))
+    v = Engine().compare(parse_term("max(2)"), parse_term("min(3)"))
     assert v.outcome is Outcome.UNKNOWN
     assert v.trace
     assert all(rule.startswith("blocked") for rule, _ in v.trace)
@@ -96,16 +89,18 @@ def test_pgl_monotone_across_ranks():
 
 
 def test_equivalent_examples():
-    assert equivalent(parse_term("glue(one, omega(one))"), parse_term("omega(one)")) == "Yes"
-    assert equivalent(parse_term("min(2)"), parse_term("max(1)")) == "No"
+    engine = Engine()
+    assert engine.equivalent(parse_term("glue(one, omega(one))"), parse_term("omega(one)")) == "Yes"
+    assert engine.equivalent(parse_term("min(2)"), parse_term("max(1)")) == "No"
 
 
 def test_dominates_examples():
-    v = dominates([parse_term("one")], [parse_term("omega(one)")])
+    engine = Engine()
+    v = engine.dominates([parse_term("one")], [parse_term("omega(one)")])
     assert v.outcome is Outcome.LE
-    v = dominates([parse_term("min(w+1)")], [parse_term("one"), parse_term("max(w)")])
+    v = engine.dominates([parse_term("min(w+1)")], [parse_term("one"), parse_term("max(w)")])
     assert v.outcome is Outcome.NOT_LE
-    v = dominates([parse_term("max(2)")], [parse_term("min(3)")])
+    v = engine.dominates([parse_term("max(2)")], [parse_term("min(3)")])
     assert v.trace == (("blocked:pair", "max(2) vs every target undecided"),)
 
 
@@ -183,11 +178,12 @@ def test_le_compact_examples():
 def test_compact_terms_classify_as_min_multiples():
     # every non-empty compact-domain term is equivalent to degree many
     # copies of the min atom at its rank, and the engine derives it
+    engine = Engine()
     for text in ("pgl{min(2), one}", "glue(min(3), pgl{pgl{one}})", "pgl{one, pgl{one}}"):
         t = parse_term(text)
         tp = cb_type(t)
         canonical = Glue([MinFn(tp.rank)] * int(tp.degree))
-        assert equivalent(t, canonical) == "Yes", text
+        assert engine.equivalent(t, canonical) == "Yes", text
 
 
 def test_le_compact_preconditions():
@@ -205,15 +201,52 @@ def test_compare_module_is_reachable():
     assert scatcalc.compare.Engine is Engine
 
 
-def test_engine_leaves_no_trace_in_the_default_engine(monkeypatch):
-    import scatcalc.compare as compare_module
+class _NoDefaultEngine:
+    """Stands in for the module-level engine and fails on any use."""
 
-    default = Engine()
-    monkeypatch.setattr(compare_module, "_default_engine", default)
-    engine = Engine(EngineConfig(depth=3))
+    def __getattr__(self, name):
+        raise AssertionError(f"the default engine was used (.{name})")
+
+
+README_COMMANDS = [
+    ["type", "pgl{max(w)}"],
+    ["normalize", "glue(one, one, omega(one))"],
+    ["compare", "pgl{max(w)}", "omega(min(w+1))"],
+    ["compare", "max(w)", "min(w+1)", "--trace"],
+    ["compare", "one", "2*one", "--json"],
+    ["generators", "1", "--raw"],
+    ["generators", "2", "--centered", "--classes"],
+    ["hasse", "w+1", "--dot"],
+    ["oracle", "3 2 0 1 0", "5 3 0 1 2 0 1"],
+]
+
+
+def test_engine_leaves_no_trace_in_the_default_engine(monkeypatch, capsys):
+    import scatcalc.compare as compare_module
+    from scatcalc.cli import main
+    from scatcalc.generators import centered_set, equivalence_classes, hasse
+    from scatcalc.rank import is_centered
+    from scatcalc.rewrite import apply_rule, rule_names
+
+    monkeypatch.setattr(compare_module, "_default_engine", _NoDefaultEngine())
+    engine = Engine(depth=3)
     engine.compare(parse_term("pgl{omega(pgl{omega(one)})}"), parse_term("pgl{omega(pgl{one})}"))
-    assert not default._memo and not default._nf
     assert engine._memo and engine._nf
+
+    for argv in README_COMMANDS:
+        assert main(argv) in (0, 1), argv
+    capsys.readouterr()
+    engine = Engine()
+    raw = centered_set(po("2")).raw
+    classes, _ = equivalence_classes(raw, engine)
+    assert hasse([rep for rep, _ in classes], engine)
+    t = parse_term(
+        "glue(glue(min(3)), omega(omega(one)), pgl{one, omega(one)}, glue(pgl{one}, one),"
+        " pgl{wedge({one} | {one})}, wedge({one}, {omega(one)} | {one}))"
+    )
+    for name in rule_names():
+        assert apply_rule(t, name, engine) is not None, name
+    assert is_centered(normalize(parse_term("pgl{max(w)}"), engine), engine)
 
 
 def test_verdicts_do_not_depend_on_query_order():
@@ -229,7 +262,7 @@ def test_verdicts_do_not_depend_on_query_order():
 
 
 def test_depth_bound_yields_unknown():
-    engine = Engine(EngineConfig(depth=1))
+    engine = Engine(depth=1)
     v = engine.compare(parse_term("glue(min(w+1), pgl{one})"), parse_term("pgl{max(w)}"))
     if v.outcome is Outcome.UNKNOWN:
         assert any(rule == "blocked:depth" for rule, _ in v.trace)
@@ -241,21 +274,22 @@ def test_depth_bound_yields_unknown():
 @given(terms())
 @settings(max_examples=150, deadline=None)
 def test_reflexivity(t):
-    assert compare(t, t).outcome is Outcome.LE
+    assert Engine().compare(t, t).outcome is Outcome.LE
 
 
 @given(terms())
 @settings(max_examples=150, deadline=None)
 def test_normalization_coherence(t):
-    n = normalize(t)
-    assert compare(t, n).outcome is Outcome.LE
-    assert compare(n, t).outcome is Outcome.LE
+    engine = Engine()
+    n = normalize(t, engine)
+    assert engine.compare(t, n).outcome is Outcome.LE
+    assert engine.compare(n, t).outcome is Outcome.LE
 
 
 @given(terms(), terms())
 @settings(max_examples=200, deadline=None)
 def test_nlex_guard(f, g):
-    if compare(f, g).outcome is Outcome.LE:
+    if Engine().compare(f, g).outcome is Outcome.LE:
         assert lex_le(cb_type(f), cb_type(g))
 
 
@@ -263,17 +297,18 @@ def test_nlex_guard(f, g):
 @settings(max_examples=150, deadline=None)
 def test_general_structure_sufficiency(f, g):
     if double(cb_type(f).rank) < cb_type(g).rank:
-        assert compare(f, g).outcome is Outcome.LE
+        assert Engine().compare(f, g).outcome is Outcome.LE
 
 
 @given(terms())
 @settings(max_examples=80, deadline=None)
 def test_monotone_counts(g):
+    engine = Engine()
     for m, n in [(1, 2), (2, 3), (1, 4)]:
         f_m = Glue([g] * m)
         f_n = Glue([g] * n)
-        assert compare(f_m, f_n).outcome is Outcome.LE
-        assert compare(f_m, Omega(g)).outcome is Outcome.LE
+        assert engine.compare(f_m, f_n).outcome is Outcome.LE
+        assert engine.compare(f_m, Omega(g)).outcome is Outcome.LE
 
 
 def test_context_monotonicity_sampled(rng):
@@ -282,31 +317,33 @@ def test_context_monotonicity_sampled(rng):
     same context (Unknown is acceptable, NOT_LE is a bug)."""
     from scatcalc.sample import random_term
 
+    engine = Engine()
     pool = [random_term(rng, 3) for _ in range(250)]
     checked = 0
     for _ in range(4000):
         f, g, h = rng.choice(pool), rng.choice(pool), rng.choice(pool)
-        if compare(f, g).outcome is not Outcome.LE:
+        if engine.compare(f, g).outcome is not Outcome.LE:
             continue
         checked += 1
-        assert compare(Glue([f, h]), Glue([g, h])).outcome is not Outcome.NOT_LE
-        assert compare(Omega(f), Omega(g)).outcome is not Outcome.NOT_LE
+        assert engine.compare(Glue([f, h]), Glue([g, h])).outcome is not Outcome.NOT_LE
+        assert engine.compare(Omega(f), Omega(g)).outcome is not Outcome.NOT_LE
         if f != parse_term("0*empty") and g != parse_term("0*empty"):
-            assert compare(PglSet([f]), PglSet([g])).outcome is not Outcome.NOT_LE
+            assert engine.compare(PglSet([f]), PglSet([g])).outcome is not Outcome.NOT_LE
     assert checked > 100
 
 
 def test_no_le_le_notle_triangle_sampled(rng):
     from scatcalc.sample import random_term
 
+    engine = Engine()
     pool = [random_term(rng, 4) for _ in range(300)]
     for _ in range(2000):
         f, g, h = rng.choice(pool), rng.choice(pool), rng.choice(pool)
         if (
-            compare(f, g).outcome is Outcome.LE
-            and compare(g, h).outcome is Outcome.LE
+            engine.compare(f, g).outcome is Outcome.LE
+            and engine.compare(g, h).outcome is Outcome.LE
         ):
-            assert compare(f, h).outcome is not Outcome.NOT_LE
+            assert engine.compare(f, h).outcome is not Outcome.NOT_LE
 
 
 def test_rank_one_fragment_complete_and_matches_formula():
@@ -316,10 +353,11 @@ def test_rank_one_fragment_complete_and_matches_formula():
         parts = [ONE] * a + [Omega(ONE)] * b
         return Glue(parts) if len(parts) != 1 else parts[0]
 
+    engine = Engine()
     shapes = [(a, b) for a in range(0, 5) for b in range(0, 3) if a + b >= 1]
     for (a1, b1), (a2, b2) in itertools.product(shapes, repeat=2):
         f, g = build(a1, b1), build(a2, b2)
         expected = (b2 > 0) if b1 > 0 else (b2 > 0 or a1 <= a2)
-        v = compare(f, g)
+        v = engine.compare(f, g)
         assert v.outcome is not Outcome.UNKNOWN
         assert (v.outcome is Outcome.LE) == expected, (a1, b1, a2, b2)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from scatcalc.compare import Outcome, compare
+from scatcalc.compare import Engine, Outcome
 from scatcalc.oracle import (
     FiniteFn,
     brute_force_le,
@@ -64,8 +64,9 @@ def test_oracle_formula_agreement_small():
 
 def test_oracle_engine_agreement_small():
     fns = list(all_fns(3, 3))
+    engine = Engine()
     for f in fns:
         for g in fns:
-            v = compare(term_of(f), term_of(g))
+            v = engine.compare(term_of(f), term_of(g))
             assert v.outcome is not Outcome.UNKNOWN
             assert (v.outcome is Outcome.LE) == brute_force_le(f, g)

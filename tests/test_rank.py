@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
+from scatcalc.compare import Engine
 from scatcalc.oracle import FiniteFn, term_of
 from scatcalc.ordinal import double, parse_ordinal as po
 from scatcalc.rank import (
@@ -71,17 +72,18 @@ def test_is_simple():
 
 
 def test_is_centered():
-    assert is_centered(parse_term("pgl{max(w)}"))
-    assert is_centered(ONE)
-    assert is_centered(parse_term("min(w+1)"))
-    assert not is_centered(parse_term("omega(min(w+1))"))
-    assert not is_centered(parse_term("glue(min(w+1), max(w))"))
-    assert not is_centered(parse_term("max(w)"))
-    assert not is_centered(EMPTY)
+    engine = Engine()
+    assert is_centered(parse_term("pgl{max(w)}"), engine)
+    assert is_centered(ONE, engine)
+    assert is_centered(parse_term("min(w+1)"), engine)
+    assert not is_centered(parse_term("omega(min(w+1))"), engine)
+    assert not is_centered(parse_term("glue(min(w+1), max(w))"), engine)
+    assert not is_centered(parse_term("max(w)"), engine)
+    assert not is_centered(EMPTY, engine)
     with pytest.raises(NotNormalizedError):
-        is_centered(parse_term("max(2)"))  # expands under normalization
+        is_centered(parse_term("max(2)"), engine)  # expands under normalization
     with pytest.raises(NotScatteredError):
-        is_centered(ID_Q)
+        is_centered(ID_Q, engine)
 
 
 def test_is_compact_domain():
@@ -133,7 +135,7 @@ def test_max_expansion_consistency(rank_text):
     r = po(rank_text)
     atom = MaxFn(r)
     assert cb_type(atom) == CbType(r, OMEGA_DEGREE)
-    assert cb_type(normalize(atom)) == CbType(r, OMEGA_DEGREE)
+    assert cb_type(normalize(atom, Engine())) == CbType(r, OMEGA_DEGREE)
 
 
 @pytest.mark.parametrize("rank_text", ["1", "2", "5", "w+1", "w+3", "w^2+2"])
@@ -141,7 +143,7 @@ def test_min_expansion_consistency(rank_text):
     r = po(rank_text)
     atom = MinFn(r)
     assert cb_type(atom) == CbType(r, 1)
-    assert cb_type(normalize(atom)) == CbType(r, 1)
+    assert cb_type(normalize(atom, Engine())) == CbType(r, 1)
 
 
 def test_rank_one_degree_matches_oracle_image_count():

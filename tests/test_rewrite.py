@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 
 from scatcalc import rewrite
-from scatcalc.compare import Engine, Outcome, compare
+from scatcalc.compare import Engine, Outcome
 from scatcalc.rank import cb_type
 from scatcalc.rewrite import NormalizationLimitError, apply_rule, normalize, rule_names
 from scatcalc.term import Glue, ONE, Omega, PglSet, parse_term
@@ -11,7 +11,7 @@ from conftest import terms
 
 
 def norm(text):
-    return normalize(parse_term(text))
+    return normalize(parse_term(text), Engine())
 
 
 def test_normalize_examples():
@@ -54,7 +54,7 @@ def test_pgl_absorb():
 
 def test_pgl_wedge_replacement():
     t = parse_term("pgl{wedge({max(w)} | {min(w+1)}), one}")
-    n = normalize(t)
+    n = normalize(t, Engine())
     # the wedge member is replaced by its vertical pgl and omega'd diagonal
     assert n == parse_term("pgl{omega(min(w+1)), pgl{max(w)}}")
 
@@ -62,31 +62,33 @@ def test_pgl_wedge_replacement():
 def test_wedge_reduce_diagonal_and_collapse():
     # dominated diagonal member drops, then the wedge collapses to
     # omega copies once the vertical reduces into the diagonal
+    engine = Engine()
     t = parse_term("wedge({max(w)} | {min(w+1), pgl{max(w)}})")
-    assert normalize(t) == parse_term("omega(pgl{max(w)})")
+    assert normalize(t, engine) == parse_term("omega(pgl{max(w)})")
     # vertical family reduces to a domination-maximal antichain
     t2 = parse_term("wedge({one}, {omega(one)} | {})")
-    assert normalize(t2) == parse_term("pgl{omega(one)}")
+    assert normalize(t2, engine) == parse_term("pgl{omega(one)}")
 
 
 def test_apply_rule_examples():
-    assert apply_rule(parse_term("glue(glue(one))"), "R-flat") == parse_term("1*one")
-    assert apply_rule(parse_term("omega(omega(one))"), "R-omega") == parse_term(
+    engine = Engine()
+    assert apply_rule(parse_term("glue(glue(one))"), "R-flat", engine) == parse_term("1*one")
+    assert apply_rule(parse_term("omega(omega(one))"), "R-omega", engine) == parse_term(
         "omega(one)"
     )
-    assert apply_rule(parse_term("min(3)"), "R-minmax") == parse_term("pgl{min(2)}")
-    assert apply_rule(ONE, "R-flat") is None
+    assert apply_rule(parse_term("min(3)"), "R-minmax", engine) == parse_term("pgl{min(2)}")
+    assert apply_rule(ONE, "R-flat", engine) is None
 
 
 def test_apply_rule_goes_outermost_leftmost():
     t = parse_term("pgl{glue(glue(one)), min(3)}")
-    stepped = apply_rule(t, "R-flat")
+    stepped = apply_rule(t, "R-flat", Engine())
     assert stepped == parse_term("pgl{1*one, min(3)}")
 
 
 def test_apply_rule_unknown_name():
     with pytest.raises(ValueError):
-        apply_rule(ONE, "R-nonsense")
+        apply_rule(ONE, "R-nonsense", Engine())
     assert "R-flat" in rule_names()
 
 
@@ -100,23 +102,25 @@ def test_normalize_cap_overflow(monkeypatch):
 @given(terms())
 @settings(max_examples=300, deadline=None)
 def test_normalize_idempotent(t):
-    n = normalize(t)
-    assert normalize(n) == n
+    engine = Engine()
+    n = normalize(t, engine)
+    assert normalize(n, engine) == n
 
 
 @given(terms())
 @settings(max_examples=300, deadline=None)
 def test_normalize_preserves_cb_type(t):
-    assert cb_type(normalize(t)) == cb_type(t)
+    assert cb_type(normalize(t, Engine())) == cb_type(t)
 
 
 @given(terms())
 @settings(max_examples=60, deadline=None)
 def test_rule_steps_are_equivalences(t):
+    engine = Engine()
     for name in rule_names():
-        stepped = apply_rule(t, name)
+        stepped = apply_rule(t, name, engine)
         if stepped is None:
             continue
         assert cb_type(stepped) == cb_type(t)
-        assert compare(t, stepped).outcome is Outcome.LE
-        assert compare(stepped, t).outcome is Outcome.LE
+        assert engine.compare(t, stepped).outcome is Outcome.LE
+        assert engine.compare(stepped, t).outcome is Outcome.LE

@@ -6,6 +6,7 @@ import threading
 import pytest
 from hypothesis import given, settings
 
+from scatcalc.compare import Engine
 from scatcalc.ordinal import parse_ordinal
 from scatcalc.rewrite import normalize
 from scatcalc.term import (
@@ -143,7 +144,7 @@ def test_deep_terms_need_no_recursion():
     assert term_size(t) == 1001
     assert isinstance(hash(t), int)
     assert sort_key(t) == (sort_key(Omega(ONE))[0], sort_key(t.body))
-    assert term_size(normalize(parse_term("min(300)"))) == 300
+    assert term_size(normalize(parse_term("min(300)"), Engine())) == 300
 
 
 def test_concurrent_construction_interns_once():
@@ -188,7 +189,7 @@ def test_raw_roundtrip(t):
 @given(terms())
 @settings(max_examples=200, deadline=None)
 def test_normalized_roundtrip(t):
-    n = normalize(t)
+    n = normalize(t, Engine())
     assert parse_term(format_term(n)) == n
 
 
