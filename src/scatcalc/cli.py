@@ -5,6 +5,10 @@ Subcommands: ``type``, ``normalize``, ``compare``, ``generators``,
 0/1/2, oracle maps YES/NO to 0/1, parse errors exit 64, feasibility
 bounds, undecided Hasse pairs, terms nested too deeply and gluings of
 more than ``term.MAX_SUMMANDS`` summands exit 65.
+
+There are no global options: each call runs on one fresh
+:class:`~scatcalc.compare.Engine` with its default bound of 64 open
+queries.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="symbolic calculus for scattered continuous functions "
         "under continuous reducibility",
     )
-    parser.add_argument("--depth", type=int, default=64, help="comparison depth bound")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("type", help="print the CB-type of a term")
@@ -82,7 +85,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _dispatch(args) -> int:
-    engine = Engine(depth=args.depth)
+    engine = Engine()
     if args.command == "type":
         t = parse_term(args.term)
         print(cb_type(t))

@@ -67,11 +67,21 @@ NotLe-rules
              is not below the min atom, nor below min-glue-max; and
              min-glue-max is not below the min atom.
 
+``Engine._decide`` settles the sentinel pairs (L-sent, N-scat) first,
+then tries the rules in the order of the table ``_RULES``: L-refl,
+N-lex, the axioms, L-gst, L-min/L-max, L-pgl-mono, L-glue,
+L-pgl-lower, L-wedge-bounds, L-trans/N-centered, N-pgl-deg,
+N-capacity and N-mono.  Each rule takes the pair and its two CB-types
+and returns a verdict or None; the first verdict wins, and a pair no
+rule settles is UNKNOWN with a "rules" blocker.
+
 Verdicts carry a shallow trace naming the rule and the sub-queries it
 used, formatted to text only when read.  Queries are memoized on
 normalized pairs; in-progress queries re-entered during their own
-derivation yield UNKNOWN for that path (coinductive failure), and a
-depth bound turns runaway searches into UNKNOWN with a "depth" blocker.
+derivation yield UNKNOWN for that path (coinductive failure).  The
+depth bound of ``Engine(depth=N)`` counts the queries open on the
+calling thread, those opened while normalizing included: a query
+asked while N are open is UNKNOWN with a "depth" blocker.
 
 The CB-type is an invariant of equivalence, so N-lex and L-gst, which
 read only the two types, answer a raw pair as they would its normal
@@ -83,8 +93,8 @@ fires on them, so its trace is the one the full path gives.
 
 An :class:`Engine` owns its memo and its normal-form cache, and runs
 normalization on itself: the rewrite rules that decide reducibilities
-query the engine that asked for the normal form, within its depth
-bound.  Every caller passes its engine explicitly, so a verdict depends
+query the engine that asked for the normal form, on the same query
+stack.  Every caller passes its engine explicitly, so a verdict depends
 on the pair and the depth bound alone, never on another caller's
 caches; dropping an engine drops its caches.
 """
@@ -222,7 +232,8 @@ class Engine:
     """Holds the memo table and the normal-form cache; safe for
     concurrent readers, and writes are idempotent (verdicts for a pair
     and normal forms never change).  The state of an in-flight
-    derivation (the query stack and taint marks) is kept per-thread."""
+    derivation (the query stack and taint marks) is kept per-thread.
+    ``depth`` bounds the number of queries open at once on a thread."""
 
     def __init__(self, depth: int = 64) -> None:
         if depth < 1:
@@ -240,7 +251,7 @@ class Engine:
         if nf is not None:
             ng = self._nf.get(g)
             if ng is not None:
-                return self._query(nf, ng, self.depth)
+                return self._query(nf, ng)
         key = (f, g)
         hit = self._memo.get(key)
         if hit is not None:
@@ -264,7 +275,7 @@ class Engine:
         ng = self._nf.get(g)
         if ng is None:
             ng = rewrite.normalize(g, self)
-        return self._query(nf, ng, self.depth)
+        return self._query(nf, ng)
 
     def equivalent(self, f: Term, g: Term) -> str:
         fwd = self.compare(f, g).outcome
@@ -298,7 +309,7 @@ class Engine:
 
     # -- core query ---------------------------------------------------
 
-    def _query(self, f: Term, g: Term, depth: int) -> Verdict:
+    def _query(self, f: Term, g: Term) -> Verdict:
         key = (f, g)
         hit = self._memo.get(key)
         if hit is not None:
@@ -309,14 +320,13 @@ class Engine:
             if taint:
                 taint[-1] = True
             return Verdict(Outcome.UNKNOWN, (_step("blocked:cycle", f, g),))
-        if depth <= 0:
-            if taint:
-                taint[-1] = True
+        if len(taint) >= self.depth:
+            taint[-1] = True
             return Verdict(Outcome.UNKNOWN, (_step("blocked:depth", f, g),))
         in_progress.add(key)
         taint.append(False)
         try:
-            verdict = self._decide(f, g, depth)
+            verdict = self._decide(f, g)
         finally:
             in_progress.discard(key)
             tainted = taint.pop()
@@ -332,75 +342,37 @@ class Engine:
         (a sentinel, L-refl, N-lex, an axiom or L-gst), so it issues no
         sub-query."""
         nf, ng = rewrite.normalize(f, self), rewrite.normalize(g, self)
-        return self._decide(nf, ng, self.depth).steps
+        return self._decide(nf, ng).steps
 
-    def _le(self, f: Term, g: Term, depth: int) -> bool:
-        return self._query(f, g, depth).outcome is Outcome.LE
+    def _le(self, f: Term, g: Term) -> bool:
+        return self._query(f, g).outcome is Outcome.LE
 
-    def _not_le(self, f: Term, g: Term, depth: int) -> bool:
-        return self._query(f, g, depth).outcome is Outcome.NOT_LE
+    def _not_le(self, f: Term, g: Term) -> bool:
+        return self._query(f, g).outcome is Outcome.NOT_LE
 
-    def _decide(self, f: Term, g: Term, depth: int) -> Verdict:
-        d = depth - 1
-
-        # sentinels
-        if isinstance(g, IdBaire):
-            return _LE(_step("L-sent", f, g))
-        if isinstance(g, IdQ):
-            if isinstance(f, IdBaire):
-                return _NOT_LE(_step("N-scat", f, g, "uncountable image"))
-            return _LE(_step("L-sent", f, g))
-        if isinstance(f, _SENTINELS):
-            return _NOT_LE(_step("N-scat", f, g, "target is scattered"))
-
-        if f == g:
-            return _LE(_step("L-refl", f, g))
-
-        tf, tg = cb_type(f), cb_type(g)
-        if not lex_le(tf, tg):
-            return _NOT_LE(_step("N-lex", f, g, "tp ", tf, " > tp ", tg))
-
-        ax = self._axioms(f, g)
-        if ax is not None:
-            return ax
-
-        note = _gst_note(tf, tg)
-        if note is not None:
-            return _LE(_step("L-gst", f, g, note))
-        v = self._rule_min_max(f, g, tf, tg)
+    def _decide(self, f: Term, g: Term) -> Verdict:
+        v = _sentinel_verdict(f, g)
         if v is not None:
             return v
-        if isinstance(f, PglSet) and isinstance(g, PglSet):
-            v = self._rule_pgl_mono(f, g, d)
+        tf, tg = cb_type(f), cb_type(g)
+        for rule in _RULES:
+            v = rule(self, f, g, tf, tg)
             if v is not None:
                 return v
-        v = self._rule_glue_match(f, g, d)
-        if v is not None:
-            return v
-        if isinstance(g, PglSet):
-            body = Omega(glue_of(g.members))
-            if self._le(f, rewrite.normalize(body, self), d):
-                return _LE(_step("L-pgl-lower", f, g, "via omega copies of the member set"))
-        v = self._rule_wedge_bounds(f, g, d)
-        if v is not None:
-            return v
-        v = self._rule_centered(f, g, d)
-        if v is not None:
-            return v
-        v = self._rule_pgl_rays(f, g, tf, tg, d)
-        if v is not None:
-            return v
-        v = self._rule_capacity(f, g, tf, tg, d)
-        if v is not None:
-            return v
-        v = self._rule_mono(f, g, d)
-        if v is not None:
-            return v
         return Verdict(Outcome.UNKNOWN, (_step("blocked:rules", f, g),))
 
-    # -- recorded axiom table ------------------------------------------
+    # -- the rules, in the order of _RULES -----------------------------
 
-    def _axioms(self, f: Term, g: Term) -> Optional[Verdict]:
+    def _rule_refl(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
+        return _LE(_step("L-refl", f, g)) if f == g else None
+
+    def _rule_lex(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
+        if lex_le(tf, tg):
+            return None
+        return _NOT_LE(_step("N-lex", f, g, "tp ", tf, " > tp ", tg))
+
+    def _rule_axioms(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
+        """The recorded axiom table."""
         lam = _max_atom_level(f)
         if lam is not None and _min_atom_level(g) == lam:
             return _LE(_step("A1", f, g, "level ", lam))
@@ -419,7 +391,9 @@ class Engine:
                 return _NOT_LE(_step("A3", f, g, "level ", lam))
         return None
 
-    # -- individual rules ----------------------------------------------
+    def _rule_gst(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
+        note = _gst_note(tf, tg)
+        return None if note is None else _LE(_step("L-gst", f, g, note))
 
     def _rule_min_max(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
         lvl = _min_atom_rank(f)
@@ -433,31 +407,33 @@ class Engine:
             return _LE(_step("L-max-simple", f, g, "simple below pointed maximum"))
         return None
 
-    def _rule_pgl_mono(self, f: PglSet, g: PglSet, d: int) -> Optional[Verdict]:
+    def _rule_pgl_mono(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
+        if not (isinstance(f, PglSet) and isinstance(g, PglSet)):
+            return None
         for m in f.members:
             bound = max(len(summands_of(m)), FIN_GLUE_BOUND)
-            if not self._le_fin_glue(m, g.members, bound, d):
+            if not self._le_fin_glue(m, g.members, bound):
                 return None
         return _LE(_step("L-pgl-mono", f, g, "memberwise into finite gluings"))
 
-    def _le_fin_glue(self, x: Term, members: tuple[Term, ...], bound: int, d: int) -> bool:
+    def _le_fin_glue(self, x: Term, members: tuple[Term, ...], bound: int) -> bool:
         """Whether the normal form ``x`` reduces to k copies of the
         glued member set for some k <= ``bound``."""
         for k in range(1, bound + 1):
-            if self._le(x, rewrite.normalize(glue_of(members * k), self), d):
+            if self._le(x, rewrite.normalize(glue_of(members * k), self)):
                 return True
         return False
 
     # L-glue: multiset matching with absorbing targets
 
-    def _rule_glue_match(self, f: Term, g: Term, d: int) -> Optional[Verdict]:
+    def _rule_glue_match(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
         fs, gs = summands_of(f), summands_of(g)
         if not fs:
             return _LE(_step("L-glue", f, g, "empty gluing"))
 
         leftovers: list[Term] = []
         for s in fs:
-            if any(self._absorbs(t, s, d) for t in gs):
+            if any(self._absorbs(t, s) for t in gs):
                 continue
             leftovers.append(s)
         if leftovers:
@@ -467,19 +443,19 @@ class Engine:
                 edges[i] = [
                     j
                     for j, t in enumerate(gs)
-                    if not (s == f and t == g) and self._le(s, t, d)
+                    if not (s == f and t == g) and self._le(s, t)
                 ]
             if not _bipartite_saturates(edges, len(leftovers), len(gs)):
                 return None
         return _LE(_step("L-glue", f, g, "matched ", len(fs), " summand(s)"))
 
-    def _absorbs(self, target: Term, s: Term, d: int) -> bool:
+    def _absorbs(self, target: Term, s: Term) -> bool:
         """Whether ``target`` can receive unboundedly many summands like
         ``s`` (justified by splitting off prefixes / index shuffles)."""
         if isinstance(target, Omega):
-            return self._accept_repeated(s, target.body, d)
+            return self._accept_repeated(s, target.body)
         if isinstance(target, PglSet):
-            return self._le(s, rewrite.normalize(glue_of(target.members), self), d)
+            return self._le(s, rewrite.normalize(glue_of(target.members), self))
         lam = _max_atom_level(target)
         if lam is not None:
             return cb_type(s).rank <= lam
@@ -490,34 +466,41 @@ class Engine:
             return ord_mod.double(cb_type(s).rank) < limit_part
         return False
 
-    def _accept_repeated(self, s: Term, base: Term, d: int) -> bool:
+    def _accept_repeated(self, s: Term, base: Term) -> bool:
         """Whether countably many copies of ``base`` swallow ``s``."""
-        if self._le(s, base, d):
+        if self._le(s, base):
             return True
         if isinstance(s, Omega):
-            return self._accept_repeated(s.body, base, d)
+            return self._accept_repeated(s.body, base)
         if isinstance(s, Glue):
-            return all(self._accept_repeated(x, base, d) for x in s.summands)
+            return all(self._accept_repeated(x, base) for x in s.summands)
         if isinstance(s, Wedge):
             verticals_ok = all(
-                self._le(rewrite.normalize(PglSet(v), self), base, d) for v in s.verticals
+                self._le(rewrite.normalize(PglSet(v), self), base) for v in s.verticals
             )
-            diagonal_ok = all(self._accept_repeated(x, base, d) for x in s.diagonal)
+            diagonal_ok = all(self._accept_repeated(x, base) for x in s.diagonal)
             return verticals_ok and diagonal_ok
         return False
 
-    def _rule_wedge_bounds(self, f: Term, g: Term, d: int) -> Optional[Verdict]:
+    def _rule_pgl_lower(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
+        if isinstance(g, PglSet) and self._le(
+            f, rewrite.normalize(Omega(glue_of(g.members)), self)
+        ):
+            return _LE(_step("L-pgl-lower", f, g, "via omega copies of the member set"))
+        return None
+
+    def _rule_wedge_bounds(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
         if isinstance(g, Wedge):
             for bound in _wedge_lower_bounds(g, self):
-                if self._le(f, bound, d):
+                if self._le(f, bound):
                     return _LE(_step("L-wedge-bounds", f, g, "through a lower bound"))
         if isinstance(f, Wedge):
             upper = rewrite.normalize(_wedge_upper_bound(f), self)
-            if self._le(upper, g, d):
+            if self._le(upper, g):
                 return _LE(_step("L-wedge-bounds", f, g, "through the upper bound"))
         return None
 
-    def _rule_centered(self, f: Term, g: Term, d: int) -> Optional[Verdict]:
+    def _rule_centered(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
         if not isinstance(f, (One, MinFn, PglSet)):
             return None
         if isinstance(g, Glue):
@@ -526,7 +509,7 @@ class Engine:
             candidates = [g.body]
         else:
             return None
-        verdicts = [self._query(f, c, d) for c in candidates]
+        verdicts = [self._query(f, c) for c in candidates]
         for c, v in zip(candidates, verdicts):
             if v.outcome is Outcome.LE:
                 return _LE(_step("L-trans", f, c, "centered into one summand"))
@@ -534,7 +517,7 @@ class Engine:
             return _NOT_LE(_step("N-centered", f, g, "no summand admits the center"))
         return None
 
-    def _rule_pgl_rays(self, f: Term, g: Term, tf, tg, d: int) -> Optional[Verdict]:
+    def _rule_pgl_rays(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
         """Pointed gluings are centered with a single top point, so a
         reduction between them either maps top to top, forcing each
         source ray (a copy of the glued member set) into finitely many
@@ -550,7 +533,7 @@ class Engine:
             return None
         centered_member_refuted = len(f.members) == 1 and isinstance(
             f.members[0], (One, MinFn, PglSet)
-        ) and all(self._not_le(f.members[0], m, d) for m in g.members)
+        ) and all(self._not_le(f.members[0], m) for m in g.members)
         if tf.rank == tg.rank:
             # top maps to top, so source rays land in finite prefixes of
             # target rays; the degree comparison is meaningful here
@@ -568,13 +551,13 @@ class Engine:
         # source rank below target rank: the center lands either inside
         # one target ray (so f itself must fit a single member) or at
         # the top (so the centered ray must fit a single member)
-        if centered_member_refuted and all(self._not_le(f, m, d) for m in g.members):
+        if centered_member_refuted and all(self._not_le(f, m) for m in g.members):
             return _NOT_LE(
                 _step("N-pgl-deg", f, g, "refuted both at the top point and inside rays")
             )
         return None
 
-    def _rule_capacity(self, f: Term, g: Term, tf, tg, d: int) -> Optional[Verdict]:
+    def _rule_capacity(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
         if tf.rank != tg.rank or not tf.rank.is_successor:
             return None
         fs, gs = summands_of(f), summands_of(g)
@@ -593,7 +576,7 @@ class Engine:
         edges: dict[int, list[int]] = {i: [] for i in range(len(ftops))}
         for i, s in enumerate(ftops):
             for j, t in enumerate(gtops):
-                v = self._query(s, t, d)
+                v = self._query(s, t)
                 if v.outcome is Outcome.UNKNOWN:
                     return None
                 if v.outcome is Outcome.LE:
@@ -619,20 +602,52 @@ class Engine:
             _step("N-capacity", f, g, "top summands exceed target degree slots")
         )
 
-    def _rule_mono(self, f: Term, g: Term, d: int) -> Optional[Verdict]:
+    def _rule_mono(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
         for p in _structural_lower_bounds(f, self):
             p = rewrite.normalize(p, self)
-            if self._not_le(p, g, d):
+            if self._not_le(p, g):
                 return _NOT_LE(
                     _step("N-mono", p, g, "lower bound of ", f, " refuted")
                 )
         if isinstance(g, Wedge):
             upper = rewrite.normalize(_wedge_upper_bound(g), self)
-            if self._not_le(f, upper, d):
+            if self._not_le(f, upper):
                 return _NOT_LE(
                     _step("N-mono", f, upper, "upper bound of ", g, " refuted")
                 )
         return None
+
+
+# tried in this order by Engine._decide after the sentinel verdict; the
+# first rule that returns a verdict settles the pair
+_RULES = (
+    Engine._rule_refl,
+    Engine._rule_lex,
+    Engine._rule_axioms,
+    Engine._rule_gst,
+    Engine._rule_min_max,
+    Engine._rule_pgl_mono,
+    Engine._rule_glue_match,
+    Engine._rule_pgl_lower,
+    Engine._rule_wedge_bounds,
+    Engine._rule_centered,
+    Engine._rule_pgl_rays,
+    Engine._rule_capacity,
+    Engine._rule_mono,
+)
+
+
+def _sentinel_verdict(f: Term, g: Term) -> Optional[Verdict]:
+    """L-sent and N-scat: the pairs with a sentinel on either side."""
+    if isinstance(g, IdBaire):
+        return _LE(_step("L-sent", f, g))
+    if isinstance(g, IdQ):
+        if isinstance(f, IdBaire):
+            return _NOT_LE(_step("N-scat", f, g, "uncountable image"))
+        return _LE(_step("L-sent", f, g))
+    if isinstance(f, _SENTINELS):
+        return _NOT_LE(_step("N-scat", f, g, "target is scattered"))
+    return None
 
 
 # ---------------------------------------------------------------------------

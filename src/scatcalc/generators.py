@@ -148,32 +148,18 @@ def generator_raw(alpha: Ordinal, max_raw: int = DEFAULT_MAX_RAW) -> list[Term]:
         return [] if alpha.is_zero else [MaxFn(alpha)]
     centered = centered_raw(alpha, max_raw)
     prev_gen = generator_raw(Ordinal(lam.terms, n - 1) if n > 1 else lam, max_raw)
-    out: list[Term] = []
-    seen: set[Term] = set()
-
-    def push(t: Term) -> None:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-            if len(out) > max_raw:
-                raise FeasibilityError(
-                    f"generator set at {alpha} exceeds the raw bound {max_raw}"
-                )
-
-    for c in centered:
-        push(c)
-    for c in centered:
-        push(Omega(c))
-    # 2^(2^p - 1) - 1 vertical families times 2^c diagonals, counted
-    # before any pool is built; exponents are clipped where the count
-    # passes the bound anyway, so no huge integer is built either
+    # the centered terms, their omegas, and 2^(2^p - 1) - 1 vertical
+    # families times 2^c diagonals: all pairwise distinct, so the count
+    # is exact before any pool is built; exponents are clipped where the
+    # count passes the bound anyway, so no huge integer is built either
     clip = max_raw.bit_length() + 1
     vertical_sets = (1 << min(len(prev_gen), clip)) - 1
     family_count = (1 << min(vertical_sets, clip)) - 1
-    if (family_count << min(len(centered), clip)) + len(out) > max_raw:
+    if 2 * len(centered) + (family_count << min(len(centered), clip)) > max_raw:
         raise FeasibilityError(
             f"generator set at {alpha} exceeds the raw bound {max_raw}"
         )
+    out = centered + [Omega(c) for c in centered]
     vertical_pool = _power_set_nonempty(prev_gen)
     diagonal_pool = _power_set(centered)
     for family_mask in range(1, 1 << len(vertical_pool)):
@@ -182,8 +168,7 @@ def generator_raw(alpha: Ordinal, max_raw: int = DEFAULT_MAX_RAW) -> list[Term]:
             for i in range(len(vertical_pool))
             if family_mask >> i & 1
         ]
-        for diagonal in diagonal_pool:
-            push(Wedge(family, diagonal))
+        out.extend(Wedge(family, diagonal) for diagonal in diagonal_pool)
     return out
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import total_ordering
 from typing import Iterable, Literal
 
 
@@ -28,8 +27,7 @@ class OrdinalSyntaxError(ValueError):
         self.position = position
 
 
-@total_ordering
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class Ordinal:
     # ((exponent, coefficient), ...) with exponents strictly decreasing, all >= 1
     terms: tuple[tuple[int, int], ...] = ()
@@ -45,14 +43,6 @@ class Ordinal:
             prev = exp
         if self.finite < 0:
             raise ValueError("finite part must be >= 0")
-
-    def _key(self) -> tuple:
-        return (self.terms, self.finite)
-
-    def __lt__(self, other: "Ordinal") -> bool:
-        if not isinstance(other, Ordinal):
-            return NotImplemented
-        return self._key() < other._key()
 
     def __str__(self) -> str:
         return format_ordinal(self)
@@ -89,8 +79,7 @@ def omega_power(exp: int, coeff: int = 1) -> Ordinal:
 def cmp_ordinal(a: Ordinal, b: Ordinal) -> int:
     """Total order on CNF: -1, 0 or 1.  Tuple comparison on the term
     list is the lexicographic CNF order, finite parts break ties."""
-    ka, kb = a._key(), b._key()
-    return (ka > kb) - (ka < kb)
+    return (a > b) - (a < b)
 
 
 def add(a: Ordinal, b: Ordinal) -> Ordinal:

@@ -46,16 +46,18 @@ unforeseen cycle into a diagnosable failure.
 
 ``R-pgl-members``, ``R-pgl-absorb`` and ``R-wedge-reduce`` decide
 reducibilities.  Normalization runs on an :class:`~scatcalc.compare.Engine`:
-every rule asks that engine, within its depth bound, and the normal
-forms are cached on it, so an engine's normal forms and verdicts depend
-on nothing outside it.  :func:`normalize` and :func:`apply_rule` take
-that engine as a required argument.
+every rule asks that engine, and the normal forms are cached on it, so
+an engine's normal forms and verdicts depend on nothing outside it.
+The queries a rule opens count against the engine's bound on open
+queries, like those of the derivation that asked for the normal form.
+:func:`normalize` and :func:`apply_rule` take that engine as a required
+argument.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, TypeVar
 
 from . import ordinal as ord_mod
 from .term import (
@@ -74,12 +76,14 @@ from .term import (
     merged_wedge,
     sort_key,
     summands_of,
-    syntactic_cmp,
     term_size,
 )
 
 if TYPE_CHECKING:
     from .compare import Engine
+
+
+T = TypeVar("T")
 
 
 class NormalizationLimitError(RuntimeError):
@@ -151,7 +155,22 @@ def _fix(t: Term, counter: list[int], engine: Engine) -> Term:
 
 def _le(engine: Engine, a: Term, b: Term) -> bool:
     """Whether ``engine`` decides a <= b."""
-    return engine._le(normalize(a, engine), normalize(b, engine), engine.depth)
+    return engine._le(normalize(a, engine), normalize(b, engine))
+
+
+def _undominated(
+    items: Sequence[T], le: Callable[[T, T], bool], key: Callable[[T], Any]
+) -> list[T]:
+    """The items that no other item strictly dominates, in order.
+    ``le(a, b)`` says that ``b`` dominates ``a``; of mutually dominating
+    items only the one with the least ``key`` survives."""
+    return [
+        a
+        for a in items
+        if not any(
+            b != a and le(a, b) and (not le(b, a) or key(b) < key(a)) for b in items
+        )
+    ]
 
 
 def _rule_flat(t: Term, engine: Engine) -> Optional[Term]:
@@ -232,18 +251,8 @@ def _rule_omega(t: Term, engine: Engine) -> Optional[Term]:
 def _rule_pgl_members(t: Term, engine: Engine) -> Optional[Term]:
     if not isinstance(t, PglSet) or len(t.members) < 2:
         return None
-    doomed: set[Term] = set()
-    for m in t.members:
-        for d in t.members:
-            if m == d:
-                continue
-            le_md, le_dm = _le(engine, m, d), _le(engine, d, m)
-            if le_md and (not le_dm or syntactic_cmp(d, m) < 0):
-                doomed.add(m)
-                break
-    if not doomed:
-        return None
-    return PglSet([m for m in t.members if m not in doomed])
+    kept = _undominated(t.members, partial(_le, engine), sort_key)
+    return PglSet(kept) if len(kept) < len(t.members) else None
 
 
 def _rule_pgl_wedge(t: Term, engine: Engine) -> Optional[Term]:
@@ -283,15 +292,9 @@ def _rule_pgl_absorb(t: Term, engine: Engine) -> Optional[Term]:
             if i == j or not isinstance(p, PglSet):
                 continue
             x = normalize(s, engine)
-            if engine._le_fin_glue(x, p.members, len(summands_of(s)), engine.depth):
+            if engine._le_fin_glue(x, p.members, len(summands_of(s))):
                 return Glue(t.summands[:i] + t.summands[i + 1 :])
     return None
-
-
-def _dominates_set(
-    engine: Engine, fam_a: tuple[Term, ...], fam_b: tuple[Term, ...]
-) -> bool:
-    return all(any(_le(engine, f, g) for g in fam_b) for f in fam_a)
 
 
 def _rule_wedge_reduce(t: Term, engine: Engine) -> Optional[Term]:
@@ -306,47 +309,22 @@ def _rule_wedge_reduce(t: Term, engine: Engine) -> Optional[Term]:
         return merged_wedge(new_verticals, new_diagonal)
 
     # (a) vertical family -> antichain of domination-maximal sets
-    fams = list(t.verticals)
-    keep = []
-    for i, fam in enumerate(fams):
-        dominated = False
-        for j, other in enumerate(fams):
-            if i == j:
-                continue
-            if _dominates_set(engine, fam, other):
-                if not _dominates_set(engine, other, fam):
-                    dominated = True
-                elif [sort_key(x) for x in other] < [sort_key(x) for x in fam]:
-                    dominated = True
-            if dominated:
-                break
-        if not dominated:
-            keep.append(fam)
-    if len(keep) < len(fams):
+    def fam_le(a: tuple[Term, ...], b: tuple[Term, ...]) -> bool:
+        return all(any(_le(engine, x, y) for y in b) for x in a)
+
+    keep = _undominated(t.verticals, fam_le, lambda fam: [sort_key(x) for x in fam])
+    if len(keep) < len(t.verticals):
         return Wedge(keep, t.diagonal)
 
-    # (b) drop dominated diagonal members
+    # (b) drop diagonal members below a vertical or a fellow member
     vertical_terms = [glue_of(v) for v in t.verticals]
-    doomed: set[Term] = set()
-    for h in t.diagonal:
-        gone = False
-        for v in vertical_terms:
-            if _le(engine, h, v):
-                gone = True
-                break
-        if not gone:
-            for h2 in t.diagonal:
-                if h2 == h:
-                    continue
-                if _le(engine, h, h2):
-                    le2 = _le(engine, h2, h)
-                    if not le2 or syntactic_cmp(h2, h) < 0:
-                        gone = True
-                        break
-        if gone:
-            doomed.add(h)
-    if doomed:
-        return Wedge(t.verticals, [h for h in t.diagonal if h not in doomed])
+    keep = [
+        h
+        for h in _undominated(t.diagonal, partial(_le, engine), sort_key)
+        if not any(_le(engine, h, v) for v in vertical_terms)
+    ]
+    if len(keep) < len(t.diagonal):
+        return Wedge(t.verticals, keep)
 
     # (c) a single vertical over an empty diagonal is a pointed gluing
     if not t.diagonal and len(t.verticals) == 1:
@@ -354,7 +332,7 @@ def _rule_wedge_reduce(t: Term, engine: Engine) -> Optional[Term]:
 
     # (d) collapse to omega copies of the diagonal
     if t.diagonal and all(
-        engine._le_fin_glue(normalize(PglSet(v), engine), t.diagonal, 1, engine.depth)
+        engine._le_fin_glue(normalize(PglSet(v), engine), t.diagonal, 1)
         for v in t.verticals
     ):
         return Glue([Omega(h) for h in t.diagonal])
@@ -372,8 +350,7 @@ _RULES: dict[str, Callable[[Term, Engine], Optional[Term]]] = {
 }
 
 # tried in this order at each node, after R-minmax
-_CAPPED_RULES = (_rule_flat, _rule_omega, _rule_pgl_members, _rule_pgl_wedge,
-                 _rule_pgl_absorb, _rule_wedge_reduce)
+_CAPPED_RULES = tuple(rule for name, rule in _RULES.items() if name != "R-minmax")
 
 
 def rule_names() -> tuple[str, ...]:

@@ -129,18 +129,6 @@ def test_huge_gluings_are_refused_at_once(capsys, text):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
-def test_depth_flag(capsys):
-    code, out, _ = run(capsys, "--depth", "2", "compare", "one", "omega(one)")
-    assert code in (0, 2)
-
-
-@pytest.mark.parametrize("depth", ["-5", "0"])
-def test_non_positive_depth_is_rejected(capsys, depth):
-    code, out, err = run(capsys, "--depth", depth, "compare", "one", "one")
-    assert (code, out) == (64, "")
-    assert err.startswith("error: ") and len(err.splitlines()) == 1
-
-
 def test_render_dot_labels():
     terms = [parse_term("one"), parse_term("omega(one)")]
     dot = render_dot(terms, [(terms[0], terms[1])], Engine())

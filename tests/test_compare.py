@@ -261,11 +261,44 @@ def test_verdicts_do_not_depend_on_query_order():
     assert forward == backward[::-1]
 
 
-def test_depth_bound_yields_unknown():
-    engine = Engine(depth=1)
-    v = engine.compare(parse_term("glue(min(w+1), pgl{one})"), parse_term("pgl{max(w)}"))
-    if v.outcome is Outcome.UNKNOWN:
-        assert any(rule == "blocked:depth" for rule, _ in v.trace)
+def test_depth_bound_yields_unknown(monkeypatch):
+    compare_module = sys.modules["scatcalc.compare"]
+    plain, rules = compare_module._step, []
+
+    def spy(rule, *args):
+        rules.append(rule)
+        return plain(rule, *args)
+
+    f, g = parse_term("min(2)"), parse_term("min(3)")
+    assert Engine().compare(f, g).outcome is Outcome.LE
+    monkeypatch.setattr(compare_module, "_step", spy)
+    assert Engine(depth=1).compare(f, g).outcome is Outcome.UNKNOWN
+    assert "blocked:depth" in rules
+
+
+@given(terms(), terms())
+@settings(max_examples=25, deadline=None)
+def test_no_rule_runs_past_the_open_query_bound(f, g):
+    plain, opened = Engine._decide, []
+
+    def spy(engine, *args):
+        opened.append((len(engine._local.taint), engine.depth))
+        return plain(engine, *args)
+
+    pairs = [(parse_term("min(2)"), parse_term("min(3)")), (f, g), (g, f)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "_decide", spy)
+        for depth in (1, 2, 3):
+            engine = Engine(depth=depth)
+            for a, b in pairs:
+                engine.compare(a, b)
+    assert opened and all(n <= bound for n, bound in opened)
+
+
+def test_non_positive_depth_is_rejected():
+    for depth in (0, -5):
+        with pytest.raises(ValueError, match="must be positive"):
+            Engine(depth=depth)
 
 
 # -- invariants ---------------------------------------------------------------
