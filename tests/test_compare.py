@@ -295,10 +295,10 @@ def test_no_rule_runs_past_the_open_query_bound(f, g):
     assert opened and all(n <= bound for n, bound in opened)
 
 
-def test_non_positive_depth_is_rejected():
-    for depth in (0, -5):
-        with pytest.raises(ValueError, match="must be positive"):
-            Engine(depth=depth)
+@pytest.mark.parametrize("depth", [-5, 0])
+def test_non_positive_depth_is_rejected(depth):
+    with pytest.raises(ValueError, match="must be positive"):
+        Engine(depth=depth)
 
 
 # -- invariants ---------------------------------------------------------------
