@@ -7,8 +7,7 @@ bounds, undecided Hasse pairs, terms nested too deeply and gluings of
 more than ``term.MAX_SUMMANDS`` summands exit 65.
 
 There are no global options: each call runs on one fresh
-:class:`~scatcalc.compare.Engine` with its default bound of 64 open
-queries.
+:class:`~scatcalc.compare.Engine`.
 """
 
 from __future__ import annotations

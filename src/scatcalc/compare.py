@@ -36,7 +36,6 @@ Le-rules
              each vertical pointed gluing and omega copies of the
              diagonal sit below a wedge; a wedge sits below the gluing
              of those bounds.
-    L-trans  bounded transitivity through a gluing or omega component.
     A1       the max atom at lambda is below the min atom at lambda+1
              (lambda limit or 1).
 
@@ -70,7 +69,7 @@ NotLe-rules
 ``Engine._decide`` settles the sentinel pairs (L-sent, N-scat) first,
 then tries the rules in the order of the table ``_RULES``: L-refl,
 N-lex, the axioms, L-gst, L-min/L-max, L-pgl-mono, L-glue,
-L-pgl-lower, L-wedge-bounds, L-trans/N-centered, N-pgl-deg,
+L-pgl-lower, L-wedge-bounds, N-centered, N-pgl-deg,
 N-capacity and N-mono.  Each rule takes the pair and its two CB-types
 and returns a verdict or None; the first verdict wins, and a pair no
 rule settles is UNKNOWN with a "rules" blocker.
@@ -78,10 +77,10 @@ rule settles is UNKNOWN with a "rules" blocker.
 Verdicts carry a shallow trace naming the rule and the sub-queries it
 used, formatted to text only when read.  Queries are memoized on
 normalized pairs; in-progress queries re-entered during their own
-derivation yield UNKNOWN for that path (coinductive failure).  The
-depth bound of ``Engine(depth=N)`` counts the queries open on the
-calling thread, those opened while normalizing included: a query
-asked while N are open is UNKNOWN with a "depth" blocker.
+derivation yield UNKNOWN for that path (coinductive failure).  At
+most ``MAX_OPEN_QUERIES`` queries are open at once on a thread, those
+opened while normalizing included: a query asked past that bound is
+UNKNOWN with a "depth" blocker.
 
 The CB-type is an invariant of equivalence, so N-lex and L-gst, which
 read only the two types, answer a raw pair as they would its normal
@@ -95,15 +94,15 @@ An :class:`Engine` owns its memo and its normal-form cache, and runs
 normalization on itself: the rewrite rules that decide reducibilities
 query the engine that asked for the normal form, on the same query
 stack.  Every caller passes its engine explicitly, so a verdict depends
-on the pair and the depth bound alone, never on another caller's
-caches; dropping an engine drops its caches.
+on the pair alone, never on another caller's caches; dropping an
+engine drops its caches.
 """
 
 from __future__ import annotations
 
 import threading
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Optional
 
 from . import ordinal as ord_mod
 from . import rewrite
@@ -135,8 +134,8 @@ class Outcome(Enum):
 _SENTINELS = (IdQ, IdBaire)
 
 TraceStep = tuple[str, str]
-# (rule, f, g, note parts); g is None for a step that names no target
-Step = tuple[str, Term, Term | None, tuple]
+# (rule, f, g, note parts)
+Step = tuple[str, Term, Term, tuple]
 
 
 class Verdict:
@@ -182,15 +181,16 @@ class Verdict:
 # k-range for member-into-finite-gluing searches
 FIN_GLUE_BOUND = 3
 
+# the most queries open at once on one thread; one asked past it is UNKNOWN
+MAX_OPEN_QUERIES = 64
+
 
 def _step(rule: str, f: Term, g: Term, *note) -> Step:
     return (rule, f, g, note)
 
 
-def _render(rule: str, f: Term, g: Optional[Term], note: tuple) -> TraceStep:
+def _render(rule: str, f: Term, g: Term, note: tuple) -> TraceStep:
     note = "".join(format_term(p) if isinstance(p, Term) else str(p) for p in note)
-    if g is None:
-        return (rule, f"{format_term(f)} {note}")
     text = f"{format_term(f)} <= {format_term(g)}"
     if note:
         text += f" [{note}]"
@@ -220,7 +220,7 @@ def _NOT_LE(*steps: Step) -> Verdict:
 class _QueryState(threading.local):
     """The state of the derivations in flight on one thread: the pairs
     being decided, and one taint mark per open query.  Taint marks a
-    computation that saw a cycle or the depth bound; its UNKNOWN is
+    computation that saw a cycle or hit ``MAX_OPEN_QUERIES``; its UNKNOWN is
     context-dependent and must not be cached."""
 
     def __init__(self) -> None:
@@ -232,13 +232,9 @@ class Engine:
     """Holds the memo table and the normal-form cache; safe for
     concurrent readers, and writes are idempotent (verdicts for a pair
     and normal forms never change).  The state of an in-flight
-    derivation (the query stack and taint marks) is kept per-thread.
-    ``depth`` bounds the number of queries open at once on a thread."""
+    derivation (the query stack and taint marks) is kept per-thread."""
 
-    def __init__(self, depth: int = 64) -> None:
-        if depth < 1:
-            raise ValueError(f"derivation depth must be positive, got {depth}")
-        self.depth = depth
+    def __init__(self) -> None:
         self._memo: dict[tuple[Term, Term], Verdict] = {}
         # term -> normal form, filled by rewrite.normalize
         self._nf: dict[Term, Term] = {}
@@ -286,27 +282,6 @@ class Engine:
             return "No"
         return "Unknown"
 
-    def dominates(self, fs: Iterable[Term], gs: Iterable[Term]) -> Verdict:
-        """Every member of ``fs`` reduces to some member of ``gs``."""
-        gs = list(gs)
-        steps: list[Step] = []
-        unknown = False
-        for f in fs:
-            verdicts = [self.compare(f, g) for g in gs]
-            hit = next((i for i, v in enumerate(verdicts) if v.outcome is Outcome.LE), None)
-            if hit is not None:
-                steps.append(_step("L-glue", f, gs[hit], "domination witness"))
-                continue
-            if all(v.outcome is Outcome.NOT_LE for v in verdicts):
-                # cite the refutation of the first target; all failed
-                steps.extend(verdicts[0].steps)
-                return Verdict(Outcome.NOT_LE, tuple(steps))
-            unknown = True
-            steps.append(("blocked:pair", f, None, ("vs every target undecided",)))
-        if unknown:
-            return Verdict(Outcome.UNKNOWN, tuple(steps))
-        return Verdict(Outcome.LE, tuple(steps))
-
     # -- core query ---------------------------------------------------
 
     def _query(self, f: Term, g: Term) -> Verdict:
@@ -320,7 +295,7 @@ class Engine:
             if taint:
                 taint[-1] = True
             return Verdict(Outcome.UNKNOWN, (_step("blocked:cycle", f, g),))
-        if len(taint) >= self.depth:
+        if len(taint) >= MAX_OPEN_QUERIES:
             taint[-1] = True
             return Verdict(Outcome.UNKNOWN, (_step("blocked:depth", f, g),))
         in_progress.add(key)
@@ -428,9 +403,6 @@ class Engine:
 
     def _rule_glue_match(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
         fs, gs = summands_of(f), summands_of(g)
-        if not fs:
-            return _LE(_step("L-glue", f, g, "empty gluing"))
-
         leftovers: list[Term] = []
         for s in fs:
             if any(self._absorbs(t, s) for t in gs):
@@ -504,16 +476,12 @@ class Engine:
         if not isinstance(f, (One, MinFn, PglSet)):
             return None
         if isinstance(g, Glue):
-            candidates = list(g.summands)
+            candidates = g.summands
         elif isinstance(g, Omega):
-            candidates = [g.body]
+            candidates = (g.body,)
         else:
             return None
-        verdicts = [self._query(f, c) for c in candidates]
-        for c, v in zip(candidates, verdicts):
-            if v.outcome is Outcome.LE:
-                return _LE(_step("L-trans", f, c, "centered into one summand"))
-        if all(v.outcome is Outcome.NOT_LE for v in verdicts):
+        if all(self._not_le(f, c) for c in candidates):
             return _NOT_LE(_step("N-centered", f, g, "no summand admits the center"))
         return None
 

@@ -11,7 +11,7 @@ the current centered set.  Finite gluings of the generator set exhaust
 the whole level up to equivalence.
 
 Raw sets grow doubly exponentially with the finite offset, so the
-construction aborts beyond a configurable feasibility bound.
+construction aborts when a set would hold more than ``MAX_RAW`` terms.
 Deduplication is conservative: undecided pairs never merge classes and
 are reported separately.
 """
@@ -39,11 +39,11 @@ from .term import (
     term_size,
 )
 
-DEFAULT_MAX_RAW = 100_000
+MAX_RAW = 100_000
 
 
 class FeasibilityError(RuntimeError):
-    """The raw enumeration would exceed the configured bound."""
+    """The raw enumeration would exceed ``MAX_RAW`` terms."""
 
 
 class UndecidedPairError(RuntimeError):
@@ -84,11 +84,10 @@ def equivalence_classes(
     undecided_ix: list[tuple[int, int]] = []
     for i in range(len(items)):
         for j in range(i + 1, len(items)):
-            fwd = engine.compare(items[i], items[j]).outcome
-            bwd = engine.compare(items[j], items[i]).outcome
-            if fwd is Outcome.LE and bwd is Outcome.LE:
+            answer = engine.equivalent(items[i], items[j])
+            if answer == "Yes":
                 parent[find(i)] = find(j)
-            elif fwd is Outcome.UNKNOWN or bwd is Outcome.UNKNOWN:
+            elif answer == "Unknown":
                 undecided_ix.append((i, j))
     groups: dict[int, list[Term]] = {}
     for i, t in enumerate(items):
@@ -117,7 +116,7 @@ def _power_set(items: list[Term]) -> list[tuple[Term, ...]]:
     return [()] + _power_set_nonempty(items)
 
 
-def centered_raw(alpha: Ordinal, max_raw: int = DEFAULT_MAX_RAW) -> list[Term]:
+def centered_raw(alpha: Ordinal) -> list[Term]:
     lam, n = ord_mod.split(alpha)
     if n == 0:
         return []
@@ -125,12 +124,12 @@ def centered_raw(alpha: Ordinal, max_raw: int = DEFAULT_MAX_RAW) -> list[Term]:
         return [ONE]
     if n == 1:
         return [MinFn(alpha), PglSet([MaxFn(lam)])]
-    prev = centered_raw(Ordinal(lam.terms, n - 1), max_raw)
+    prev = centered_raw(Ordinal(lam.terms, n - 1))
     pool = prev + [Omega(c) for c in prev]
     count = len(prev) + (1 << len(pool)) - 1
-    if count > max_raw:
+    if count > MAX_RAW:
         raise FeasibilityError(
-            f"centered set at {alpha} has {count} raw terms (bound {max_raw})"
+            f"centered set at {alpha} has {count} raw terms (bound {MAX_RAW})"
         )
     out = list(prev)
     seen = set(out)
@@ -142,22 +141,22 @@ def centered_raw(alpha: Ordinal, max_raw: int = DEFAULT_MAX_RAW) -> list[Term]:
     return out
 
 
-def generator_raw(alpha: Ordinal, max_raw: int = DEFAULT_MAX_RAW) -> list[Term]:
+def generator_raw(alpha: Ordinal) -> list[Term]:
     lam, n = ord_mod.split(alpha)
     if n == 0:
         return [] if alpha.is_zero else [MaxFn(alpha)]
-    centered = centered_raw(alpha, max_raw)
-    prev_gen = generator_raw(Ordinal(lam.terms, n - 1) if n > 1 else lam, max_raw)
+    centered = centered_raw(alpha)
+    prev_gen = generator_raw(Ordinal(lam.terms, n - 1) if n > 1 else lam)
     # the centered terms, their omegas, and 2^(2^p - 1) - 1 vertical
     # families times 2^c diagonals: all pairwise distinct, so the count
     # is exact before any pool is built; exponents are clipped where the
     # count passes the bound anyway, so no huge integer is built either
-    clip = max_raw.bit_length() + 1
+    clip = MAX_RAW.bit_length() + 1
     vertical_sets = (1 << min(len(prev_gen), clip)) - 1
     family_count = (1 << min(vertical_sets, clip)) - 1
-    if 2 * len(centered) + (family_count << min(len(centered), clip)) > max_raw:
+    if 2 * len(centered) + (family_count << min(len(centered), clip)) > MAX_RAW:
         raise FeasibilityError(
-            f"generator set at {alpha} exceeds the raw bound {max_raw}"
+            f"generator set at {alpha} exceeds the raw bound {MAX_RAW}"
         )
     out = centered + [Omega(c) for c in centered]
     vertical_pool = _power_set_nonempty(prev_gen)
@@ -172,12 +171,12 @@ def generator_raw(alpha: Ordinal, max_raw: int = DEFAULT_MAX_RAW) -> list[Term]:
     return out
 
 
-def centered_set(alpha: Ordinal, max_raw: int = DEFAULT_MAX_RAW) -> GeneratorSet:
-    return GeneratorSet(level=alpha, raw=centered_raw(alpha, max_raw))
+def centered_set(alpha: Ordinal) -> GeneratorSet:
+    return GeneratorSet(level=alpha, raw=centered_raw(alpha))
 
 
-def generator_set(alpha: Ordinal, max_raw: int = DEFAULT_MAX_RAW) -> GeneratorSet:
-    return GeneratorSet(level=alpha, raw=generator_raw(alpha, max_raw))
+def generator_set(alpha: Ordinal) -> GeneratorSet:
+    return GeneratorSet(level=alpha, raw=generator_raw(alpha))
 
 
 def six_generators(lam: Ordinal) -> list[Term]:

@@ -99,6 +99,18 @@ def test_hasse_dot_is_stable(capsys):
     assert "->" in first
 
 
+def test_hasse_lists_the_covering_edges(capsys):
+    code, out, _ = run(capsys, "hasse", "w+1")
+    assert code == 0
+    assert out.splitlines() == [
+        "min(w+1) -> omega(min(w+1))",
+        "min(w+1) -> pgl{max(w)}",
+        "omega(min(w+1)) -> wedge({max(w)} | {min(w+1)})",
+        "pgl{max(w)} -> wedge({max(w)} | {min(w+1)})",
+        "wedge({max(w)} | {min(w+1)}) -> omega(pgl{max(w)})",
+    ]
+
+
 def test_oracle(capsys):
     code, out, _ = run(capsys, "oracle", "3 2 0 1 0", "5 3 0 1 2 0 1")
     assert (code, out.strip()) == (0, "YES")

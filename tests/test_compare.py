@@ -94,16 +94,6 @@ def test_equivalent_examples():
     assert engine.equivalent(parse_term("min(2)"), parse_term("max(1)")) == "No"
 
 
-def test_dominates_examples():
-    engine = Engine()
-    v = engine.dominates([parse_term("one")], [parse_term("omega(one)")])
-    assert v.outcome is Outcome.LE
-    v = engine.dominates([parse_term("min(w+1)")], [parse_term("one"), parse_term("max(w)")])
-    assert v.outcome is Outcome.NOT_LE
-    v = engine.dominates([parse_term("max(2)")], [parse_term("min(3)")])
-    assert v.trace == (("blocked:pair", "max(2) vs every target undecided"),)
-
-
 def test_trace_text_is_formatted_only_when_read(monkeypatch):
     def fail(t):
         raise AssertionError("trace text formatted before it was read")
@@ -229,7 +219,7 @@ def test_engine_leaves_no_trace_in_the_default_engine(monkeypatch, capsys):
     from scatcalc.rewrite import apply_rule, rule_names
 
     monkeypatch.setattr(compare_module, "_default_engine", _NoDefaultEngine())
-    engine = Engine(depth=3)
+    engine = Engine()
     engine.compare(parse_term("pgl{omega(pgl{omega(one)})}"), parse_term("pgl{omega(pgl{one})}"))
     assert engine._memo and engine._nf
 
@@ -272,33 +262,30 @@ def test_depth_bound_yields_unknown(monkeypatch):
     f, g = parse_term("min(2)"), parse_term("min(3)")
     assert Engine().compare(f, g).outcome is Outcome.LE
     monkeypatch.setattr(compare_module, "_step", spy)
-    assert Engine(depth=1).compare(f, g).outcome is Outcome.UNKNOWN
+    monkeypatch.setattr(compare_module, "MAX_OPEN_QUERIES", 1)
+    assert Engine().compare(f, g).outcome is Outcome.UNKNOWN
     assert "blocked:depth" in rules
 
 
 @given(terms(), terms())
 @settings(max_examples=25, deadline=None)
 def test_no_rule_runs_past_the_open_query_bound(f, g):
+    compare_module = sys.modules["scatcalc.compare"]
     plain, opened = Engine._decide, []
 
     def spy(engine, *args):
-        opened.append((len(engine._local.taint), engine.depth))
+        opened.append((len(engine._local.taint), compare_module.MAX_OPEN_QUERIES))
         return plain(engine, *args)
 
     pairs = [(parse_term("min(2)"), parse_term("min(3)")), (f, g), (g, f)]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Engine, "_decide", spy)
-        for depth in (1, 2, 3):
-            engine = Engine(depth=depth)
+        for bound in (1, 2, 3):
+            mp.setattr(compare_module, "MAX_OPEN_QUERIES", bound)
+            engine = Engine()
             for a, b in pairs:
                 engine.compare(a, b)
     assert opened and all(n <= bound for n, bound in opened)
-
-
-@pytest.mark.parametrize("depth", [-5, 0])
-def test_non_positive_depth_is_rejected(depth):
-    with pytest.raises(ValueError, match="must be positive"):
-        Engine(depth=depth)
 
 
 # -- invariants ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from scatcalc import generators
 from scatcalc.compare import Engine, Outcome
 from scatcalc.generators import (
     FeasibilityError,
@@ -117,38 +118,39 @@ def test_wedge_bound_inequalities():
             assert engine.compare(w, upper).outcome is Outcome.LE
 
 
-def test_feasibility_bound():
+def test_feasibility_bound(monkeypatch):
     with pytest.raises(FeasibilityError):
         generator_raw(from_int(3))
     with pytest.raises(FeasibilityError):
         generator_raw(po("w+2"))
+    monkeypatch.setattr(generators, "MAX_RAW", 2)
     with pytest.raises(FeasibilityError):
-        centered_raw(from_int(2), max_raw=2)
+        centered_raw(from_int(2))
 
 
 def test_refusal_builds_no_pool(monkeypatch):
     # the wedge count is known before any power set is built, so the
     # refusal at w+2 must not build one
-    from scatcalc import generators
-
     prev_gen = generator_raw(po("w+1"))
     centered = centered_raw(po("w+2"))
 
     def fail(items):
         raise AssertionError("power set built for a refused level")
 
-    monkeypatch.setattr(generators, "generator_raw", lambda alpha, max_raw: prev_gen)
-    monkeypatch.setattr(generators, "centered_raw", lambda alpha, max_raw: centered)
+    monkeypatch.setattr(generators, "generator_raw", lambda alpha: prev_gen)
+    monkeypatch.setattr(generators, "centered_raw", lambda alpha: centered)
     monkeypatch.setattr(generators, "_power_set", fail)
     monkeypatch.setattr(generators, "_power_set_nonempty", fail)
     with pytest.raises(FeasibilityError, match="exceeds the raw bound"):
         generator_raw(po("w+2"))
 
 
-def test_feasibility_bound_is_exact():
-    assert len(generator_raw(from_int(2), max_raw=120)) == 120
+def test_feasibility_bound_is_exact(monkeypatch):
+    monkeypatch.setattr(generators, "MAX_RAW", 120)
+    assert len(generator_raw(from_int(2))) == 120
+    monkeypatch.setattr(generators, "MAX_RAW", 119)
     with pytest.raises(FeasibilityError):
-        generator_raw(from_int(2), max_raw=119)
+        generator_raw(from_int(2))
 
 
 def test_six_generators_dedupe_and_classes():
@@ -173,6 +175,17 @@ def test_hasse_merges_equivalent_terms():
     assert len(edges) == 1
     a, b = edges[0]
     assert normalize(a, engine) == ONE and normalize(b, engine) == Omega(ONE)
+
+
+def test_one_refuted_direction_is_not_undecided():
+    # max(2) vs min(3) is UNKNOWN one way, but min(3) NOT_LE max(2)
+    # already shows the two are not equivalent
+    f, g = parse_term("max(2)"), parse_term("min(3)")
+    engine = Engine()
+    assert engine.compare(g, f).outcome is Outcome.NOT_LE
+    classes, undecided = equivalence_classes([f, g], engine)
+    assert len(classes) == 2
+    assert undecided == []
 
 
 def test_hasse_rejects_undecided():
