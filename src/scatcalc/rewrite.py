@@ -42,7 +42,11 @@ rules in the order listed above, rewrites the node until none applies.
 ``R-minmax`` stops on its own (it strictly decreases an atom's ordinal,
 or turns ``pgl{empty}`` into ``one``); the six others share a hard
 application cap of ``10 * term_size`` of the input, converting any
-unforeseen cycle into a diagnosable failure.
+unforeseen cycle into a diagnosable failure.  Every shape a fixpoint
+passes through (its input, each node once its children are normal, and
+each rewrite) maps to the normal form in the engine's cache, and a pass
+that meets a cached shape stops there, so each rule runs at most once
+per distinct term per engine.
 
 ``R-pgl-members``, ``R-pgl-absorb`` and ``R-wedge-reduce`` decide
 reducibilities.  Normalization runs on an :class:`~scatcalc.compare.Engine`:
@@ -99,36 +103,58 @@ def normalize(t: Term, engine: Engine) -> Term:
     The result denotes the same reducibility class: every rule is an
     equivalence.  Idempotent, and rank-preserving on scattered terms.
     The rules' comparisons run on ``engine``, which also caches the
-    result.  At most ``DEFAULT_CAP_FACTOR * term_size(t)`` applications
-    of the six rules other than ``R-minmax`` are made before
-    :class:`NormalizationLimitError` is raised.
+    result: every shape the fixpoint passes through (the input, each
+    node once its children are normal, and each rewrite) maps to the
+    normal form there, so each rule runs at most once per distinct term
+    per engine.  At most ``DEFAULT_CAP_FACTOR * term_size(t)``
+    applications of the six rules other than ``R-minmax`` are made
+    before :class:`NormalizationLimitError` is raised; a failed chain
+    caches none of its shapes.
     """
-    return _fix(t, [0, DEFAULT_CAP_FACTOR * term_size(t)], engine)
+    hit = engine._nf.get(t)
+    if hit is not None:
+        return hit
+    return _fix([0, DEFAULT_CAP_FACTOR * term_size(t)], engine, t)
 
 
 def _map_children(t: Term, f: Callable[[Term], Term]) -> Term:
+    """``t`` with ``f`` applied to each child; ``t`` itself when ``f``
+    returns every child unchanged."""
     # map() and partial() add no stack frame per level of nesting
     if isinstance(t, Glue):
-        return Glue(list(map(f, t.summands)))
+        summands = tuple(map(f, t.summands))
+        return t if summands == t.summands else Glue(summands)
     if isinstance(t, Omega):
-        return Omega(f(t.body))
+        body = f(t.body)
+        return t if body is t.body else Omega(body)
     if isinstance(t, PglSet):
-        return PglSet(list(map(f, t.members)))
+        members = tuple(map(f, t.members))
+        return t if members == t.members else PglSet(members)
     if isinstance(t, Wedge):
-        return merged_wedge(
-            [list(map(f, v)) for v in t.verticals], list(map(f, t.diagonal))
-        )
+        verticals = tuple([tuple(map(f, v)) for v in t.verticals])
+        diagonal = tuple(map(f, t.diagonal))
+        if verticals == t.verticals and diagonal == t.diagonal:
+            return t
+        return merged_wedge(verticals, diagonal)
     return t
 
 
-def _fix(t: Term, counter: list[int], engine: Engine) -> Term:
+def _fix(counter: list[int], engine: Engine, t: Term) -> Term:
     cache = engine._nf
-    hit = cache.get(t)
-    if hit is not None:
-        return hit
-    original = t
+    nf = cache.get(t)
+    if nf is not None:
+        return nf
+    # the shapes met so far, all of which map to the normal form; they
+    # are cached only once it is reached, so a failed chain leaves none
+    shapes = [t]
+    normalize_child = partial(_fix, counter, engine)
     while True:
-        t2 = _map_children(t, partial(_fix, counter=counter, engine=engine))
+        t2 = _map_children(t, normalize_child)
+        if t2 is not t:
+            nf = cache.get(t2)
+            if nf is not None:
+                break
+            shapes.append(t2)
         # R-minmax stops on its own, so it does not count against the cap
         rewritten = _rule_minmax(t2, engine)
         if rewritten is None:
@@ -137,15 +163,21 @@ def _fix(t: Term, counter: list[int], engine: Engine) -> Term:
                 if rewritten is not None:
                     break
             else:
-                cache[original] = t2
-                cache[t2] = t2
-                return t2
+                nf = t2
+                break
             counter[0] += 1
             if counter[0] > counter[1]:
                 raise NormalizationLimitError(
                     f"no fixpoint within {counter[1]} rule applications"
                 )
+        nf = cache.get(rewritten)
+        if nf is not None:
+            break
+        shapes.append(rewritten)
         t = rewritten
+    for shape in shapes:
+        cache[shape] = nf
+    return nf
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +320,14 @@ def _rule_pgl_absorb(t: Term, engine: Engine) -> Optional[Term]:
     if not any(isinstance(s, PglSet) for s in t.summands):
         return None
     for i, s in enumerate(t.summands):
-        for j, p in enumerate(t.summands):
-            if i == j or not isinstance(p, PglSet):
-                continue
-            x = normalize(s, engine)
-            if engine._le_fin_glue(x, p.members, len(summands_of(s))):
+        pgls = [p for j, p in enumerate(t.summands) if j != i and isinstance(p, PglSet)]
+        if not pgls:
+            continue
+        # apply_rule passes raw terms, so s need not be normal yet
+        x = normalize(s, engine)
+        count = len(summands_of(s))
+        for p in pgls:
+            if engine._le_fin_glue(x, p.members, count):
                 return Glue(t.summands[:i] + t.summands[i + 1 :])
     return None
 

@@ -146,7 +146,8 @@ class IdBaire(Term):
 
 
 def _check_inner(items, where: str) -> None:
-    if any(isinstance(t, (IdQ, IdBaire)) for t in items):
+    # the sentinels are interned atoms, so membership is identity
+    if ID_Q in items or ID_BAIRE in items:
         raise ValueError(f"non-scattered sentinel cannot occur inside {where}")
 
 

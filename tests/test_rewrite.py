@@ -1,11 +1,15 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scatcalc import rewrite
+from scatcalc import rewrite, term
 from scatcalc.compare import Engine, Outcome
 from scatcalc.rank import cb_type
 from scatcalc.rewrite import NormalizationLimitError, apply_rule, normalize, rule_names
-from scatcalc.term import Glue, ONE, Omega, PglSet, parse_term
+from scatcalc.term import Glue, ONE, Omega, PglSet, Wedge, parse_term
 
 from conftest import terms
 
@@ -95,8 +99,16 @@ def test_apply_rule_unknown_name():
 def test_normalize_cap_overflow(monkeypatch):
     # a fresh engine has no cached normal form to answer from
     monkeypatch.setattr(rewrite, "DEFAULT_CAP_FACTOR", 0)
+    engine = Engine()
+    t = parse_term("glue(pgl{one}, one, one, one, one)")
     with pytest.raises(NormalizationLimitError):
-        normalize(parse_term("glue(pgl{one}, one, one, one, one)"), Engine())
+        normalize(t, engine)
+    # the failed chain cached none of its shapes: the input, and the
+    # gluing R-pgl-absorb rewrote it to before the cap stopped it
+    absorbed = parse_term("glue(pgl{one}, one, one, one)")
+    assert t not in engine._nf and absorbed not in engine._nf
+    with pytest.raises(NormalizationLimitError):
+        normalize(t, engine)
 
 
 @given(terms())
@@ -124,3 +136,77 @@ def test_rule_steps_are_equivalences(t):
         assert cb_type(stepped) == cb_type(t)
         assert engine.compare(t, stepped).outcome is Outcome.LE
         assert engine.compare(stepped, t).outcome is Outcome.LE
+
+
+def _census_inputs(seed, pool_size, pairs):
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.census_inputs(seed, pool_size, pairs)
+
+
+def _assert_cache_free(ts):
+    # every shape a fixpoint passes through maps to its normal form on
+    # the engine, so a normal form must not depend on what that engine
+    # normalized before
+    shared = Engine()
+    in_order = [normalize(t, shared) for t in ts]
+    backward = Engine()
+    in_reverse = [normalize(t, backward) for t in reversed(ts)][::-1]
+    fresh = [normalize(t, Engine()) for t in ts]
+    assert all(a is b is c for a, b, c in zip(in_order, in_reverse, fresh))
+    for shape, nf in shared._nf.items():
+        assert normalize(shape, Engine()) is nf
+
+
+@given(st.lists(terms(), min_size=1, max_size=6))
+@settings(max_examples=60, deadline=None)
+def test_normal_forms_do_not_depend_on_the_cache(ts):
+    _assert_cache_free(ts)
+
+
+def test_census_normal_forms_do_not_depend_on_the_cache():
+    pool = _census_inputs(1, 1500, 6000)["pool_text"][:300]
+    _assert_cache_free([parse_term(text) for text in pool])
+
+
+def test_each_rule_runs_once_per_distinct_term(monkeypatch):
+    inputs = _census_inputs(1, 1500, 6000)
+    pool = [parse_term(text) for text in inputs["pool_text"]]
+    runs = []
+
+    def spy(rule):
+        def run(t, engine):
+            runs.append((rule, t))
+            return rule(t, engine)
+
+        return run
+
+    monkeypatch.setattr(rewrite, "_CAPPED_RULES", tuple(map(spy, rewrite._CAPPED_RULES)))
+    monkeypatch.setattr(rewrite, "_rule_minmax", spy(rewrite._rule_minmax))
+    engine = Engine()
+    for i, j in inputs["pairs"][:1000]:
+        engine.compare(pool[i], pool[j])
+    repeated = len(runs) - len(set(runs))
+    assert runs and repeated == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "glue(one, pgl{one})",
+        "omega(max(w))",
+        "pgl{one, omega(one)}",
+        "wedge({one}, {max(w)} | {min(w+1)})",
+    ],
+)
+def test_map_children_returns_an_unchanged_node(text, monkeypatch):
+    t = parse_term(text)
+    assert isinstance(t, (Glue, Omega, PglSet, Wedge))
+    built = []
+    intern = term._intern
+    monkeypatch.setattr(term, "_intern", lambda *args: built.append(args) or intern(*args))
+    assert rewrite._map_children(t, lambda x: x) is t
+    # nor is the node sorted, checked and looked up again
+    assert built == []
