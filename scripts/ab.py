@@ -1,0 +1,154 @@
+#!/usr/bin/env python3
+"""Alternating A/B runs of one benchmark workload: a base revision
+against the working tree.
+
+    python3 scripts/ab.py --base HEAD --workload census-random --seeds 201-211
+
+The base revision is extracted with ``git archive <rev> | tar -x`` into
+a temporary directory (the repository's ``.git`` is only read).  For
+each seed, ``bench/run.py --workload W --seed S --seconds N --trace 0``
+runs once from each tree, one run at a time; the tree that runs first
+alternates from seed to seed.  The script prints each pair's end-to-end
+metrics, then per metric: the base median and quartiles, the change
+median, the change of the medians, the median of the per-pair changes,
+and the pairs the change won.  ``clear`` marks a metric whose median
+moved the better way by more than the base runs' interquartile range.
+Metric names and directions come from ``BENCHMARK.json``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@dataclass(frozen=True)
+class Row:
+    metric: str
+    base: float
+    base_q1: float
+    base_q3: float
+    change: float
+    median_change: float  # relative change of the medians
+    pair_change: float  # median of the per-pair relative changes
+    wins: int
+    pairs: int
+    clear: bool
+
+
+def _relative(base: float, change: float) -> float:
+    return (change - base) / base if base else 0.0
+
+
+def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[Row]:
+    """One row per metric of ``better`` (name -> "higher" or "lower")
+    over ``pairs`` of (base metrics, change metrics), each a dict from
+    metric name to value."""
+    rows = []
+    for name, direction in better.items():
+        base = [b[name] for b, _ in pairs]
+        change = [c[name] for _, c in pairs]
+        sign = 1 if direction == "higher" else -1
+        b_med, c_med = statistics.median(base), statistics.median(change)
+        q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else base * 3
+        rows.append(Row(
+            metric=name,
+            base=b_med,
+            base_q1=q1,
+            base_q3=q3,
+            change=c_med,
+            median_change=_relative(b_med, c_med),
+            pair_change=statistics.median(_relative(b, c) for b, c in zip(base, change)),
+            wins=sum(sign * (c - b) > 0 for b, c in zip(base, change)),
+            pairs=len(pairs),
+            clear=sign * (c_med - b_med) > q3 - q1,
+        ))
+    return rows
+
+
+def format_rows(rows: list[Row]) -> str:
+    lines = [f"{'metric':18s} {'base median':>12s} {'base q1-q3':>23s} {'change median':>13s}"
+             f" {'chg median':>10s} {'chg pair':>9s} {'wins':>6s}  clear"]
+    for r in rows:
+        quartiles = f"{r.base_q1:.5g}-{r.base_q3:.5g}"
+        lines.append(
+            f"{r.metric:18s} {r.base:12.6g} {quartiles:>23s} {r.change:13.6g}"
+            f" {r.median_change:+10.1%} {r.pair_change:+9.1%}"
+            f" {r.wins:>3d}/{r.pairs:<2d}  {'yes' if r.clear else 'no'}"
+        )
+    return "\n".join(lines)
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``"201-205"`` or ``"1,4,9"`` (or a mix) as a list of seeds."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def extract(rev: str, into: Path) -> None:
+    archive = subprocess.Popen(["git", "-C", str(ROOT), "archive", rev], stdout=subprocess.PIPE)
+    subprocess.run(["tar", "-x", "-C", str(into)], stdin=archive.stdout, check=True)
+    archive.stdout.close()
+    if archive.wait() != 0:
+        raise SystemExit(f"git archive {rev} failed")
+
+
+def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+    cmd = [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    if done.returncode != 0 or not result["correct"] or result["failed"]:
+        raise SystemExit(f"{tree}: seed {seed} ran incorrectly (exit {done.returncode})")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", default="HEAD", help="the base revision (default HEAD)")
+    parser.add_argument("--workload", default="census-random")
+    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("201-211"),
+                        help="one pair per seed, e.g. 201-211 or 1,3,5 (default 201-211)")
+    parser.add_argument("--seconds", type=int, default=10)
+    args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    base = Path(tempfile.mkdtemp(prefix="scatcalc-ab-"))
+    try:
+        extract(args.base, base)
+        for tree in (base, ROOT):
+            subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"],
+                           cwd=tree, check=True)
+        pairs = []
+        for i, seed in enumerate(args.seeds):
+            order = [("base", base), ("change", ROOT)]
+            if i % 2:
+                order.reverse()
+            got = {label: run_bench(tree, args.workload, seed, args.seconds) for label, tree in order}
+            pairs.append((got["base"], got["change"]))
+            print(f"pair {i + 1} seed {seed} ({order[0][0]} first)")
+            for name in better:
+                b, c = got["base"][name], got["change"][name]
+                print(f"  {name:18s} {b:12.6g} -> {c:12.6g} {_relative(b, c):+8.1%}")
+            sys.stdout.flush()
+        print(f"\n{args.workload}: {args.base} -> working tree, {len(pairs)} pairs")
+        print(format_rows(summarize(pairs, better)))
+    finally:
+        shutil.rmtree(base, ignore_errors=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

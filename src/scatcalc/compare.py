@@ -88,19 +88,25 @@ forms.  ``Engine.compare`` therefore asks them before normalizing a
 pair whose normal forms are not both cached.  Such a type-decided
 verdict is memoized under the raw pair, and derives its steps when
 first read: it normalizes both terms and takes the root rule that
-fires on them, so its trace is the one the full path gives.
+fires on them, so its trace is the one the full path gives.  It holds
+its engine weakly, so the engine's memo does not keep the engine
+alive; read after the engine is gone, it derives its steps on a fresh
+engine, which gives the same steps because normal forms and verdicts
+do not depend on the engine.
 
 An :class:`Engine` owns its memo and its normal-form cache, and runs
 normalization on itself: the rewrite rules that decide reducibilities
 query the engine that asked for the normal form, on the same query
 stack.  Every caller passes its engine explicitly, so a verdict depends
-on the pair alone, never on another caller's caches; dropping an
-engine drops its caches.
+on the pair alone, never on another caller's caches; dropping the last
+reference to an engine frees it and its caches at once, with no wait
+for the cyclic collector.
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from enum import Enum
 from typing import Optional
 
@@ -109,6 +115,7 @@ from . import rewrite
 from .ordinal import Ordinal
 from .rank import OMEGA_DEGREE, CbType, cb_type, is_compact_domain, lex_le
 from .term import (
+    ONE,
     Glue,
     IdBaire,
     IdQ,
@@ -140,8 +147,10 @@ Step = tuple[str, Term, Term, tuple]
 
 class Verdict:
     """An outcome and the steps of its derivation.  A verdict that
-    ``Engine.compare`` took from the CB-types alone holds its engine and
-    raw pair instead, and derives its steps when they are first read."""
+    ``Engine.compare`` took from the CB-types alone holds a weak
+    reference to its engine and the raw pair instead, and derives its
+    steps when they are first read, on a fresh engine if its own is
+    gone."""
 
     __slots__ = ("outcome", "_steps", "_pending")
 
@@ -149,7 +158,7 @@ class Verdict:
         self,
         outcome: Outcome,
         steps: tuple[Step, ...] = (),
-        pending: tuple["Engine", Term, Term] | None = None,
+        pending: tuple["weakref.ref[Engine]", Term, Term] | None = None,
     ) -> None:
         self.outcome = outcome
         self._steps = steps
@@ -159,8 +168,8 @@ class Verdict:
     def steps(self) -> tuple[Step, ...]:
         pending = self._pending
         if pending is not None:
-            engine, f, g = pending
-            self._steps = engine._root_steps(f, g)
+            ref, f, g = pending
+            self._steps = (ref() or Engine())._root_steps(f, g)
             self._pending = None
         return self._steps
 
@@ -239,6 +248,9 @@ class Engine:
         # term -> normal form, filled by rewrite.normalize
         self._nf: dict[Term, Term] = {}
         self._local = _QueryState()
+        # held by type-decided verdicts in the memo, so no cycle keeps
+        # the engine alive
+        self._ref = weakref.ref(self)
 
     # -- public API ---------------------------------------------------
 
@@ -264,7 +276,7 @@ class Engine:
             else:
                 outcome = None
             if outcome is not None:
-                verdict = self._memo[key] = Verdict(outcome, (), (self, f, g))
+                verdict = self._memo[key] = Verdict(outcome, (), (self._ref, f, g))
                 return verdict
         if nf is None:
             nf = rewrite.normalize(f, self)
@@ -652,7 +664,7 @@ def _structural_lower_bounds(f: Term, engine: Engine) -> list[Term]:
 def _min_atom_rank(t: Term) -> Optional[Ordinal]:
     """Rank of a normalized minimum form: One or a min atom."""
     if isinstance(t, One):
-        return ord_mod.from_int(1)
+        return ord_mod.ONE_ORD
     if isinstance(t, MinFn):
         return t.rank
     return None
@@ -664,7 +676,7 @@ def _max_atom_level(t: Term) -> Optional[Ordinal]:
     if isinstance(t, MaxFn) and t.rank.is_limit:
         return t.rank
     if isinstance(t, Omega) and isinstance(t.body, One):
-        return ord_mod.from_int(1)
+        return ord_mod.ONE_ORD
     return None
 
 
@@ -672,8 +684,8 @@ def _min_atom_level(t: Term) -> Optional[Ordinal]:
     """Level lambda of a normalized min atom at lambda+1 (limit or 1)."""
     if isinstance(t, MinFn) and t.rank.finite == 1 and t.rank.terms:
         return Ordinal(t.rank.terms, 0)
-    if isinstance(t, PglSet) and t.members == (One(),):
-        return ord_mod.from_int(1)
+    if isinstance(t, PglSet) and t.members == (ONE,):
+        return ord_mod.ONE_ORD
     return None
 
 

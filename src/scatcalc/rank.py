@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import TYPE_CHECKING
 
 from . import ordinal as ord_mod
 from . import rewrite
-from .ordinal import Ordinal, ZERO
+from .ordinal import Ordinal
 from .term import (
     Empty,
     Glue,
@@ -102,8 +101,6 @@ def is_scattered(t: Term) -> bool:
     return not isinstance(t, (IdQ, IdBaire))
 
 
-_rank_key = attrgetter("rank_key")
-
 # lex_key -> the CbType stored on every node of that type
 _stored_types: dict[tuple, CbType] = {}
 
@@ -112,56 +109,72 @@ def cb_type(t: Term) -> CbType:
     """The CB-type of a scattered term, computed once per node and
     cached on the node itself (terms are interned: see ``term``).
     Nodes of equal type share one ``CbType``, so comparing the types of
-    many terms reads few objects."""
+    many terms reads few objects, and a ``CbType`` is built only for a
+    type not seen before."""
     tp = t._cb_type
     if tp is None:
-        tp = _cb_type_of(t)
-        tp = _stored_types.setdefault(tp.lex_key, tp)
+        key = _type_key(t)
+        tp = _stored_types.get(key)
+        if tp is None:
+            terms, finite, degree = key
+            tp = _stored_types.setdefault(key, CbType(Ordinal(terms, finite), degree))
         object.__setattr__(t, "_cb_type", tp)
     return tp
 
 
-def _cb_type_of(t: Term) -> CbType:
+def _type_key(t: Term) -> tuple:
+    """The ``lex_key`` (rank terms, rank finite part, degree) of the
+    type of ``t``, computed from the stored keys of its children."""
     if isinstance(t, (IdQ, IdBaire)):
         raise NotScatteredError("rank undefined for non-scattered function")
     if isinstance(t, Empty):
-        return CbType(ZERO, 0)
+        return ((), 0, 0)
     if isinstance(t, One):
-        return CbType(ord_mod.from_int(1), 1)
+        return ((), 1, 1)
     if isinstance(t, MinFn):
-        return CbType(t.rank, 1)
+        return (t.rank.terms, t.rank.finite, 1)
     if isinstance(t, MaxFn):
-        return CbType(t.rank, OMEGA_DEGREE if t.rank.is_successor else 0)
+        rank = t.rank
+        return (rank.terms, rank.finite, OMEGA_DEGREE if rank.finite else 0)
     if isinstance(t, Glue):
-        return _glue_type([cb_type(s) for s in t.summands])
+        return _glue_key(t.summands)
     if isinstance(t, Omega):
-        inner = cb_type(t.body)
-        return CbType(inner.rank, OMEGA_DEGREE if inner.degree > 0 else 0)
+        terms, finite, degree = cb_type(t.body).lex_key
+        return (terms, finite, OMEGA_DEGREE if degree > 0 else 0)
     if isinstance(t, PglSet):
-        glued = _glue_type([cb_type(m) for m in t.members])
-        return CbType(ord_mod.succ(glued.rank), 1)
+        return (*_pgl_rank(t.members), 1)
     if isinstance(t, Wedge):
-        verticals = [
-            ord_mod.succ(_glue_type([cb_type(x) for x in v]).rank) for v in t.verticals
-        ]
-        diag = _glue_type([cb_type(d) for d in t.diagonal])
-        rank = max(verticals + [diag.rank])
-        degree: Degree = 0
-        if any(v == rank for v in verticals):
-            degree += 1
-        if diag.rank == rank and diag.degree >= 1:
+        verticals = [_pgl_rank(v) for v in t.verticals]
+        terms, finite, diag_degree = _glue_key(t.diagonal)
+        diag = (terms, finite)
+        rank = max(verticals + [diag])
+        degree: Degree = 1 if rank in verticals else 0
+        if rank == diag and diag_degree >= 1:
             degree = OMEGA_DEGREE
-        return CbType(rank, degree)
+        return (*rank, degree)
     raise TypeError(f"not a term: {t!r}")
 
 
-def _glue_type(types: list[CbType]) -> CbType:
-    if not types:
-        return CbType(ZERO, 0)
-    # zero and limit ranks have degree 0, so the sum is 0 there
-    top = max(types, key=_rank_key)
-    degree: Degree = sum(tp.degree for tp in types if tp.rank_key == top.rank_key)
-    return top if degree == top.degree else CbType(top.rank, degree)
+def _pgl_rank(members) -> tuple:
+    """The ``rank_key`` of the pointed gluing of ``members``: one above
+    the rank of their gluing."""
+    terms, finite, _ = _glue_key(members)
+    return (terms, finite + 1)
+
+
+def _glue_key(parts) -> tuple:
+    """The ``lex_key`` of the finite gluing of ``parts``: the largest
+    rank, and the sum of the degrees that attain it (zero and limit
+    ranks have degree 0, so the sum is 0 there)."""
+    top, degree = ((), 0), 0
+    for part in parts:
+        tp = cb_type(part)
+        rank = tp.rank_key
+        if rank > top:
+            top, degree = rank, tp.degree
+        elif rank == top:
+            degree += tp.degree
+    return (*top, degree)
 
 
 def lex_le(a: CbType, b: CbType) -> bool:

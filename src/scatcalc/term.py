@@ -26,8 +26,12 @@ validates and orders its arguments, then returns the one live node with
 those fields, so equal terms are one object, and equality and hashing
 are by identity.  A node's sort key and size are computed once, at
 construction, from its children's; ``rank.cb_type`` stores the CB-type
-on the node when first asked.  The intern table holds nodes weakly and
-is guarded by a lock.  Copying and unpickling return the interned node.
+on the node when first asked.  The intern table maps each node's
+fields to a weak reference to it, and the entry leaves the table when
+the node dies.  A lookup that finds a live node takes no lock; building
+and inserting a node does, and re-checks the table under it, so two
+threads never get two copies.  Copying and unpickling return the
+interned node.
 
 Pointed gluings of non-constant sequences are not representable.  Every
 centered function is still covered up to equivalence by ``PglSet``, but
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import threading
 import weakref
+from _weakref import _remove_dead_weakref
 from operator import attrgetter
 
 from . import ordinal as ord_mod
@@ -63,10 +68,23 @@ class TermTooLargeError(RuntimeError):
     ``MAX_SUMMANDS`` summands."""
 
 
-# (variant, *fields) -> the live node; see _intern
-_table: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+class _NodeRef(weakref.ref):
+    """A weak reference to an interned node that knows its table key."""
+
+    __slots__ = ("ident",)
+
+
+def _forget(ref: _NodeRef) -> None:
+    # removes the entry only while it still holds this dead reference,
+    # so a node rebuilt under the same ident keeps its entry
+    _remove_dead_weakref(_table, ref.ident)
+
+
+# (variant, *fields) -> a weak reference to the live node; see _intern
+_table: dict[tuple, _NodeRef] = {}
 _table_lock = threading.Lock()
 _key_of = attrgetter("_key")
+_size_of = attrgetter("_size")
 
 
 class Term:
@@ -111,8 +129,14 @@ def _listed(x):
 def _intern(cls, *fields) -> Term:
     """The one live node of ``cls`` with these (canonical) fields."""
     ident = (cls._variant, *fields)
+    ref = _table.get(ident)
+    if ref is not None:
+        node = ref()
+        if node is not None:
+            return node
     with _table_lock:
-        node = _table.get(ident)
+        ref = _table.get(ident)
+        node = None if ref is None else ref()
         if node is None:
             node = object.__new__(cls)
             for name, value in zip(cls.__slots__, fields):
@@ -121,7 +145,10 @@ def _intern(cls, *fields) -> Term:
             object.__setattr__(node, "_key", key)
             object.__setattr__(node, "_size", size)
             object.__setattr__(node, "_cb_type", None)
-            _table[ident] = node
+            ref = _NodeRef(node, _forget)
+            ref.ident = ident
+            # published only now, fully built, for the lock-free lookups
+            _table[ident] = ref
     return node
 
 
@@ -166,7 +193,7 @@ class Glue(Term):
 
     def _measure(self) -> tuple[tuple, int]:
         ss = self.summands
-        return (self._variant, len(ss), tuple(s._key for s in ss)), 1 + sum(s._size for s in ss)
+        return (self._variant, len(ss), tuple(map(_key_of, ss))), 1 + sum(map(_size_of, ss))
 
 
 class Omega(Term):
@@ -197,7 +224,7 @@ class PglSet(Term):
 
     def _measure(self) -> tuple[tuple, int]:
         ms = self.members
-        return (self._variant, len(ms), tuple(m._key for m in ms)), 1 + sum(m._size for m in ms)
+        return (self._variant, len(ms), tuple(map(_key_of, ms))), 1 + sum(map(_size_of, ms))
 
 
 class Wedge(Term):
@@ -228,8 +255,8 @@ class Wedge(Term):
 
     def _measure(self) -> tuple[tuple, int]:
         vs, ds = self.verticals, self.diagonal
-        key = (self._variant, tuple(map(_family_key, vs)), tuple(d._key for d in ds))
-        return key, 1 + sum(x._size for v in vs + (ds,) for x in v)
+        key = (self._variant, tuple(map(_family_key, vs)), tuple(map(_key_of, ds)))
+        return key, 1 + sum(sum(map(_size_of, v)) for v in vs + (ds,))
 
 
 class MinFn(Term):
@@ -271,7 +298,7 @@ def merged_wedge(verticals, diagonal) -> "Wedge":
     can collapse two distinct sets to the same one; a family listing a
     set twice is equivalent for domination to the deduplicated family,
     so the denotations agree."""
-    return Wedge(list(dict.fromkeys(_sorted_set(v) for v in verticals)), diagonal)
+    return Wedge(set(map(frozenset, verticals)), diagonal)
 
 
 def glue(*summands: Term) -> Glue:
@@ -316,7 +343,7 @@ def sort_key(t: Term) -> tuple:
 
 
 def _family_key(family: tuple[Term, ...]) -> tuple:
-    return (len(family),) + tuple(t._key for t in family)
+    return (len(family), *map(_key_of, family))
 
 
 def _sorted_set(items) -> tuple[Term, ...]:

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import random
 import sys
 import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from scatcalc.compare import Engine, Outcome, le_compact
 from scatcalc.ordinal import double, parse_ordinal as po
 from scatcalc.rank import cb_type, lex_le
 from scatcalc.rewrite import normalize
+from scatcalc.sample import random_term
 from scatcalc.term import Glue, MinFn, ONE, Omega, PglSet, parse_term
 
 from conftest import terms
@@ -105,15 +108,15 @@ def test_trace_text_is_formatted_only_when_read(monkeypatch):
     assert v.trace and all(isinstance(text, str) for _, text in v.trace)
 
 
-@pytest.mark.parametrize(
-    "f, g, rule",
-    [
-        ("pgl{max(w), min(w+1)}", "wedge({max(w)} | {min(w+1)})", "N-lex"),
-        ("2*pgl{one}", "max(w)", "L-gst"),
-        # the types alone give LE, but the normal form omega(one) matches A1
-        ("glue(one, omega(one))", "pgl{one}", "A1"),
-    ],
-)
+TYPE_DECIDED = [
+    ("pgl{max(w), min(w+1)}", "wedge({max(w)} | {min(w+1)})", "N-lex"),
+    ("2*pgl{one}", "max(w)", "L-gst"),
+    # the types alone give LE, but the normal form omega(one) matches A1
+    ("glue(one, omega(one))", "pgl{one}", "A1"),
+]
+
+
+@pytest.mark.parametrize("f, g, rule", TYPE_DECIDED)
 def test_type_decided_pairs_normalize_only_when_the_trace_is_read(f, g, rule):
     f, g = parse_term(f), parse_term(g)
     engine = Engine()
@@ -137,6 +140,51 @@ def test_type_decided_verdicts_match_the_full_path(f, g):
     assert cb_type(normalize(g, full)) == cb_type(g)
     v, w = Engine().compare(f, g), full.compare(f, g)
     assert v.outcome is w.outcome and v.trace == w.trace
+
+
+def _mixed_pairs():
+    """The type-decided pairs above and 100 seeded random pairs, some
+    of which need the full path."""
+    pairs = [(parse_term(f), parse_term(g)) for f, g, _ in TYPE_DECIDED]
+    rng = random.Random(11)
+    pool = [random_term(rng, 4) for _ in range(40)]
+    return pairs + [(rng.choice(pool), rng.choice(pool)) for _ in range(100)]
+
+
+def test_a_dropped_engine_is_freed_without_the_collector():
+    pairs = _mixed_pairs()
+    engine = Engine()
+    verdicts = [engine.compare(f, g) for f, g in pairs]
+    assert all(v._pending is not None for v in verdicts[: len(TYPE_DECIDED)])
+    assert engine._nf
+    ref = weakref.ref(engine)
+    collections = []
+
+    def hook(phase, info):
+        collections.append(phase)
+
+    gc.callbacks.append(hook)
+    try:
+        # the verdicts stay alive and must not keep their engine alive
+        del engine
+        freed = ref() is None
+    finally:
+        gc.callbacks.remove(hook)
+    assert not collections
+    assert freed
+    assert verdicts[0]._pending is not None
+
+
+def test_a_trace_reads_the_same_after_its_engine_is_dropped():
+    pairs = _mixed_pairs()
+    engine, twin = Engine(), Engine()
+    kept = [engine.compare(f, g) for f, g in pairs]
+    before = [twin.compare(f, g).trace for f, g in pairs]
+    ref = weakref.ref(engine)
+    del engine
+    assert ref() is None
+    assert [v.trace for v in kept] == before
+    assert [v.outcome for v in kept] == [twin.compare(f, g).outcome for f, g in pairs]
 
 
 def test_concurrent_readers_derive_one_trace():

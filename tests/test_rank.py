@@ -3,9 +3,10 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
+from scatcalc import rank
 from scatcalc.compare import Engine
 from scatcalc.oracle import FiniteFn, term_of
-from scatcalc.ordinal import double, parse_ordinal as po
+from scatcalc.ordinal import ZERO, double, parse_ordinal as po, succ
 from scatcalc.rank import (
     CbType,
     NotNormalizedError,
@@ -17,7 +18,20 @@ from scatcalc.rank import (
     is_simple,
 )
 from scatcalc.rewrite import normalize
-from scatcalc.term import EMPTY, Glue, ID_Q, MaxFn, MinFn, ONE, Omega, PglSet, parse_term
+from scatcalc.term import (
+    EMPTY,
+    Empty,
+    Glue,
+    ID_Q,
+    MaxFn,
+    MinFn,
+    ONE,
+    Omega,
+    One,
+    PglSet,
+    Wedge,
+    parse_term,
+)
 
 from conftest import terms
 
@@ -96,6 +110,50 @@ def test_is_compact_domain():
     assert not is_compact_domain(parse_term("wedge({one} | {})"))
 
 
+def _reference_type(t):
+    """The CB-type by the structural rules of the ``rank`` docstring,
+    with ``Ordinal`` arithmetic and a ``CbType`` per node."""
+    if isinstance(t, Empty):
+        return CbType(ZERO, 0)
+    if isinstance(t, One):
+        return CbType(po("1"), 1)
+    if isinstance(t, MinFn):
+        return CbType(t.rank, 1)
+    if isinstance(t, MaxFn):
+        return CbType(t.rank, OMEGA_DEGREE if t.rank.is_successor else 0)
+    if isinstance(t, Glue):
+        return _reference_glue(t.summands)
+    if isinstance(t, Omega):
+        inner = _reference_type(t.body)
+        return CbType(inner.rank, OMEGA_DEGREE if inner.degree > 0 else 0)
+    if isinstance(t, PglSet):
+        return CbType(succ(_reference_glue(t.members).rank), 1)
+    assert isinstance(t, Wedge)
+    verticals = [succ(_reference_glue(v).rank) for v in t.verticals]
+    diag = _reference_glue(t.diagonal)
+    top = max(verticals + [diag.rank])
+    degree = 1 if top in verticals else 0
+    if diag.rank == top and diag.degree >= 1:
+        degree = OMEGA_DEGREE
+    return CbType(top, degree)
+
+
+def _reference_glue(parts):
+    types = [_reference_type(p) for p in parts]
+    if not types:
+        return CbType(ZERO, 0)
+    top = max(tp.rank for tp in types)
+    return CbType(top, sum(tp.degree for tp in types if tp.rank == top))
+
+
+@given(terms(depth=5))
+@settings(max_examples=300, deadline=None)
+def test_cb_type_matches_the_reference(t):
+    tp = cb_type(t)
+    assert tp == _reference_type(t)
+    assert tp is rank._stored_types[tp.lex_key]
+
+
 @given(terms())
 @settings(max_examples=250, deadline=None)
 def test_glue_singleton_and_omega_rank(t):
@@ -106,8 +164,6 @@ def test_glue_singleton_and_omega_rank(t):
 @given(terms())
 @settings(max_examples=250, deadline=None)
 def test_pgl_is_simple_one_level_up(t):
-    from scatcalc.ordinal import succ
-
     if t == EMPTY:
         return
     inner = cb_type(Glue([t]))

@@ -2,9 +2,12 @@
 outcomes."""
 
 import hashlib
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from test_golden import load as load_golden
 
@@ -49,3 +52,38 @@ def test_fingerprint_hashes_every_section():
     stored = load_golden()["centered w+2"]
     expected = hashlib.sha256("".join(row + "\n" for row in stored).encode()).hexdigest()
     assert hashes["golden centered w+2"] == expected
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve their annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_ab_summary_on_canned_pairs():
+    ab = load_script("ab.py")
+    base = [100.0, 110.0, 90.0, 105.0, 95.0]
+    change = [120.0, 130.0, 108.0, 100.0, 118.0]
+    pairs = [({"ops": b, "t": 1 / b}, {"ops": c, "t": 1 / c}) for b, c in zip(base, change)]
+    ops, t = ab.summarize(pairs, {"ops": "higher", "t": "lower"})
+    assert (ops.metric, ops.base, ops.change, ops.pairs) == ("ops", 100.0, 118.0, 5)
+    # the change lost only the fourth pair
+    assert ops.wins == 4 and t.wins == 4
+    assert (ops.base_q1, ops.base_q3) == (92.5, 107.5)
+    assert ops.median_change == pytest.approx(0.18)
+    # per pair: +20 %, +18.2 %, +20 %, -4.8 %, +24.2 %
+    assert ops.pair_change == pytest.approx(0.2)
+    assert ops.clear and t.clear
+    # a lower-is-better metric that rose is not a clear gain
+    (worse,) = ab.summarize([(c, b) for b, c in pairs], {"t": "lower"})
+    assert worse.wins == 1 and not worse.clear
+    assert "ops" in ab.format_rows([ops, t])
+
+
+def test_ab_parses_seed_lists():
+    ab = load_script("ab.py")
+    assert ab.parse_seeds("201-204") == [201, 202, 203, 204]
+    assert ab.parse_seeds("1,3-4,9") == [1, 3, 4, 9]

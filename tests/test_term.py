@@ -1,4 +1,5 @@
 import copy
+import gc
 import pickle
 import sys
 import threading
@@ -6,8 +7,9 @@ import threading
 import pytest
 from hypothesis import given, settings
 
+from scatcalc import term
 from scatcalc.compare import Engine
-from scatcalc.ordinal import parse_ordinal
+from scatcalc.ordinal import Ordinal, parse_ordinal
 from scatcalc.rewrite import normalize
 from scatcalc.term import (
     EMPTY,
@@ -171,6 +173,32 @@ def test_concurrent_construction_interns_once():
                 assert all(a is b for a, b in zip(built, results[0]))
     finally:
         sys.setswitchinterval(old)
+
+
+def test_dropped_terms_leave_the_intern_table():
+    gc.collect()
+    before = len(term._table)
+    batch = [Omega(MaxFn(Ordinal(((9, 5),), n))) for n in range(200)]
+    assert len(term._table) == before + 400
+    del batch
+    # each entry leaves with its node, with no help from the collector
+    assert len(term._table) == before
+
+
+def test_a_term_rebuilt_after_its_node_died_is_interned_again():
+    rank = Ordinal(((9, 7),), 3)
+    ident = (MinFn._variant, rank)
+    t = MinFn(rank)
+    old = term._table[ident]
+    assert old() is t
+    del t
+    assert old() is None and ident not in term._table
+    t = MinFn(rank)
+    new = term._table[ident]
+    assert new is not old and new() is t
+    # a late callback of the dead entry leaves the live one in place
+    term._forget(old)
+    assert term._table[ident] is new and MinFn(rank) is t
 
 
 def test_merged_wedge_collapses_duplicates():
