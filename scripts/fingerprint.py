@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Print one sha256 per section of the engine's observable output.
 
-Two trees that print the same lines give the same verdicts, trace text
-and normal forms on these inputs.  Sections:
+Two trees that print the same lines give the same verdicts, trace text,
+normal forms and single rule steps on these inputs.  Sections:
 
 * ``census <seed> outcomes``: the cold outcome of every pair of
   ``bench/gen.census_inputs(seed, pool, pairs)`` on a fresh engine;
@@ -11,6 +11,8 @@ and normal forms on these inputs.  Sections:
 * ``census <seed> trace-after``: on a third fresh engine, every trace
   rendered after all the verdicts;
 * ``census <seed> normal-forms``: the pool normalized on a fresh engine;
+* ``census <seed> rule-steps``: ``apply_rule`` of every rule name on
+  every pool term (the stepped term, or ``None``) on a fresh engine;
 * ``golden <name>``: the rows ``tests/test_golden.py`` compares with
   ``tests/data/golden_verdicts.txt``.
 
@@ -30,7 +32,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import gen  # noqa: E402  (bench/gen.py)
 from scatcalc.compare import Engine  # noqa: E402
-from scatcalc.rewrite import normalize  # noqa: E402
+from scatcalc.rewrite import apply_rule, normalize, rule_names  # noqa: E402
 from scatcalc.term import format_term, parse_term  # noqa: E402
 
 
@@ -66,6 +68,10 @@ def census_sections(seed: int, pool_size: int, n_pairs: int):
 
     engine = Engine()
     yield "normal-forms", digest(format_term(normalize(t, engine)) for t in pool)
+
+    engine = Engine()
+    steps = (apply_rule(t, name, engine) for t in pool for name in rule_names())
+    yield "rule-steps", digest("None" if s is None else format_term(s) for s in steps)
 
 
 def load_golden():

@@ -55,8 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generators", help="enumerate a generator set")
     p.add_argument("level")
     p.add_argument("--centered", action="store_true", help="centered set instead")
-    p.add_argument("--raw", action="store_true", help="list raw terms")
-    p.add_argument("--classes", action="store_true", help="list class representatives")
+    shown = p.add_mutually_exclusive_group()
+    shown.add_argument("--raw", action="store_true", help="list raw terms")
+    shown.add_argument("--classes", action="store_true", help="list class representatives")
 
     p = sub.add_parser("hasse", help="covering relation of a generator set")
     p.add_argument("level")

@@ -49,9 +49,14 @@ NotLe-rules
              reduce to one summand; all summands refuted refutes the
              whole.
     N-pgl-deg
-             between pointed gluings of equal rank, rays must land in
-             finitely many rays, so an omega-degree member set cannot
-             reduce to a finite-degree one.
+             refutations between pointed gluings.  At equal ranks rays
+             land in finitely many rays, so an omega-degree member set
+             cannot reduce to a finite-degree one, and a single centered
+             member refuted by every target member refutes the pair.
+             Below the target rank, that centered member refuted by
+             every target member (the center at the top point) and the
+             source refuted by every target member (the center inside
+             one ray) refute the pair.
     N-capacity
              top-rank summands of a gluing, when simple and centered,
              must occupy distinct degree-slots of the target's
@@ -113,7 +118,7 @@ from typing import Optional
 from . import ordinal as ord_mod
 from . import rewrite
 from .ordinal import Ordinal
-from .rank import OMEGA_DEGREE, CbType, cb_type, is_compact_domain, lex_le
+from .rank import CENTERED, OMEGA_DEGREE, CbType, cb_type, is_compact_domain, lex_le
 from .term import (
     ONE,
     Glue,
@@ -429,7 +434,7 @@ class Engine:
                     for j, t in enumerate(gs)
                     if not (s == f and t == g) and self._le(s, t)
                 ]
-            if not _bipartite_saturates(edges, len(leftovers), len(gs)):
+            if not _bipartite_saturates(edges, len(leftovers), [1] * len(gs)):
                 return None
         return _LE(_step("L-glue", f, g, "matched ", len(fs), " summand(s)"))
 
@@ -446,8 +451,7 @@ class Engine:
         lvl = _min_atom_rank(target)
         if lvl is not None:
             # bundle must fit in a finite prefix strictly below the limit part
-            limit_part, _ = ord_mod.split(lvl)
-            return ord_mod.double(cb_type(s).rank) < limit_part
+            return cb_type(s).double_key < (lvl.terms, 0)
         return False
 
     def _accept_repeated(self, s: Term, base: Term) -> bool:
@@ -485,7 +489,7 @@ class Engine:
         return None
 
     def _rule_centered(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
-        if not isinstance(f, (One, MinFn, PglSet)):
+        if not isinstance(f, CENTERED):
             return None
         if isinstance(g, Glue):
             candidates = g.summands
@@ -512,7 +516,7 @@ class Engine:
         if not (isinstance(f, PglSet) and isinstance(g, PglSet)):
             return None
         centered_member_refuted = len(f.members) == 1 and isinstance(
-            f.members[0], (One, MinFn, PglSet)
+            f.members[0], CENTERED
         ) and all(self._not_le(f.members[0], m) for m in g.members)
         if tf.rank == tg.rank:
             # top maps to top, so source rays land in finite prefixes of
@@ -546,11 +550,8 @@ class Engine:
         r = tf.rank
         ftops = [s for s in fs if cb_type(s).rank == r]
         gtops = [s for s in gs if cb_type(s).rank == r]
-        if not ftops:
-            return None
         for s in ftops:
-            st = cb_type(s)
-            if st.degree != 1 or not isinstance(s, (One, MinFn, PglSet)):
+            if cb_type(s).degree != 1 or not isinstance(s, CENTERED):
                 return None
         # all pairwise verdicts must be decided
         edges: dict[int, list[int]] = {i: [] for i in range(len(ftops))}
@@ -561,22 +562,9 @@ class Engine:
                     return None
                 if v.outcome is Outcome.LE:
                     edges[i].append(j)
-        slot_caps: list[int] = []
-        for t in gtops:
-            degree = cb_type(t).degree
-            cap = len(ftops) if degree == OMEGA_DEGREE else int(degree)
-            slot_caps.append(min(cap, len(ftops)))
-        expanded: dict[int, list[int]] = {i: [] for i in range(len(ftops))}
-        offset = []
-        pos = 0
-        for j, cap in enumerate(slot_caps):
-            offset.append((pos, pos + cap))
-            pos += cap
-        for i in range(len(ftops)):
-            for j in edges[i]:
-                lo, hi = offset[j]
-                expanded[i].extend(range(lo, hi))
-        if _bipartite_saturates(expanded, len(ftops), pos):
+        # a target summand of degree d has d degree-slots
+        caps = [min(cb_type(t).degree, len(ftops)) for t in gtops]
+        if _bipartite_saturates(edges, len(ftops), caps):
             return None
         return _NOT_LE(
             _step("N-capacity", f, g, "top summands exceed target degree slots")
@@ -713,19 +701,26 @@ def _wedge_generator_level(t: Term) -> Optional[Ordinal]:
     return None
 
 
-def _bipartite_saturates(edges: dict[int, list[int]], n_left: int, n_right: int) -> bool:
-    """Kuhn's augmenting-path matching; True iff every left node can be
-    matched to a distinct right node."""
-    match_right: dict[int, int] = {}
+def _bipartite_saturates(edges: dict[int, list[int]], n_left: int, caps: list[int]) -> bool:
+    """Kuhn's augmenting-path matching with capacities; True iff every
+    left node can be assigned a right node ``j`` that ``edges`` lists
+    for it, with at most ``caps[j]`` left nodes on each ``j``.  A full
+    right node moves one of its occupants along an augmenting path."""
+    holders: list[list[int]] = [[] for _ in caps]
 
     def try_assign(i: int, seen: set[int]) -> bool:
         for j in edges.get(i, ()):
             if j in seen:
                 continue
             seen.add(j)
-            if j not in match_right or try_assign(match_right[j], seen):
-                match_right[j] = i
+            held = holders[j]
+            if len(held) < caps[j]:
+                held.append(i)
                 return True
+            for k, other in enumerate(held):
+                if try_assign(other, seen):
+                    held[k] = i
+                    return True
         return False
 
     for i in range(n_left):

@@ -55,6 +55,9 @@ if TYPE_CHECKING:
 
 OMEGA_DEGREE = math.inf
 
+# the normal forms that are centered: see is_centered
+CENTERED = (One, MinFn, PglSet)
+
 Degree = float  # int or math.inf
 
 
@@ -197,7 +200,7 @@ def is_centered(t: Term, engine: Engine) -> bool:
         raise NotScatteredError("centeredness is only classified for scattered terms")
     if rewrite.normalize(t, engine) != t:
         raise NotNormalizedError("is_centered needs a normalized term")
-    return isinstance(t, (One, MinFn, PglSet))
+    return isinstance(t, CENTERED)
 
 
 def is_compact_domain(t: Term) -> bool:

@@ -56,6 +56,10 @@ The queries a rule opens count against the engine's bound on open
 queries, like those of the derivation that asked for the normal form.
 :func:`normalize` and :func:`apply_rule` take that engine as a required
 argument.
+
+:func:`apply_rule` walks a term with the normalizer's ``_map_children``,
+so it visits nodes in the normalizer's order and reaches the same
+nesting depth; the rule fires at the outermost-leftmost node it fits.
 """
 
 from __future__ import annotations
@@ -398,40 +402,21 @@ def apply_rule(t: Term, rule_name: str, engine: Engine) -> Optional[Term]:
     rule = _RULES.get(rule_name)
     if rule is None:
         raise ValueError(f"unknown rule {rule_name!r}; known: {', '.join(_RULES)}")
-    return _apply_somewhere(t, partial(rule, engine=engine))
+    fired: list[Term] = []
+    out = _step(fired, partial(rule, engine=engine), t)
+    return out if fired else None
 
 
-def _apply_somewhere(t: Term, rule: Callable[[Term], Optional[Term]]) -> Optional[Term]:
-    at_root = rule(t)
-    if at_root is not None:
-        return at_root
-    if isinstance(t, Glue):
-        for i, s in enumerate(t.summands):
-            r = _apply_somewhere(s, rule)
-            if r is not None:
-                return Glue(t.summands[:i] + (r,) + t.summands[i + 1 :])
-        return None
-    if isinstance(t, Omega):
-        r = _apply_somewhere(t.body, rule)
-        return Omega(r) if r is not None else None
-    if isinstance(t, PglSet):
-        for i, m in enumerate(t.members):
-            r = _apply_somewhere(m, rule)
-            if r is not None:
-                return PglSet(t.members[:i] + (r,) + t.members[i + 1 :])
-        return None
-    if isinstance(t, Wedge):
-        for i, fam in enumerate(t.verticals):
-            for j, x in enumerate(fam):
-                r = _apply_somewhere(x, rule)
-                if r is not None:
-                    new_fam = fam[:j] + (r,) + fam[j + 1 :]
-                    return merged_wedge(
-                        t.verticals[:i] + (new_fam,) + t.verticals[i + 1 :], t.diagonal
-                    )
-        for j, d in enumerate(t.diagonal):
-            r = _apply_somewhere(d, rule)
-            if r is not None:
-                return Wedge(t.verticals, t.diagonal[:j] + (r,) + t.diagonal[j + 1 :])
-        return None
-    return None
+def _step(fired: list[Term], rule: Callable[[Term], Optional[Term]], t: Term) -> Term:
+    """``rule`` at ``t``, else at its children in the order of
+    ``_map_children``; once ``fired`` holds an application, every later
+    node stays as it is."""
+    # a partial, unlike a nested function, makes no reference cycle, so
+    # the walk does not keep the engine alive for the collector
+    if fired:
+        return t
+    stepped = rule(t)
+    if stepped is None:
+        return _map_children(t, partial(_step, fired, rule))
+    fired.append(stepped)
+    return stepped

@@ -521,26 +521,17 @@ class _Parser:
             return self.build(Omega, word_start, body)
         if word == "glue":
             self.eat("(")
-            summands = [self.parse_term()]
-            while self.peek() == ",":
-                self.eat(",")
-                summands.append(self.parse_term())
+            summands = self.parse_list(self.parse_term)
             self.eat(")")
             return self.build_glue(word_start, summands)
         if word == "pgl":
             self.eat("{")
-            members = [self.parse_term()]
-            while self.peek() == ",":
-                self.eat(",")
-                members.append(self.parse_term())
+            members = self.parse_list(self.parse_term)
             self.eat("}")
             return self.build(PglSet, word_start, members)
         if word == "wedge":
             self.eat("(")
-            verticals = [self.parse_set()]
-            while self.peek() == ",":
-                self.eat(",")
-                verticals.append(self.parse_set())
+            verticals = self.parse_list(self.parse_set)
             self.eat("|")
             diagonal = self.parse_set()
             self.eat(")")
@@ -549,11 +540,14 @@ class _Parser:
 
     def parse_set(self) -> list[Term]:
         self.eat("{")
-        items: list[Term] = []
-        if self.peek() != "}":
-            items.append(self.parse_term())
-            while self.peek() == ",":
-                self.eat(",")
-                items.append(self.parse_term())
+        items = [] if self.peek() == "}" else self.parse_list(self.parse_term)
         self.eat("}")
+        return items
+
+    def parse_list(self, parse) -> list:
+        """One or more items read by ``parse``, separated by commas."""
+        items = [parse()]
+        while self.peek() == ",":
+            self.eat(",")
+            items.append(parse())
         return items

@@ -90,6 +90,14 @@ def test_generators_classes(capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+def test_generators_raw_and_classes_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["generators", "1", "--raw", "--classes"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "not allowed with argument" in out.err
+
+
 def test_hasse_dot_is_stable(capsys):
     code, first, _ = run(capsys, "hasse", "w+1", "--dot")
     assert code == 0

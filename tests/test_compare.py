@@ -8,7 +8,7 @@ import weakref
 import pytest
 from hypothesis import given, settings
 
-from scatcalc.compare import Engine, Outcome, le_compact
+from scatcalc.compare import Engine, Outcome, _bipartite_saturates, le_compact
 from scatcalc.ordinal import double, parse_ordinal as po
 from scatcalc.rank import cb_type, lex_le
 from scatcalc.rewrite import normalize
@@ -429,3 +429,26 @@ def test_rank_one_fragment_complete_and_matches_formula():
         v = engine.compare(f, g)
         assert v.outcome is not Outcome.UNKNOWN
         assert (v.outcome is Outcome.LE) == expected, (a1, b1, a2, b2)
+
+
+def test_capacity_refutes_a_top_summand_with_no_slot():
+    # the one top summand of f fits no degree-slot of the target's
+    f = parse_term("glue(omega(pgl{min(w^2+1)}), pgl{pgl{omega(pgl{max(w^2)})}})")
+    g = parse_term("omega(pgl{pgl{min(w^2+1)}})")
+    v = Engine().compare(f, g)
+    assert v.outcome is Outcome.NOT_LE
+    assert [rule for rule, _ in v.trace] == ["N-capacity"]
+
+
+@pytest.mark.parametrize(
+    "edges, caps, saturates",
+    [
+        pytest.param({0: [0], 1: [0], 2: [0]}, [2], False, id="three-into-capacity-2"),
+        pytest.param({0: [0], 1: [0], 2: [0]}, [3], True, id="three-into-capacity-3"),
+        # 0 and 1 fill target 0 first; 2 fits only once one of them moves to 1
+        pytest.param({0: [0, 1], 1: [0, 1], 2: [0]}, [2, 1], True, id="move-out-of-full"),
+        pytest.param({0: [0], 1: [0], 2: [0, 1]}, [1, 1], False, id="no-room-to-move"),
+    ],
+)
+def test_bipartite_saturates_with_capacities(edges, caps, saturates):
+    assert _bipartite_saturates(edges, len(edges), caps) is saturates

@@ -1,4 +1,6 @@
+import gc
 import importlib.util
+import weakref
 from pathlib import Path
 
 import pytest
@@ -84,10 +86,49 @@ def test_apply_rule_examples():
     assert apply_rule(ONE, "R-flat", engine) is None
 
 
-def test_apply_rule_goes_outermost_leftmost():
-    t = parse_term("pgl{glue(glue(one)), min(3)}")
-    stepped = apply_rule(t, "R-flat", Engine())
-    assert stepped == parse_term("pgl{1*one, min(3)}")
+@pytest.mark.parametrize(
+    "text, rule, stepped",
+    [
+        pytest.param(
+            "pgl{glue(glue(one)), min(3)}", "R-flat", "pgl{1*one, min(3)}", id="leftmost-member"
+        ),
+        pytest.param(
+            "glue(one, omega(glue(glue(one))))", "R-flat", "glue(one, omega(1*one))",
+            id="omega-body",
+        ),
+        pytest.param("omega(pgl{min(3)})", "R-minmax", "omega(pgl{pgl{min(2)}})", id="pgl-member"),
+        pytest.param(
+            "wedge({glue(glue(one))}, {omega(one)} | {})", "R-flat",
+            "wedge({omega(one)}, {1*one} | {})", id="wedge-vertical",
+        ),
+        pytest.param(
+            "wedge({omega(omega(one))}, {omega(one)} | {})", "R-omega",
+            "wedge({omega(one)} | {})", id="merged-verticals",
+        ),
+        pytest.param(
+            "wedge({omega(one)} | {glue(glue(one)), one})", "R-flat",
+            "wedge({omega(one)} | {one, 1*one})", id="wedge-diagonal",
+        ),
+    ],
+)
+def test_apply_rule_goes_outermost_leftmost(text, rule, stepped):
+    assert apply_rule(parse_term(text), rule, Engine()) == parse_term(stepped)
+
+
+def test_apply_rule_leaves_no_cycle_holding_the_engine():
+    t = parse_term("glue(one, omega(pgl{glue(glue(one)), min(3)}))")
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        engine = Engine()
+        steps = [apply_rule(t, name, engine) for name in rule_names()]
+        ref = weakref.ref(engine)
+        del engine
+        freed = ref() is None
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert any(s is not None for s in steps) and freed
 
 
 def test_apply_rule_unknown_name():

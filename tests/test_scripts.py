@@ -45,7 +45,8 @@ def test_fingerprint_hashes_every_section():
     hashes = dict(line.rsplit(": ", 1) for line in lines)
     assert list(hashes) == [
         "census 1 outcomes", "census 1 trace-now", "census 1 trace-after",
-        "census 1 normal-forms", "golden six w", "golden centered w+2",
+        "census 1 normal-forms", "census 1 rule-steps", "golden six w",
+        "golden centered w+2",
     ]
     # a trace reads the same whenever it is read
     assert hashes["census 1 trace-now"] == hashes["census 1 trace-after"]
