@@ -8,8 +8,13 @@ The base revision is extracted with ``git archive <rev> | tar -x`` into
 a temporary directory (the repository's ``.git`` is only read).  For
 each seed, ``bench/run.py --workload W --seed S --seconds N --trace 0``
 runs once from each tree, one run at a time; the tree that runs first
-alternates from seed to seed.  The script prints each pair's end-to-end
-metrics, then per metric: the base median and quartiles, the change
+alternates from seed to seed.  The working tree's ``src`` and ``bench``
+run from a copy without ``__pycache__`` directories, and every run sees
+``PYTHONDONTWRITEBYTECODE=1``.  So neither tree reads bytecode of its
+own: each process compiles the program from source, as the benchmark
+does on a fresh checkout, and reads the standard library's bytecode as
+usual.  The script prints each pair's end-to-end metrics, then per
+metric: the base median and quartiles, the change
 median, the change of the medians, the median of the per-pair changes,
 and the pairs the change won.  ``clear`` marks a metric whose median
 moved the better way by more than the base runs' interquartile range.
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -105,10 +111,23 @@ def extract(rev: str, into: Path) -> None:
         raise SystemExit(f"git archive {rev} failed")
 
 
+def copy_tree(into: Path) -> None:
+    """The working tree's program and benchmark, without bytecode."""
+    for part in ("src", "bench"):
+        shutil.copytree(ROOT / part, into / part, ignore=shutil.ignore_patterns("__pycache__"))
+
+
+def child_env() -> dict:
+    """The environment of one benchmark run: it writes no bytecode, so
+    the trees stay without it."""
+    return {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+
+
 def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     cmd = [sys.executable, str(tree / "bench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    done = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+    done = subprocess.run(cmd, env=child_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True)
     result = json.loads(done.stdout.strip().splitlines()[-1])
     if done.returncode != 0 or not result["correct"] or result["failed"]:
         raise SystemExit(f"{tree}: seed {seed} ran incorrectly (exit {done.returncode})")
@@ -125,15 +144,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    base = Path(tempfile.mkdtemp(prefix="scatcalc-ab-"))
+    scratch = Path(tempfile.mkdtemp(prefix="scatcalc-ab-"))
+    base, change = scratch / "base", scratch / "change"
     try:
+        base.mkdir()
         extract(args.base, base)
-        for tree in (base, ROOT):
-            subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "bench"],
-                           cwd=tree, check=True)
+        copy_tree(change)
         pairs = []
         for i, seed in enumerate(args.seeds):
-            order = [("base", base), ("change", ROOT)]
+            order = [("base", base), ("change", change)]
             if i % 2:
                 order.reverse()
             got = {label: run_bench(tree, args.workload, seed, args.seconds) for label, tree in order}
@@ -146,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"\n{args.workload}: {args.base} -> working tree, {len(pairs)} pairs")
         print(format_rows(summarize(pairs, better)))
     finally:
-        shutil.rmtree(base, ignore_errors=True)
+        shutil.rmtree(scratch, ignore_errors=True)
     return 0
 
 

@@ -6,30 +6,34 @@ Subcommands: ``type``, ``normalize``, ``compare``, ``generators``,
 bounds, undecided Hasse pairs, terms nested too deeply and gluings of
 more than ``term.MAX_SUMMANDS`` summands exit 65.
 
-There are no global options: each call runs on one fresh
-:class:`~scatcalc.compare.Engine`.
+There are no global options: each call that compares or normalizes
+runs on one fresh :class:`~scatcalc.compare.Engine`.
+
+Importing this module loads only the parser and the term and ordinal
+syntax.  Each command imports the layers it runs: ``type`` the rank
+layer, ``oracle`` the brute-force oracle, ``normalize`` and
+``compare`` the engine, ``generators`` and ``hasse`` the enumeration
+as well; ``json`` and ``hashlib`` load only for ``--json`` and
+``--dot``.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import generators as gen_mod
-from . import oracle as oracle_mod
-from . import rewrite
-from .compare import Engine, Outcome
 from .ordinal import OrdinalSyntaxError, parse_ordinal
-from .rank import cb_type
 from .term import TermSyntaxError, TermTooLargeError, format_term, parse_term
+
+if TYPE_CHECKING:
+    from .compare import Engine
 
 EX_PARSE = 64
 EX_INFEASIBLE = 65
 
-_OUTCOME_TEXT = {Outcome.LE: "LE", Outcome.NOT_LE: "NOT_LE", Outcome.UNKNOWN: "UNKNOWN"}
-_OUTCOME_EXIT = {Outcome.LE: 0, Outcome.NOT_LE: 1, Outcome.UNKNOWN: 2}
+# by Outcome.name
+_OUTCOME_EXIT = {"LE": 0, "NOT_LE": 1, "UNKNOWN": 2}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,23 +78,39 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _dispatch(args)
     except (TermSyntaxError, OrdinalSyntaxError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_PARSE
-    except (gen_mod.FeasibilityError, gen_mod.UndecidedPairError, TermTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_INFEASIBLE
+        return _fail(exc, EX_PARSE)
+    except TermTooLargeError as exc:
+        return _fail(exc, EX_INFEASIBLE)
     except RecursionError:
         print("error: term nested too deeply", file=sys.stderr)
         return EX_INFEASIBLE
 
 
+def _fail(exc: Exception, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return code
+
+
 def _dispatch(args) -> int:
-    engine = Engine()
     if args.command == "type":
-        t = parse_term(args.term)
-        print(cb_type(t))
+        from .rank import cb_type
+
+        print(cb_type(parse_term(args.term)))
         return 0
 
+    if args.command == "oracle":
+        from . import oracle
+
+        ok = oracle.brute_force_le(
+            oracle.parse_finite_fn(args.left), oracle.parse_finite_fn(args.right)
+        )
+        print("YES" if ok else "NO")
+        return 0 if ok else 1
+
+    from . import rewrite
+    from .compare import Engine
+
+    engine = Engine()
     if args.command == "normalize":
         t = parse_term(args.term)
         print(format_term(rewrite.normalize(t, engine)))
@@ -101,69 +121,75 @@ def _dispatch(args) -> int:
         # a verdict decided by type derives its trace when read, which
         # may fail; read it before printing anything
         trace = verdict.trace if args.json or args.trace else ()
+        outcome = verdict.outcome.name
         if args.json:
+            import json
+
             print(
                 json.dumps(
                     {
                         "schema": 1,
-                        "outcome": _OUTCOME_TEXT[verdict.outcome],
+                        "outcome": outcome,
                         "trace": [{"rule": rule, "query": query} for rule, query in trace],
                     }
                 )
             )
         else:
-            print(_OUTCOME_TEXT[verdict.outcome])
+            print(outcome)
             for rule, query in trace:
                 print(f"  {rule}: {query}")
-        return _OUTCOME_EXIT[verdict.outcome]
+        return _OUTCOME_EXIT[outcome]
 
-    if args.command == "generators":
-        level = parse_ordinal(args.level)
-        build = gen_mod.centered_set if args.centered else gen_mod.generator_set
-        raw = build(level).raw
-        terms = raw if args.raw else _representatives(raw, engine)
-        for t in terms:
-            print(format_term(t))
-        return 0
+    from . import generators as gen_mod
 
-    if args.command == "hasse":
-        level = parse_ordinal(args.level)
-        reps = _representatives(gen_mod.generator_set(level).raw, engine)
-        edges = gen_mod.hasse(reps, engine)
-        if args.dot:
-            print(render_dot(reps, edges, engine))
-        else:
-            for a, b in edges:
-                print(f"{format_term(a)} -> {format_term(b)}")
-        return 0
+    try:
+        if args.command == "generators":
+            level = parse_ordinal(args.level)
+            build = gen_mod.centered_set if args.centered else gen_mod.generator_set
+            raw = build(level).raw
+            terms = raw if args.raw else _representatives(raw, engine)
+            for t in terms:
+                print(format_term(t))
+            return 0
 
-    if args.command == "oracle":
-        f = oracle_mod.parse_finite_fn(args.left)
-        g = oracle_mod.parse_finite_fn(args.right)
-        ok = oracle_mod.brute_force_le(f, g)
-        print("YES" if ok else "NO")
-        return 0 if ok else 1
+        if args.command == "hasse":
+            level = parse_ordinal(args.level)
+            reps = _representatives(gen_mod.generator_set(level).raw, engine)
+            edges = gen_mod.hasse(reps, engine)
+            if args.dot:
+                print(render_dot(reps, edges, engine))
+            else:
+                for a, b in edges:
+                    print(f"{format_term(a)} -> {format_term(b)}")
+            return 0
+    except (gen_mod.FeasibilityError, gen_mod.UndecidedPairError) as exc:
+        return _fail(exc, EX_INFEASIBLE)
 
     raise AssertionError(f"unhandled command {args.command}")
 
 
 def _representatives(raw, engine: Engine) -> list:
-    classes, _ = gen_mod.equivalence_classes(raw, engine)
+    from .generators import equivalence_classes
+
+    classes, _ = equivalence_classes(raw, engine)
     return [rep for rep, _ in classes]
 
 
-def _node_id(t, engine: Engine) -> str:
-    digest = hashlib.sha256(format_term(rewrite.normalize(t, engine)).encode()).hexdigest()
-    return "n" + digest[:12]
-
-
 def render_dot(terms, edges, engine: Engine) -> str:
+    import hashlib
+
+    from . import rewrite
+
+    def node_id(t) -> str:
+        digest = hashlib.sha256(format_term(rewrite.normalize(t, engine)).encode()).hexdigest()
+        return "n" + digest[:12]
+
     lines = ["digraph hasse {"]
     for t in terms:
         label = format_term(t).replace('"', '\\"')
-        lines.append(f'  {_node_id(t, engine)} [label="{label}"];')
+        lines.append(f'  {node_id(t)} [label="{label}"];')
     for a, b in edges:
-        lines.append(f"  {_node_id(a, engine)} -> {_node_id(b, engine)};")
+        lines.append(f"  {node_id(a)} -> {node_id(b)};")
     lines.append("}")
     return "\n".join(lines)
 

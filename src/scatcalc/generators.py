@@ -18,7 +18,6 @@ are reported separately.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from . import ordinal as ord_mod
@@ -54,10 +53,26 @@ class UndecidedPairError(RuntimeError):
         self.pair = (a, b)
 
 
-@dataclass
 class GeneratorSet:
+    """The raw terms enumerated at ``level``."""
+
+    __slots__ = ("level", "raw")
+    __hash__ = None  # mutable
+
     level: Ordinal
     raw: list[Term]
+
+    def __init__(self, level: Ordinal, raw: list[Term]) -> None:
+        self.level = level
+        self.raw = raw
+
+    def __eq__(self, other):
+        if other.__class__ is GeneratorSet:
+            return self.level == other.level and self.raw == other.raw
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"GeneratorSet(level={self.level!r}, raw={self.raw!r})"
 
 
 def _rep_key(t: Term, engine: Engine) -> tuple:

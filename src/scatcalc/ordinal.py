@@ -15,7 +15,6 @@ doubling, which on lambda+n means 2*(lambda+n) = lambda+2n; see
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Literal
 
 
@@ -27,22 +26,67 @@ class OrdinalSyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, order=True)
 class Ordinal:
-    # ((exponent, coefficient), ...) with exponents strictly decreasing, all >= 1
-    terms: tuple[tuple[int, int], ...] = ()
-    finite: int = 0
+    """An immutable CNF ordinal ``Ordinal(terms=(), finite=0)``.  Equal
+    and ordered as the tuple ``(terms, finite)``, against ordinals
+    only."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("terms", "finite")
+
+    # ((exponent, coefficient), ...) with exponents strictly decreasing, all >= 1
+    terms: tuple[tuple[int, int], ...]
+    finite: int
+
+    def __init__(self, terms: tuple[tuple[int, int], ...] = (), finite: int = 0) -> None:
         prev = None
-        for exp, coeff in self.terms:
+        for exp, coeff in terms:
             if exp < 1 or coeff < 1:
                 raise ValueError(f"bad CNF term w^{exp}*{coeff}")
             if prev is not None and exp >= prev:
                 raise ValueError("CNF exponents must strictly decrease")
             prev = exp
-        if self.finite < 0:
+        if finite < 0:
             raise ValueError("finite part must be >= 0")
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "finite", finite)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the constructor, since __setattr__ refuses the default path
+        return Ordinal, (self.terms, self.finite)
+
+    def __hash__(self) -> int:
+        return hash((self.terms, self.finite))
+
+    def __eq__(self, other):
+        if other.__class__ is Ordinal:
+            return self.terms == other.terms and self.finite == other.finite
+        return NotImplemented
+
+    def __lt__(self, other):
+        if other.__class__ is Ordinal:
+            return (self.terms, self.finite) < (other.terms, other.finite)
+        return NotImplemented
+
+    def __le__(self, other):
+        if other.__class__ is Ordinal:
+            return (self.terms, self.finite) <= (other.terms, other.finite)
+        return NotImplemented
+
+    def __gt__(self, other):
+        if other.__class__ is Ordinal:
+            return (self.terms, self.finite) > (other.terms, other.finite)
+        return NotImplemented
+
+    def __ge__(self, other):
+        if other.__class__ is Ordinal:
+            return (self.terms, self.finite) >= (other.terms, other.finite)
+        return NotImplemented
 
     def __str__(self) -> str:
         return format_ordinal(self)

@@ -30,11 +30,9 @@ arithmetic is ordinary addition and comparison.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from . import ordinal as ord_mod
-from . import rewrite
 from .ordinal import Ordinal
 from .term import (
     Empty,
@@ -69,31 +67,53 @@ class NotNormalizedError(ValueError):
     """Raised by syntax-directed predicates on unnormalized input."""
 
 
-@dataclass(frozen=True)
 class CbType:
     """A CB-type with what comparisons read of it, built once:
     ``lex_key`` orders types lexicographically, ``rank_key`` orders
     their ranks, ``double_key`` is the key of the doubled rank (see
     ``ordinal.double``) and ``limit`` tells whether the rank is a
-    limit."""
+    limit.  Immutable; equal and hashed by ``(rank, degree)``."""
+
+    __slots__ = ("rank", "degree", "lex_key", "rank_key", "double_key", "limit")
 
     rank: Ordinal
     degree: Degree
-    lex_key: tuple = field(init=False, repr=False, compare=False)
-    rank_key: tuple = field(init=False, repr=False, compare=False)
-    double_key: tuple = field(init=False, repr=False, compare=False)
-    limit: bool = field(init=False, repr=False, compare=False)
+    lex_key: tuple
+    rank_key: tuple
+    double_key: tuple
+    limit: bool
 
-    def __post_init__(self) -> None:
-        if self.degree == 0 and self.rank.is_successor:
+    def __init__(self, rank: Ordinal, degree: Degree) -> None:
+        if degree == 0 and rank.is_successor:
             raise ValueError("successor rank forces a positive degree")
-        if self.degree != 0 and not self.rank.is_successor:
+        if degree != 0 and not rank.is_successor:
             raise ValueError("zero or limit rank forces degree 0")
-        rank = self.rank
-        object.__setattr__(self, "lex_key", (rank.terms, rank.finite, self.degree))
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "lex_key", (rank.terms, rank.finite, degree))
         object.__setattr__(self, "rank_key", (rank.terms, rank.finite))
         object.__setattr__(self, "double_key", (rank.terms, 2 * rank.finite))
         object.__setattr__(self, "limit", rank.is_limit)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return CbType, (self.rank, self.degree)
+
+    def __eq__(self, other):
+        if other.__class__ is CbType:
+            return self.rank == other.rank and self.degree == other.degree
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rank, self.degree))
+
+    def __repr__(self) -> str:
+        return f"CbType(rank={self.rank!r}, degree={self.degree!r})"
 
     def __str__(self) -> str:
         deg = "w" if self.degree == OMEGA_DEGREE else str(int(self.degree))
@@ -113,16 +133,54 @@ def cb_type(t: Term) -> CbType:
     cached on the node itself (terms are interned: see ``term``).
     Nodes of equal type share one ``CbType``, so comparing the types of
     many terms reads few objects, and a ``CbType`` is built only for a
-    type not seen before."""
+    type not seen before.  A term nested deeper than the interpreter's
+    stack allows is typed bottom-up instead (``_type_bottom_up``)."""
     tp = t._cb_type
     if tp is None:
-        key = _type_key(t)
+        try:
+            key = _type_key(t)
+        except RecursionError:
+            _type_bottom_up(t)
+            return t._cb_type
         tp = _stored_types.get(key)
         if tp is None:
             terms, finite, degree = key
             tp = _stored_types.setdefault(key, CbType(Ordinal(terms, finite), degree))
         object.__setattr__(t, "_cb_type", tp)
     return tp
+
+
+def _type_bottom_up(root: Term) -> None:
+    """Type the untyped nodes under ``root`` without deep recursion:
+    an explicit-stack depth-first walk lists each once, after all of
+    its children, and each is typed in that order, from children whose
+    types are already stored.  The recursion in ``_type_key`` is the
+    faster way on ordinary terms, so ``cb_type`` takes this one only
+    where the recursion ran out of stack, from the deepest call with
+    room for it."""
+    order, stack, seen = [], [(root, False)], set()
+    while stack:
+        t, expanded = stack.pop()
+        if expanded:
+            order.append(t)
+        elif t._cb_type is None and t not in seen:
+            seen.add(t)
+            stack.append((t, True))
+            stack += [(c, False) for c in _children(t)]
+    for t in order:
+        cb_type(t)
+
+
+def _children(t: Term) -> tuple:
+    if isinstance(t, Glue):
+        return t.summands
+    if isinstance(t, Omega):
+        return (t.body,)
+    if isinstance(t, PglSet):
+        return t.members
+    if isinstance(t, Wedge):
+        return sum(t.verticals, t.diagonal)
+    return ()
 
 
 def _type_key(t: Term) -> tuple:
@@ -196,6 +254,8 @@ def is_centered(t: Term, engine: Engine) -> bool:
     on normalized terms: One, min atoms and pointed gluings are
     centered, everything else is not.  ``engine`` checks that ``t`` is
     its own normal form."""
+    from . import rewrite
+
     if not is_scattered(t):
         raise NotScatteredError("centeredness is only classified for scattered terms")
     if rewrite.normalize(t, engine) != t:

@@ -1,13 +1,20 @@
 import contextlib
+import importlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scatcalc
 from scatcalc.cli import main, render_dot
 from scatcalc.compare import Engine
 from scatcalc.term import format_term, parse_term
@@ -218,3 +225,96 @@ def test_cli_never_crashes(argv):
     code, err = _run_quietly(list(argv))
     assert code in (0, 1, 2, 64, 65)
     assert "Traceback" not in err
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """``code`` in a new interpreter that imports scatcalc from this tree."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_each_command_imports_only_the_layers_it_runs():
+    done = run_fresh(textwrap.dedent("""
+        import contextlib, io, sys
+
+        def loaded():
+            return sorted(m.split(".")[-1] for m in sys.modules if m.startswith("scatcalc."))
+
+        import scatcalc.cli
+        print(sorted(m for m in ("dataclasses", "inspect", "json", "hashlib") if m in sys.modules))
+        seen = [loaded()]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert scatcalc.cli.main(["type", "pgl{max(w)}"]) == 0
+            seen.append(loaded())
+            assert scatcalc.cli.main(["oracle", "3 2 0 1 0", "2 2 0 1"]) == 0
+            seen.append(loaded())
+        print(*seen, sep="\\n")
+    """))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "[]",
+        "['cli', 'ordinal', 'term']",
+        "['cli', 'ordinal', 'rank', 'term']",
+        "['cli', 'oracle', 'ordinal', 'rank', 'term']",
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, answer",
+    [("pgl{" * 495 + "one" + "}" * 495, "(496, 1)"), ("omega(" * 980 + "one" + ")" * 980, "(1, w)")],
+    ids=["pgl495", "omega980"],
+)
+def test_type_answers_on_deep_terms(text, answer):
+    # a fresh process: in this one, interned subterms may carry their types
+    done = run_fresh("import sys; from scatcalc.cli import main; sys.exit(main())", "type", text)
+    assert (done.returncode, done.stdout, done.stderr) == (0, answer + "\n", "")
+
+
+# the package's exports by defining submodule; the submodules are exported too
+EXPORTS = {
+    "ordinal": [
+        "Ordinal", "add", "classify", "cmp_ordinal", "double", "format_ordinal",
+        "parse_ordinal", "pred_if_successor", "split", "succ", "sup",
+    ],
+    "term": [
+        "EMPTY", "Empty", "Glue", "ID_BAIRE", "ID_Q", "IdBaire", "IdQ", "MaxFn", "MinFn",
+        "ONE", "Omega", "One", "PglSet", "Term", "Wedge", "copies", "format_term", "glue",
+        "omega", "parse_term", "pgl", "syntactic_cmp", "term_size",
+    ],
+    "rank": ["CbType", "OMEGA_DEGREE", "cb_type", "is_centered", "is_compact_domain", "is_simple"],
+    "rewrite": ["apply_rule", "normalize"],
+    "compare": ["Engine", "Outcome", "Verdict", "le_compact"],
+    "generators": ["centered_set", "generator_set", "hasse", "six_generators"],
+    "oracle": ["FiniteFn", "brute_force_le", "image_formula_le", "term_of"],
+}
+
+
+def test_package_exports_resolve_to_their_modules():
+    names = [*EXPORTS, *(name for names in EXPORTS.values() for name in names)]
+    assert sorted(scatcalc.__all__) == sorted(names) and len(names) == 61
+    assert set(names) <= set(dir(scatcalc))
+    for module, exported in EXPORTS.items():
+        mod = importlib.import_module(f"scatcalc.{module}")
+        assert getattr(scatcalc, module) is mod
+        for name in exported:
+            assert getattr(scatcalc, name) is getattr(mod, name), name
+    with pytest.raises(AttributeError):
+        scatcalc.no_such_name
+    namespace = {}
+    exec("from scatcalc import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(names)
+
+
+def test_a_package_export_loads_only_its_module():
+    done = run_fresh(
+        "import sys; from scatcalc import Engine, FiniteFn; import scatcalc; "
+        "print(Engine is sys.modules['scatcalc.compare'].Engine, "
+        "'scatcalc.generators' in sys.modules, 'cb_type' in dir(scatcalc))"
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "True False True\n", "")

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -70,3 +72,20 @@ def test_oracle_engine_agreement_small():
             v = engine.compare(term_of(f), term_of(g))
             assert v.outcome is not Outcome.UNKNOWN
             assert (v.outcome is Outcome.LE) == brute_force_le(f, g)
+
+
+def test_finite_functions_are_immutable_values():
+    f = FiniteFn(3, 2, (0, 1, 0))
+    assert repr(f) == "FiniteFn(dom_size=3, cod_size=2, values=(0, 1, 0))"
+    assert f == FiniteFn(dom_size=3, cod_size=2, values=(0, 1, 0))
+    assert hash(f) == hash((3, 2, (0, 1, 0)))
+    assert f != FiniteFn(3, 2, (0, 1, 1)) and f != (3, 2, (0, 1, 0))
+    with pytest.raises(AttributeError):
+        f.values = (1, 1, 1)
+    with pytest.raises(AttributeError):
+        f.extra = 1
+    for g in (pickle.loads(pickle.dumps(f)), copy.copy(f), copy.deepcopy(f)):
+        assert type(g) is FiniteFn and g == f and g.image == frozenset({0, 1})
+    for bad in [(0, 1, ()), (2, 1, (0,)), (1, 1, (1,))]:
+        with pytest.raises(ValueError):
+            FiniteFn(*bad)

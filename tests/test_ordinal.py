@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -198,3 +201,48 @@ def test_sup():
 def test_sup_is_fold_of_cmp(a, b):
     expected = a if cmp_ordinal(a, b) >= 0 else b
     assert sup([a, b]) == expected
+
+
+# -- the value class ----------------------------------------------------------
+
+
+@given(ordinals(), ordinals())
+def test_order_and_hash_follow_the_tuple_order(a, b):
+    ka, kb = (a.terms, a.finite), (b.terms, b.finite)
+    assert (a == b, a != b) == (ka == kb, ka != kb)
+    assert (a < b, a <= b, a > b, a >= b) == (ka < kb, ka <= kb, ka > kb, ka >= kb)
+    assert hash(a) == hash(ka)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_ordinals_compare_equal_to_ordinals_only():
+    w = parse_ordinal("w")
+    assert w != (((1, 1),), 0) and w != 0
+    with pytest.raises(TypeError):
+        w < (((1, 1),), 0)
+
+
+def test_ordinals_are_immutable():
+    a = parse_ordinal("w*2+3")
+    with pytest.raises(AttributeError):
+        a.finite = 4
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    with pytest.raises(AttributeError):
+        del a.terms
+    assert (a.terms, a.finite) == (((1, 2),), 3)
+
+
+def test_ordinal_repr_and_str():
+    a = Ordinal(((2, 3), (1, 1)), 4)
+    assert repr(a) == "Ordinal('w^2*3+w+4')" and str(a) == "w^2*3+w+4"
+    assert Ordinal() == Ordinal((), 0) == Ordinal(terms=(), finite=0)
+    assert repr(Ordinal()) == "Ordinal('0')"
+
+
+@pytest.mark.parametrize("text", ["0", "7", "w", "w^3*2+w+5"])
+def test_ordinals_survive_pickle_and_copy(text):
+    a = parse_ordinal(text)
+    for b in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert type(b) is Ordinal and b == a and hash(b) == hash(a)

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -208,3 +210,31 @@ def test_rank_one_degree_matches_oracle_image_count():
             f = FiniteFn(a, b, values)
             degree = cb_type(term_of(f)).degree
             assert degree == len(f.image)
+
+
+def test_cb_types_are_immutable_values():
+    t = tp("omega(max(w+1))")
+    assert repr(t) == "CbType(rank=Ordinal('w+1'), degree=inf)" and str(t) == "(w+1, w)"
+    assert t == CbType(po("w+1"), OMEGA_DEGREE) and hash(t) == hash((po("w+1"), OMEGA_DEGREE))
+    assert t != CbType(po("w+1"), 1) and t != (po("w+1"), OMEGA_DEGREE)
+    with pytest.raises(AttributeError):
+        t.degree = 1
+    with pytest.raises(AttributeError):
+        t.extra = 1
+    for u in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+        assert type(u) is CbType and u == t
+        assert (u.lex_key, u.rank_key, u.double_key, u.limit) == (
+            t.lex_key, t.rank_key, t.double_key, t.limit
+        )
+
+
+def test_deep_and_shared_terms_are_typed_without_recursion():
+    t = ONE
+    for _ in range(3000):
+        t = PglSet([t])
+    assert str(cb_type(t)) == "(3001, 1)"
+    # every level shares its child twice: typed once per node, not per path
+    t = ONE
+    for _ in range(2000):
+        t = Glue([t, Omega(t)])
+    assert str(cb_type(t)) == "(1, w)"

@@ -88,3 +88,29 @@ def test_ab_parses_seed_lists():
     ab = load_script("ab.py")
     assert ab.parse_seeds("201-204") == [201, 202, 203, 204]
     assert ab.parse_seeds("1,3-4,9") == [1, 3, 4, 9]
+
+
+def test_ab_runs_both_trees_without_bytecode(tmp_path, monkeypatch):
+    ab = load_script("ab.py")
+    tree = tmp_path / "tree"
+    for part in ("src/pkg", "bench"):
+        (tree / part / "__pycache__").mkdir(parents=True)
+        (tree / part / "__pycache__" / "mod.cpython-311.pyc").write_bytes(b"stale")
+        (tree / part / "mod.py").write_text("X = 1\n")
+    monkeypatch.setattr(ab, "ROOT", tree)
+    copy = tmp_path / "copy"
+    ab.copy_tree(copy)
+    copied = sorted(str(p.relative_to(copy)) for p in copy.rglob("*"))
+    assert copied == ["bench", "bench/mod.py", "src", "src/pkg", "src/pkg/mod.py"]
+
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "")
+    monkeypatch.setenv("AB_TEST_PROBE", "kept")
+    env = ab.child_env()
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1" and env["AB_TEST_PROBE"] == "kept"
+    # a run under it leaves the copy without bytecode
+    done = subprocess.run(
+        [sys.executable, "-c", "import mod; print(mod.X)"],
+        cwd=copy / "src" / "pkg", env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.stdout == "1\n"
+    assert not list(copy.rglob("__pycache__"))

@@ -128,6 +128,13 @@ def test_copy_and_pickle_return_the_interned_term():
     assert pickle.loads(pickle.dumps(ONE)) is ONE
 
 
+@pytest.mark.parametrize("text", ["min(w*2+3)", "max(w^2)", "max(0)"])
+def test_atoms_pickle_and_copy_with_their_rank(text):
+    t = parse_term(text)
+    for u in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
+        assert u is t and type(u.rank) is Ordinal
+
+
 def test_terms_are_immutable():
     t = Glue([ONE, Omega(ONE)])
     with pytest.raises(AttributeError):
