@@ -18,7 +18,8 @@ metric: the base median and quartiles, the change
 median, the change of the medians, the median of the per-pair changes,
 and the pairs the change won.  ``clear`` marks a metric whose median
 moved the better way by more than the base runs' interquartile range.
-Metric names and directions come from ``BENCHMARK.json``.
+Metric names and directions come from ``BENCHMARK.json``.  The
+temporary directory is removed on exit, on an error and on SIGTERM.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import argparse
 import json
 import os
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -134,6 +136,11 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
+def _exit_on_sigterm(signum, frame) -> None:
+    # SystemExit unwinds through main's finally, which a bare SIGTERM skips
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", default="HEAD", help="the base revision (default HEAD)")
@@ -144,6 +151,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     scratch = Path(tempfile.mkdtemp(prefix="scatcalc-ab-"))
     base, change = scratch / "base", scratch / "change"
     try:

@@ -13,6 +13,8 @@ normal forms and single rule steps on these inputs.  Sections:
 * ``census <seed> normal-forms``: the pool normalized on a fresh engine;
 * ``census <seed> rule-steps``: ``apply_rule`` of every rule name on
   every pool term (the stepped term, or ``None``) on a fresh engine;
+* ``census <seed> cb-types``: the CB-type of every pool term and of its
+  normal form (normalized on a fresh engine);
 * ``golden <name>``: the rows ``tests/test_golden.py`` compares with
   ``tests/data/golden_verdicts.txt``.
 
@@ -32,6 +34,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import gen  # noqa: E402  (bench/gen.py)
 from scatcalc.compare import Engine  # noqa: E402
+from scatcalc.rank import cb_type  # noqa: E402
 from scatcalc.rewrite import apply_rule, normalize, rule_names  # noqa: E402
 from scatcalc.term import format_term, parse_term  # noqa: E402
 
@@ -72,6 +75,9 @@ def census_sections(seed: int, pool_size: int, n_pairs: int):
     engine = Engine()
     steps = (apply_rule(t, name, engine) for t in pool for name in rule_names())
     yield "rule-steps", digest("None" if s is None else format_term(s) for s in steps)
+
+    engine = Engine()
+    yield "cb-types", digest(str(cb_type(u)) for t in pool for u in (t, normalize(t, engine)))
 
 
 def load_golden():

@@ -3,8 +3,9 @@
 Subcommands: ``type``, ``normalize``, ``compare``, ``generators``,
 ``hasse``, ``oracle``.  Exit codes: compare maps LE/NOT_LE/UNKNOWN to
 0/1/2, oracle maps YES/NO to 0/1, parse errors exit 64, feasibility
-bounds, undecided Hasse pairs, terms nested too deeply and gluings of
-more than ``term.MAX_SUMMANDS`` summands exit 65.
+bounds, undecided Hasse pairs, terms nested too deeply, gluings of
+more than ``term.MAX_SUMMANDS`` summands and ``type`` of a
+non-scattered sentinel exit 65.
 
 There are no global options: each call that compares or normalizes
 runs on one fresh :class:`~scatcalc.compare.Engine`.
@@ -93,9 +94,13 @@ def _fail(exc: Exception, code: int) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "type":
-        from .rank import cb_type
+        from .rank import NotScatteredError, cb_type
 
-        print(cb_type(parse_term(args.term)))
+        t = parse_term(args.term)
+        try:
+            print(cb_type(t))
+        except NotScatteredError as exc:
+            return _fail(exc, EX_INFEASIBLE)
         return 0
 
     if args.command == "oracle":

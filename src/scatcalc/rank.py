@@ -7,7 +7,8 @@ and the degree counts the image of the last non-empty derivative.  The
 degree is 0 exactly when the rank is zero or limit, and otherwise a
 positive count or omega.
 
-Structural rules used here:
+Structural rules, by which ``term`` computes each node's type key at
+construction:
 
 * a finite gluing has the supremum of the summand ranks, and its degree
   adds up the degrees of the summands attaining that supremum (glued
@@ -29,29 +30,25 @@ arithmetic is ordinary addition and comparison.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 from . import ordinal as ord_mod
 from .ordinal import Ordinal
 from .term import (
+    OMEGA_DEGREE,
     Empty,
     Glue,
     IdBaire,
     IdQ,
     MaxFn,
     MinFn,
-    Omega,
     One,
     PglSet,
     Term,
-    Wedge,
 )
 
 if TYPE_CHECKING:
     from .compare import Engine
-
-OMEGA_DEGREE = math.inf
 
 # the normal forms that are centered: see is_centered
 CENTERED = (One, MinFn, PglSet)
@@ -124,118 +121,28 @@ def is_scattered(t: Term) -> bool:
     return not isinstance(t, (IdQ, IdBaire))
 
 
-# lex_key -> the CbType stored on every node of that type
+# type key -> the CbType shared by every node of that type
 _stored_types: dict[tuple, CbType] = {}
 
 
 def cb_type(t: Term) -> CbType:
-    """The CB-type of a scattered term, computed once per node and
-    cached on the node itself (terms are interned: see ``term``).
-    Nodes of equal type share one ``CbType``, so comparing the types of
-    many terms reads few objects, and a ``CbType`` is built only for a
-    type not seen before.  A term nested deeper than the interpreter's
-    stack allows is typed bottom-up instead (``_type_bottom_up``)."""
+    """The CB-type of a scattered term.  Each node computes its type
+    key at construction, from its children's (see ``term``), so this
+    only reads it, and maps it to the ``CbType`` that every node of
+    that type shares: a ``CbType`` is built only for a type not seen
+    before, and comparing the types of many terms reads few objects.
+    The node keeps its ``CbType``, so a second call reads one slot."""
     tp = t._cb_type
     if tp is None:
-        try:
-            key = _type_key(t)
-        except RecursionError:
-            _type_bottom_up(t)
-            return t._cb_type
+        key = t._type_key
         tp = _stored_types.get(key)
         if tp is None:
+            if key is None:
+                raise NotScatteredError("rank undefined for non-scattered function")
             terms, finite, degree = key
             tp = _stored_types.setdefault(key, CbType(Ordinal(terms, finite), degree))
         object.__setattr__(t, "_cb_type", tp)
     return tp
-
-
-def _type_bottom_up(root: Term) -> None:
-    """Type the untyped nodes under ``root`` without deep recursion:
-    an explicit-stack depth-first walk lists each once, after all of
-    its children, and each is typed in that order, from children whose
-    types are already stored.  The recursion in ``_type_key`` is the
-    faster way on ordinary terms, so ``cb_type`` takes this one only
-    where the recursion ran out of stack, from the deepest call with
-    room for it."""
-    order, stack, seen = [], [(root, False)], set()
-    while stack:
-        t, expanded = stack.pop()
-        if expanded:
-            order.append(t)
-        elif t._cb_type is None and t not in seen:
-            seen.add(t)
-            stack.append((t, True))
-            stack += [(c, False) for c in _children(t)]
-    for t in order:
-        cb_type(t)
-
-
-def _children(t: Term) -> tuple:
-    if isinstance(t, Glue):
-        return t.summands
-    if isinstance(t, Omega):
-        return (t.body,)
-    if isinstance(t, PglSet):
-        return t.members
-    if isinstance(t, Wedge):
-        return sum(t.verticals, t.diagonal)
-    return ()
-
-
-def _type_key(t: Term) -> tuple:
-    """The ``lex_key`` (rank terms, rank finite part, degree) of the
-    type of ``t``, computed from the stored keys of its children."""
-    if isinstance(t, (IdQ, IdBaire)):
-        raise NotScatteredError("rank undefined for non-scattered function")
-    if isinstance(t, Empty):
-        return ((), 0, 0)
-    if isinstance(t, One):
-        return ((), 1, 1)
-    if isinstance(t, MinFn):
-        return (t.rank.terms, t.rank.finite, 1)
-    if isinstance(t, MaxFn):
-        rank = t.rank
-        return (rank.terms, rank.finite, OMEGA_DEGREE if rank.finite else 0)
-    if isinstance(t, Glue):
-        return _glue_key(t.summands)
-    if isinstance(t, Omega):
-        terms, finite, degree = cb_type(t.body).lex_key
-        return (terms, finite, OMEGA_DEGREE if degree > 0 else 0)
-    if isinstance(t, PglSet):
-        return (*_pgl_rank(t.members), 1)
-    if isinstance(t, Wedge):
-        verticals = [_pgl_rank(v) for v in t.verticals]
-        terms, finite, diag_degree = _glue_key(t.diagonal)
-        diag = (terms, finite)
-        rank = max(verticals + [diag])
-        degree: Degree = 1 if rank in verticals else 0
-        if rank == diag and diag_degree >= 1:
-            degree = OMEGA_DEGREE
-        return (*rank, degree)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _pgl_rank(members) -> tuple:
-    """The ``rank_key`` of the pointed gluing of ``members``: one above
-    the rank of their gluing."""
-    terms, finite, _ = _glue_key(members)
-    return (terms, finite + 1)
-
-
-def _glue_key(parts) -> tuple:
-    """The ``lex_key`` of the finite gluing of ``parts``: the largest
-    rank, and the sum of the degrees that attain it (zero and limit
-    ranks have degree 0, so the sum is 0 there)."""
-    top, degree = ((), 0), 0
-    for part in parts:
-        tp = cb_type(part)
-        rank = tp.rank_key
-        if rank > top:
-            top, degree = rank, tp.degree
-        elif rank == top:
-            degree += tp.degree
-    return (*top, degree)
 
 
 def lex_le(a: CbType, b: CbType) -> bool:

@@ -24,13 +24,16 @@ metrizable spaces, built from a closed constructor set:
 Terms are immutable and interned (hash-consed): a constructor
 validates and orders its arguments, then returns the one live node with
 those fields, so equal terms are one object, and equality and hashing
-are by identity.  A node's sort key and size are computed once, at
-construction, from its children's; ``rank.cb_type`` stores the CB-type
-on the node when first asked.  The intern table maps each node's
-fields to a weak reference to it, and the entry leaves the table when
-the node dies.  A lookup that finds a live node takes no lock; building
-and inserting a node does, and re-checks the table under it, so two
-threads never get two copies.  Copying and unpickling return the
+are by identity.  A node's sort key, size and type key are computed
+once, at construction, from its children's.  The type key is the
+node's CB-type as ``(rank terms, rank finite part, degree)``, derived
+by the rules in the ``rank`` docstring, or ``None`` for the
+non-scattered sentinels; ``rank.cb_type`` reads it and keeps the
+shared ``CbType`` it maps to on the node.  The intern table maps each
+node's fields to a weak reference to it, and the entry leaves the table
+when the node dies.  A lookup that finds a live node takes no lock;
+building and inserting a node does, and re-checks the table under it,
+so two threads never get two copies.  Copying and unpickling return the
 interned node.
 
 Pointed gluings of non-constant sequences are not representable.  Every
@@ -42,6 +45,7 @@ form by hand.  Points, spaces and reducing maps are never materialized.
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
@@ -58,6 +62,9 @@ class TermSyntaxError(ValueError):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
+
+# the degree of a CB-type whose last derivative has infinite image
+OMEGA_DEGREE = math.inf
 
 # the most summands a parsed gluing may flatten to; ``k*t`` builds k
 MAX_SUMMANDS = 100_000
@@ -85,15 +92,18 @@ _table: dict[tuple, _NodeRef] = {}
 _table_lock = threading.Lock()
 _key_of = attrgetter("_key")
 _size_of = attrgetter("_size")
+_type_of = attrgetter("_type_key")
 
 
 class Term:
     """Base class of the interned nodes.  A subclass lists its fields
     in ``__slots__`` in constructor order, numbers itself in
-    ``_variant`` and returns ``(sort key, size)`` from ``_measure``."""
+    ``_variant`` and returns ``(sort key, size, type key)`` from
+    ``_measure``; an atom gives its type key as ``_atom_type``."""
 
-    __slots__ = ("_key", "_size", "_cb_type", "__weakref__")
+    __slots__ = ("_key", "_size", "_type_key", "_cb_type", "__weakref__")
     _variant: int
+    _atom_type: tuple | None = None
 
     def __new__(cls) -> "Term":  # the atoms; the other variants take fields
         return _intern(cls)
@@ -111,8 +121,8 @@ class Term:
     def __deepcopy__(self, memo) -> "Term":
         return self
 
-    def _measure(self) -> tuple[tuple, int]:
-        return (self._variant,), 1
+    def _measure(self) -> tuple[tuple, int, tuple | None]:
+        return (self._variant,), 1, self._atom_type
 
     def __repr__(self) -> str:
         args = self.__reduce__()[1]
@@ -141,9 +151,10 @@ def _intern(cls, *fields) -> Term:
             node = object.__new__(cls)
             for name, value in zip(cls.__slots__, fields):
                 object.__setattr__(node, name, value)
-            key, size = node._measure()
+            key, size, type_key = node._measure()
             object.__setattr__(node, "_key", key)
             object.__setattr__(node, "_size", size)
+            object.__setattr__(node, "_type_key", type_key)
             object.__setattr__(node, "_cb_type", None)
             ref = _NodeRef(node, _forget)
             ref.ident = ident
@@ -155,11 +166,13 @@ def _intern(cls, *fields) -> Term:
 class Empty(Term):
     __slots__ = ()
     _variant = 0
+    _atom_type = ((), 0, 0)
 
 
 class One(Term):
     __slots__ = ()
     _variant = 1
+    _atom_type = ((), 1, 1)
 
 
 class IdQ(Term):
@@ -191,9 +204,10 @@ class Glue(Term):
         _check_inner(items, "glue")
         return _intern(cls, items)
 
-    def _measure(self) -> tuple[tuple, int]:
+    def _measure(self) -> tuple[tuple, int, tuple]:
         ss = self.summands
-        return (self._variant, len(ss), tuple(map(_key_of, ss))), 1 + sum(map(_size_of, ss))
+        key = (self._variant, len(ss), tuple(map(_key_of, ss)))
+        return key, 1 + sum(map(_size_of, ss)), _glue_type(ss)
 
 
 class Omega(Term):
@@ -204,8 +218,11 @@ class Omega(Term):
         _check_inner((body,), "omega")
         return _intern(cls, body)
 
-    def _measure(self) -> tuple[tuple, int]:
-        return (self._variant, self.body._key), 1 + self.body._size
+    def _measure(self) -> tuple[tuple, int, tuple]:
+        body = self.body
+        terms, finite, degree = body._type_key
+        type_key = (terms, finite, OMEGA_DEGREE if degree else 0)
+        return (self._variant, body._key), 1 + body._size, type_key
 
 
 class PglSet(Term):
@@ -222,9 +239,11 @@ class PglSet(Term):
         _check_inner(items, "pgl")
         return _intern(cls, items)
 
-    def _measure(self) -> tuple[tuple, int]:
+    def _measure(self) -> tuple[tuple, int, tuple]:
         ms = self.members
-        return (self._variant, len(ms), tuple(map(_key_of, ms))), 1 + sum(map(_size_of, ms))
+        terms, finite, _ = _glue_type(ms)
+        key = (self._variant, len(ms), tuple(map(_key_of, ms)))
+        return key, 1 + sum(map(_size_of, ms)), (terms, finite + 1, 1)
 
 
 class Wedge(Term):
@@ -253,10 +272,19 @@ class Wedge(Term):
         _check_inner(diag, "wedge")
         return _intern(cls, vert, diag)
 
-    def _measure(self) -> tuple[tuple, int]:
+    def _measure(self) -> tuple[tuple, int, tuple]:
         vs, ds = self.verticals, self.diagonal
         key = (self._variant, tuple(map(_family_key, vs)), tuple(map(_key_of, ds)))
-        return key, 1 + sum(sum(map(_size_of, v)) for v in vs + (ds,))
+        size = 1 + sum(sum(map(_size_of, v)) for v in vs + (ds,))
+        # each vertical is a pointed gluing: one above its gluing's rank
+        verticals = [(terms, finite + 1) for terms, finite, _ in map(_glue_type, vs)]
+        terms, finite, diag_degree = _glue_type(ds)
+        diag = (terms, finite)
+        rank = max(diag, *verticals)
+        degree = 1 if rank in verticals else 0
+        if rank == diag and diag_degree:
+            degree = OMEGA_DEGREE
+        return key, size, (*rank, degree)
 
 
 class MinFn(Term):
@@ -271,8 +299,9 @@ class MinFn(Term):
             raise ValueError(f"min() needs a successor rank, got {rank}")
         return _intern(cls, rank)
 
-    def _measure(self) -> tuple[tuple, int]:
-        return (self._variant, self.rank.terms, self.rank.finite), 1
+    def _measure(self) -> tuple[tuple, int, tuple]:
+        terms, finite = self.rank.terms, self.rank.finite
+        return (self._variant, terms, finite), 1, (terms, finite, 1)
 
 
 class MaxFn(Term):
@@ -284,7 +313,10 @@ class MaxFn(Term):
     def __new__(cls, rank: Ordinal) -> "MaxFn":
         return _intern(cls, rank)
 
-    _measure = MinFn._measure
+    def _measure(self) -> tuple[tuple, int, tuple]:
+        terms, finite = self.rank.terms, self.rank.finite
+        type_key = (terms, finite, OMEGA_DEGREE if finite else 0)
+        return (self._variant, terms, finite), 1, type_key
 
 
 EMPTY = Empty()
@@ -340,6 +372,22 @@ def sort_key(t: Term) -> tuple:
     Each node stores its key at construction.
     """
     return t._key
+
+
+def _glue_type(parts) -> tuple:
+    """The type key of the finite gluing of ``parts``: the largest
+    rank, and the sum of the degrees that attain it (zero and limit
+    ranks have degree 0, so the sum is 0 there)."""
+    if len(parts) == 1:
+        return parts[0]._type_key
+    top, degree = ((), 0), 0
+    for terms, finite, d in map(_type_of, parts):
+        rank = (terms, finite)
+        if rank > top:
+            top, degree = rank, d
+        elif rank == top:
+            degree += d
+    return (*top, degree)
 
 
 def _family_key(family: tuple[Term, ...]) -> tuple:

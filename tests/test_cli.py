@@ -147,6 +147,13 @@ def test_feasibility_exit(capsys):
     assert "bound" in err
 
 
+@pytest.mark.parametrize("text", ["idq", "idbaire"])
+def test_type_of_a_sentinel_exits_65(capsys, text):
+    # the sentinels parse, so this is no parse error (64): they have no CB-type
+    code, out, err = run(capsys, "type", text)
+    assert (code, out, err) == (65, "", "error: rank undefined for non-scattered function\n")
+
+
 @pytest.mark.parametrize("text", ["3000000*one", "1000*1000*one", "glue(50000*one, 50001*one)"])
 def test_huge_gluings_are_refused_at_once(capsys, text):
     start = time.perf_counter()
@@ -267,8 +274,13 @@ def test_each_command_imports_only_the_layers_it_runs():
 
 @pytest.mark.parametrize(
     "text, answer",
-    [("pgl{" * 495 + "one" + "}" * 495, "(496, 1)"), ("omega(" * 980 + "one" + ")" * 980, "(1, w)")],
-    ids=["pgl495", "omega980"],
+    [
+        ("pgl{" * 495 + "one" + "}" * 495, "(496, 1)"),
+        ("omega(" * 980 + "one" + ")" * 980, "(1, w)"),
+        ("glue(one, " * 490 + "one" + ")" * 490, "(1, 491)"),
+        ("wedge({one} | {" * 320 + "one" + "})" * 320, "(2, w)"),
+    ],
+    ids=["pgl495", "omega980", "glue490", "wedge320"],
 )
 def test_type_answers_on_deep_terms(text, answer):
     # a fresh process: in this one, interned subterms may carry their types

@@ -3,8 +3,12 @@ outcomes."""
 
 import hashlib
 import importlib.util
+import os
+import signal
 import subprocess
 import sys
+import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -45,7 +49,7 @@ def test_fingerprint_hashes_every_section():
     hashes = dict(line.rsplit(": ", 1) for line in lines)
     assert list(hashes) == [
         "census 1 outcomes", "census 1 trace-now", "census 1 trace-after",
-        "census 1 normal-forms", "census 1 rule-steps", "golden six w",
+        "census 1 normal-forms", "census 1 rule-steps", "census 1 cb-types", "golden six w",
         "golden centered w+2",
     ]
     # a trace reads the same whenever it is read
@@ -114,3 +118,31 @@ def test_ab_runs_both_trees_without_bytecode(tmp_path, monkeypatch):
     )
     assert done.stdout == "1\n"
     assert not list(copy.rglob("__pycache__"))
+
+
+def test_ab_removes_its_directory_on_sigterm(tmp_path):
+    # the tree extraction and the runs sleep, so the signal lands mid-run
+    code = textwrap.dedent(f"""
+        import importlib.util, sys, time
+        spec = importlib.util.spec_from_file_location("ab", {str(SCRIPTS / "ab.py")!r})
+        ab = importlib.util.module_from_spec(spec)
+        sys.modules["ab"] = ab
+        spec.loader.exec_module(ab)
+        ab.extract = ab.run_bench = lambda *args: time.sleep(60)
+        ab.main(["--seeds", "1"])
+    """)
+    env = {**os.environ, "TMPDIR": str(tmp_path)}
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        # "base" is made inside the block whose finally removes the directory
+        while not list(tmp_path.glob("scatcalc-ab-*/base")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+    assert not list(tmp_path.glob("scatcalc-ab-*"))
