@@ -15,11 +15,19 @@ normal forms and single rule steps on these inputs.  Sections:
   every pool term (the stepped term, or ``None``) on a fresh engine;
 * ``census <seed> cb-types``: the CB-type of every pool term and of its
   normal form (normalized on a fresh engine);
+* ``levels <set> <order> classes|undecided|hasse``: for each set of
+  ``LEVEL_SETS`` (the generator sets, the six generators and the
+  centered sets at their levels), in the given and in reversed item
+  order on a fresh engine per order: every class of
+  ``equivalence_classes`` as its representative and members, its
+  undecided pairs, and the ``hasse`` edges or the pair named by
+  ``UndecidedPairError``;
 * ``golden <name>``: the rows ``tests/test_golden.py`` compares with
   ``tests/data/golden_verdicts.txt``.
 
 Run it from any tree: ``python3 scripts/fingerprint.py`` (census seeds
-1-5 with 1,500 terms and 6,000 pairs each, every golden section).
+1-5 with 1,500 terms and 6,000 pairs each, every levels set, every
+golden section).
 """
 
 import argparse
@@ -34,6 +42,15 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import gen  # noqa: E402  (bench/gen.py)
 from scatcalc.compare import Engine  # noqa: E402
+from scatcalc.generators import (  # noqa: E402
+    UndecidedPairError,
+    centered_raw,
+    equivalence_classes,
+    generator_raw,
+    hasse,
+    six_generators,
+)
+from scatcalc.ordinal import parse_ordinal  # noqa: E402
 from scatcalc.rank import cb_type  # noqa: E402
 from scatcalc.rewrite import apply_rule, normalize, rule_names  # noqa: E402
 from scatcalc.term import format_term, parse_term  # noqa: E402
@@ -80,6 +97,31 @@ def census_sections(seed: int, pool_size: int, n_pairs: int):
     yield "cb-types", digest(str(cb_type(u)) for t in pool for u in (t, normalize(t, engine)))
 
 
+BUILDERS = {"generators": generator_raw, "six": six_generators, "centered": centered_raw}
+LEVEL_SETS = (
+    [f"generators {level}" for level in ("1", "2", "w+1", "w*2+1", "w^2+1")]
+    + [f"six {level}" for level in ("1", "w", "w*2", "w^2")]
+    + [f"centered {level}" for level in ("1", "2", "3", "w+1", "w+2")]
+)
+
+
+def level_sections(name: str):
+    kind, level = name.split(" ")
+    terms = BUILDERS[kind](parse_ordinal(level))
+    for order, items in (("given", terms), ("reversed", terms[::-1])):
+        engine = Engine()
+        classes, undecided = equivalence_classes(items, engine)
+        yield f"{order} classes", digest(
+            f"{format_term(rep)}: {', '.join(map(format_term, members))}" for rep, members in classes
+        )
+        yield f"{order} undecided", digest(f"{format_term(a)} | {format_term(b)}" for a, b in undecided)
+        try:
+            edges = [f"{format_term(a)} -> {format_term(b)}" for a, b in hasse(items, engine)]
+        except UndecidedPairError as exc:
+            edges = ["undecided: " + " | ".join(map(format_term, exc.pair))]
+        yield f"{order} hasse", digest(edges)
+
+
 def load_golden():
     spec = importlib.util.spec_from_file_location("golden", ROOT / "tests" / "test_golden.py")
     module = importlib.util.module_from_spec(spec)
@@ -94,6 +136,10 @@ def main() -> int:
     parser.add_argument("--pool", type=int, default=1500, help="census pool size")
     parser.add_argument("--pairs", type=int, default=6000, help="census pairs per seed")
     parser.add_argument(
+        "--levels", nargs="*", default=LEVEL_SETS, choices=LEVEL_SETS,
+        help="levels sets to hash (default: all)",
+    )
+    parser.add_argument(
         "--golden", nargs="*", default=list(golden.SECTIONS), choices=list(golden.SECTIONS),
         help="golden sections to hash (default: all)",
     )
@@ -102,6 +148,9 @@ def main() -> int:
     for seed in args.seeds:
         for name, value in census_sections(seed, args.pool, args.pairs):
             print(f"census {seed} {name}: {value}", flush=True)
+    for set_name in args.levels:
+        for name, value in level_sections(set_name):
+            print(f"levels {set_name} {name}: {value}", flush=True)
     for name in args.golden:
         rows = golden.verdict_rows(golden.SECTIONS[name]())
         print(f"golden {name}: {digest(rows)}", flush=True)

@@ -8,7 +8,8 @@ more than ``term.MAX_SUMMANDS`` summands and ``type`` of a
 non-scattered sentinel exit 65.
 
 There are no global options: each call that compares or normalizes
-runs on one fresh :class:`~scatcalc.compare.Engine`.
+runs on one fresh :class:`~scatcalc.compare.Engine`.  The argument
+parser is built once per process and reused by every ``main`` call.
 
 Importing this module loads only the parser and the term and ordinal
 syntax.  Each command imports the layers it runs: ``type`` the rank
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from typing import TYPE_CHECKING
 
 from .ordinal import OrdinalSyntaxError, parse_ordinal
@@ -37,7 +39,10 @@ EX_INFEASIBLE = 65
 _OUTCOME_EXIT = {"LE": 0, "NOT_LE": 1, "UNKNOWN": 2}
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    keeps no state between calls, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="scatcalc",
         description="symbolic calculus for scattered continuous functions "

@@ -264,7 +264,8 @@ class Engine:
         if nf is not None:
             ng = self._nf.get(g)
             if ng is not None:
-                return self._query(nf, ng)
+                hit = self._memo.get((nf, ng))
+                return hit if hit is not None else self._query(nf, ng)
         key = (f, g)
         hit = self._memo.get(key)
         if hit is not None:

@@ -24,9 +24,7 @@ from . import ordinal as ord_mod
 from . import rewrite
 from .compare import Engine, Outcome
 from .ordinal import Ordinal
-from .rank import cb_type
 from .term import (
-    Glue,
     MaxFn,
     MinFn,
     ONE,
@@ -75,48 +73,65 @@ class GeneratorSet:
         return f"GeneratorSet(level={self.level!r}, raw={self.raw!r})"
 
 
-def _rep_key(t: Term, engine: Engine) -> tuple:
-    n = rewrite.normalize(t, engine)
-    return (term_size(n),) + sort_key(n)
-
-
 def equivalence_classes(
     terms: Iterable[Term], engine: Engine
 ) -> tuple[list[tuple[Term, list[Term]]], list[tuple[Term, Term]]]:
     """Group terms by bidirectional reducibility on ``engine``.  Undecided
-    pairs never merge classes; they are returned alongside.
+    pairs never merge classes; they are returned alongside, as the
+    pairs ``(items[i], items[j])``, ``i < j``, in index order.
     Representatives are the smallest members by normalized size,
-    tie-broken syntactically."""
+    tie-broken syntactically; members keep the input order, and classes
+    are ordered by representative.
+
+    Each term is normalized once.  Terms with one normal form merge
+    without a query (the engine would answer Yes by L-refl, and every
+    rewrite is an equivalence), and ``engine.equivalent`` is asked once
+    per unordered pair of distinct normal forms."""
     items = list(terms)
-    parent = list(range(len(items)))
+    slot_of: dict[Term, int] = {}
+    slots = [slot_of.setdefault(rewrite.normalize(t, engine), len(slot_of)) for t in items]
+    forms = list(slot_of)
+    parent = list(range(len(forms)))
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
 
-    undecided_ix: list[tuple[int, int]] = []
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            answer = engine.equivalent(items[i], items[j])
+    undecided_forms: list[tuple[int, int]] = []
+    for a in range(len(forms)):
+        for b in range(a + 1, len(forms)):
+            answer = engine.equivalent(forms[a], forms[b])
             if answer == "Yes":
-                parent[find(i)] = find(j)
+                parent[find(a)] = find(b)
             elif answer == "Unknown":
-                undecided_ix.append((i, j))
-    groups: dict[int, list[Term]] = {}
-    for i, t in enumerate(items):
-        groups.setdefault(find(i), []).append(t)
+                undecided_forms.append((a, b))
+    rep_keys = [(term_size(n),) + sort_key(n) for n in forms]
+    groups: dict[int, list[int]] = {}
+    for i, a in enumerate(slots):
+        groups.setdefault(find(a), []).append(i)
     classes = []
     for members in groups.values():
-        rep = min(members, key=lambda t: _rep_key(t, engine))
-        classes.append((rep, members))
-    classes.sort(key=lambda c: _rep_key(c[0], engine))
-    # only report undecided pairs that ended up in distinct classes
+        rep = min(members, key=lambda i: rep_keys[slots[i]])
+        classes.append((rep_keys[slots[rep]], items[rep], [items[i] for i in members]))
+    classes.sort(key=lambda c: c[0])
+    # only report undecided pairs that ended up in distinct classes,
+    # expanded to the index pairs of the items holding their forms
+    holders: list[list[int]] = [[] for _ in forms]
+    for i, a in enumerate(slots):
+        holders[a].append(i)
     undecided = [
-        (items[i], items[j]) for i, j in undecided_ix if find(i) != find(j)
+        (items[i], items[j])
+        for i, j in sorted(
+            (i, j) if i < j else (j, i)
+            for a, b in undecided_forms
+            if find(a) != find(b)
+            for i in holders[a]
+            for j in holders[b]
+        )
     ]
-    return classes, undecided
+    return [(rep, members) for _, rep, members in classes], undecided
 
 
 def _power_set_nonempty(items: list[Term]) -> list[tuple[Term, ...]]:
@@ -215,27 +230,34 @@ def hasse(terms: Iterable[Term], engine: Engine) -> list[tuple[Term, Term]]:
     """Covering relation of the strict order induced on equivalence
     classes, decided on ``engine``; edges go from the smaller to the
     larger representative.  Raises UndecidedPairError if any pairwise
-    verdict is Unknown."""
+    verdict is Unknown, naming the first such pair ``(items[i],
+    items[j])`` in row-major order.
+
+    The Unknown check asks each ordered pair of distinct normal forms
+    once; the terms are scanned pair by pair only to name the pair."""
     items = list(terms)
-    for i in range(len(items)):
-        for j in range(len(items)):
-            if i != j and engine.compare(items[i], items[j]).outcome is Outcome.UNKNOWN:
-                raise UndecidedPairError(items[i], items[j])
+    forms = list(dict.fromkeys(rewrite.normalize(t, engine) for t in items))
+    if any(
+        p is not q and engine.compare(p, q).outcome is Outcome.UNKNOWN
+        for p in forms
+        for q in forms
+    ):
+        for i in range(len(items)):
+            for j in range(len(items)):
+                if i != j and engine.compare(items[i], items[j]).outcome is Outcome.UNKNOWN:
+                    raise UndecidedPairError(items[i], items[j])
     classes, _ = equivalence_classes(items, engine)
     reps = [rep for rep, _ in classes]
-
-    def lt(a: Term, b: Term) -> bool:
-        return (
-            engine.compare(a, b).outcome is Outcome.LE
-            and engine.compare(b, a).outcome is Outcome.NOT_LE
-        )
-
-    edges = []
-    for a in reps:
-        for b in reps:
-            if not lt(a, b):
-                continue
-            if any(lt(a, c) and lt(c, b) for c in reps if c not in (a, b)):
-                continue
-            edges.append((a, b))
-    return edges
+    less = {
+        (a, b)
+        for a in reps
+        for b in reps
+        if engine.compare(a, b).outcome is Outcome.LE
+        and engine.compare(b, a).outcome is Outcome.NOT_LE
+    }
+    return [
+        (a, b)
+        for a in reps
+        for b in reps
+        if (a, b) in less and not any((a, c) in less and (c, b) in less for c in reps)
+    ]

@@ -105,6 +105,64 @@ def test_generators_raw_and_classes_exclude_each_other(capsys):
     assert out.out == "" and "not allowed with argument" in out.err
 
 
+def test_successive_calls_give_the_same_output(capsys):
+    calls = [
+        ["generators", "1", "--raw", "--classes"],
+        ["compare", "pgl{one}", "omega(one)", "--trace"],
+        ["generators", "2", "--centered", "--classes"],
+        ["compare", "--json", "one", "one"],
+        ["hasse", "w+1", "--dot"],
+        ["type", "idq"],
+        ["generators", "1", "--raw", "--classes"],
+        ["normalize", "glue(one, omega(one))"],
+        ["compare", "one"],
+    ]
+    passes = []
+    for _ in range(2):
+        seen = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+            out = capsys.readouterr()
+            seen.append((code, out.out, out.err))
+        passes.append(seen)
+    assert passes[0] == passes[1]
+    assert passes[0][0][0] == 2 and "not allowed with argument" in passes[0][0][2]
+    assert passes[0][-1][0] == 2 and "required: right" in passes[0][-1][2]
+
+
+def test_the_parser_is_built_once_per_process():
+    done = run_fresh(textwrap.dedent("""
+        import argparse, contextlib, io
+
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        argparse.ArgumentParser.__init__ = counting_init
+        from scatcalc.cli import build_parser, main
+
+        counts = []
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv in (["type", "one"], ["generators", "1", "--raw", "--classes"], ["normalize", "one"]):
+                try:
+                    main(argv)
+                except SystemExit:
+                    pass
+                counts.append(len(built))
+        assert build_parser() is build_parser()
+        print(counts)
+    """))
+    assert done.returncode == 0, done.stderr
+    # the parser and its six subparsers, all built by the first call
+    assert done.stdout == "[7, 7, 7]\n"
+
+
 def test_hasse_dot_is_stable(capsys):
     code, first, _ = run(capsys, "hasse", "w+1", "--dot")
     assert code == 0

@@ -287,6 +287,38 @@ def test_engine_leaves_no_trace_in_the_default_engine(monkeypatch, capsys):
     assert is_centered(normalize(parse_term("pgl{max(w)}"), engine), engine)
 
 
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ("max(2)", "min(3)"),
+        ("pgl{one, omega(one)}", "pgl{omega(one)}"),
+        ("pgl{omega(pgl{omega(one)})}", "pgl{omega(pgl{one})}"),
+    ],
+)
+def test_a_memo_hit_on_normal_forms_makes_no_query(left, right):
+    engine = Engine()
+    f, g = parse_term(left), parse_term(right)
+    nf, ng = normalize(f, engine), normalize(g, engine)
+    queries = []
+    plain = engine._query
+
+    def query(a, b):
+        queries.append((a, b))
+        return plain(a, b)
+
+    engine._query = query
+    # a miss: both normal forms are cached, their pair is not
+    assert (nf, ng) not in engine._memo
+    first = engine.compare(f, g)
+    assert queries[0] == (nf, ng)
+    assert engine._memo[nf, ng] is first
+    # a hit: the memo's own verdict, and no query
+    queries.clear()
+    assert engine.compare(f, g) is first
+    assert engine.compare(nf, ng) is first
+    assert queries == []
+
+
 def test_verdicts_do_not_depend_on_query_order():
     from scatcalc.sample import random_term
 

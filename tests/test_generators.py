@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from scatcalc import generators
@@ -16,6 +18,7 @@ from scatcalc.generators import (
 from scatcalc.ordinal import from_int, parse_ordinal as po
 from scatcalc.rank import cb_type
 from scatcalc.rewrite import normalize
+from scatcalc.sample import random_term
 from scatcalc.term import (
     Glue,
     MaxFn,
@@ -26,6 +29,8 @@ from scatcalc.term import (
     Wedge,
     format_term,
     parse_term,
+    sort_key,
+    term_size,
 )
 
 
@@ -202,3 +207,119 @@ def test_six_generators_requires_limit_or_one():
     with pytest.raises(ValueError):
         six_generators(from_int(2))
     assert len(six_generators(from_int(1))) == 6
+
+
+def all_pairs_classes(terms, engine):
+    """The reference: one ``equivalent`` query per unordered pair of
+    items, union-find over the items."""
+    items = list(terms)
+    parent = list(range(len(items)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def rep_key(t):
+        n = normalize(t, engine)
+        return (term_size(n),) + sort_key(n)
+
+    undecided_ix = []
+    for i in range(len(items)):
+        for j in range(i + 1, len(items)):
+            answer = engine.equivalent(items[i], items[j])
+            if answer == "Yes":
+                parent[find(i)] = find(j)
+            elif answer == "Unknown":
+                undecided_ix.append((i, j))
+    groups = {}
+    for i, t in enumerate(items):
+        groups.setdefault(find(i), []).append(t)
+    classes = [(min(members, key=rep_key), members) for members in groups.values()]
+    classes.sort(key=lambda c: rep_key(c[0]))
+    undecided = [(items[i], items[j]) for i, j in undecided_ix if find(i) != find(j)]
+    return classes, undecided
+
+
+def first_unknown_pair(items, engine):
+    """The reference: the first ``(items[i], items[j])`` in row-major
+    order whose verdict is UNKNOWN, or None."""
+    for i in range(len(items)):
+        for j in range(len(items)):
+            if i != j and engine.compare(items[i], items[j]).outcome is Outcome.UNKNOWN:
+                return items[i], items[j]
+    return None
+
+
+def random_terms_with_duplicates():
+    # classes of several normal forms, and undecided pairs between them
+    rng = random.Random(3)
+    items = [random_term(rng, 3) for _ in range(80)]
+    return items + items[::9]
+
+
+def shuffled_generators_at_2():
+    raw = generator_raw(from_int(2))
+    items = raw + raw[::7] + [Glue([ONE, ONE]), Omega(Omega(ONE)), PglSet([ONE, ONE])]
+    random.Random(15).shuffle(items)
+    return items
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: centered_raw(from_int(3)),
+        lambda: centered_raw(po("w+2")),
+        shuffled_generators_at_2,
+        random_terms_with_duplicates,
+    ],
+    ids=["centered 3", "centered w+2", "shuffled generators 2", "random terms"],
+)
+def test_equivalence_classes_match_the_all_pairs_reference(make):
+    items = make()
+    classes, undecided = equivalence_classes(items, Engine())
+    ref_classes, ref_undecided = all_pairs_classes(items, Engine())
+    assert classes == ref_classes
+    assert undecided == ref_undecided
+    # the same lists on the reversed items
+    assert equivalence_classes(items[::-1], Engine()) == all_pairs_classes(items[::-1], Engine())
+
+
+@pytest.mark.parametrize(
+    "items",
+    [centered_raw(from_int(3)), shuffled_generators_at_2()],
+    ids=["centered 3", "shuffled generators 2"],
+)
+def test_equivalence_classes_ask_each_pair_of_forms_once(items):
+    engine = Engine()
+    forms = {normalize(t, engine) for t in items}
+    asked = []
+    plain = engine.equivalent
+
+    def equivalent(f, g):
+        asked.append(frozenset((f, g)))
+        return plain(f, g)
+
+    engine.equivalent = equivalent
+    equivalence_classes(items, engine)
+    assert len(forms) < len(items)
+    assert all(len(pair) == 2 and pair <= forms for pair in asked)
+    assert len(asked) == len(set(asked)) <= len(forms) * (len(forms) - 1) // 2
+
+
+def test_hasse_names_the_first_undecided_pair():
+    texts = [
+        "one", "omega(one)", "omega(omega(one))", "glue(one, omega(one))", "pgl{one}",
+        "min(2)", "pgl{one, one}", "one", "pgl{one}", "max(2)", "glue(max(2), max(2))",
+        "min(3)", "omega(max(2))", "glue(min(3), one)", "max(2)",
+    ]
+    pool = [parse_term(text) for text in texts]
+    undecided = {normalize(parse_term(t), Engine()) for t in ("max(2)", "min(3)")}
+    for items in (pool, pool[::-1]):
+        expected = first_unknown_pair(items, Engine())
+        engine = Engine()
+        assert {normalize(t, engine) for t in expected} == undecided
+        with pytest.raises(UndecidedPairError) as exc:
+            hasse(items, engine)
+        assert exc.value.pair == expected

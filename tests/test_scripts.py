@@ -44,14 +44,24 @@ def test_decision_census_decides_every_generator_pair():
 def test_fingerprint_hashes_every_section():
     lines = run_script(
         "fingerprint.py", "--seeds", "1", "--pool", "100", "--pairs", "400",
-        "--golden", "six w", "centered w+2",
+        "--levels", "six w", "centered w+2", "--golden", "six w", "centered w+2",
     ).splitlines()
     hashes = dict(line.rsplit(": ", 1) for line in lines)
     assert list(hashes) == [
         "census 1 outcomes", "census 1 trace-now", "census 1 trace-after",
-        "census 1 normal-forms", "census 1 rule-steps", "census 1 cb-types", "golden six w",
-        "golden centered w+2",
+        "census 1 normal-forms", "census 1 rule-steps", "census 1 cb-types",
+        *(
+            f"levels {name} {order} {part}"
+            for name in ("six w", "centered w+2")
+            for order in ("given", "reversed")
+            for part in ("classes", "undecided", "hasse")
+        ),
+        "golden six w", "golden centered w+2",
     ]
+    # the centered set at w+2 has undecided pairs, the six generators none
+    empty = hashlib.sha256(b"").hexdigest()
+    assert hashes["levels six w given undecided"] == empty
+    assert hashes["levels centered w+2 given undecided"] != empty
     # a trace reads the same whenever it is read
     assert hashes["census 1 trace-now"] == hashes["census 1 trace-after"]
     stored = load_golden()["centered w+2"]
