@@ -130,10 +130,19 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: int) -> dict:
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, env=child_env(), stdout=subprocess.PIPE,
                           stderr=subprocess.DEVNULL, text=True)
-    result = json.loads(done.stdout.strip().splitlines()[-1])
-    if done.returncode != 0 or not result["correct"] or result["failed"]:
+    if done.returncode != 0:
         raise SystemExit(f"{tree}: seed {seed} ran incorrectly (exit {done.returncode})")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    lines = done.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+        ok = result["correct"] and not result["failed"]
+        metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    except (IndexError, ValueError, TypeError, KeyError, AttributeError):
+        last = repr(lines[-1][:80]) if lines else "nothing"
+        raise SystemExit(f"{tree}: seed {seed} printed no result line (last line: {last})")
+    if not ok:
+        raise SystemExit(f"{tree}: seed {seed} ran incorrectly (exit 0)")
+    return metrics
 
 
 def _exit_on_sigterm(signum, frame) -> None:

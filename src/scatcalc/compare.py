@@ -80,12 +80,14 @@ and returns a verdict or None; the first verdict wins, and a pair no
 rule settles is UNKNOWN with a "rules" blocker.
 
 Verdicts carry a shallow trace naming the rule and the sub-queries it
-used, formatted to text only when read.  Queries are memoized on
-normalized pairs; in-progress queries re-entered during their own
-derivation yield UNKNOWN for that path (coinductive failure).  At
-most ``MAX_OPEN_QUERIES`` queries are open at once on a thread, those
-opened while normalizing included: a query asked past that bound is
-UNKNOWN with a "depth" blocker.
+used, formatted to text only when read.  ``Engine._query`` normalizes
+its pair and memoizes the verdict on the normal forms, so a rule asks
+about the terms it builds as built, and normalizes a term itself only
+when its step prints it (N-mono's bounds).  In-progress queries
+re-entered during their own derivation yield UNKNOWN for that path
+(coinductive failure).  At most ``MAX_OPEN_QUERIES`` queries are open
+at once on a thread, those opened while normalizing included: a query
+asked past that bound is UNKNOWN with a "depth" blocker.
 
 The CB-type is an invariant of equivalence, so N-lex and L-gst, which
 read only the two types, answer a raw pair as they would its normal
@@ -284,12 +286,7 @@ class Engine:
             if outcome is not None:
                 verdict = self._memo[key] = Verdict(outcome, (), (self._ref, f, g))
                 return verdict
-        if nf is None:
-            nf = rewrite.normalize(f, self)
-        ng = self._nf.get(g)
-        if ng is None:
-            ng = rewrite.normalize(g, self)
-        return self._query(nf, ng)
+        return self._query(f, g)
 
     def equivalent(self, f: Term, g: Term) -> str:
         fwd = self.compare(f, g).outcome
@@ -303,6 +300,12 @@ class Engine:
     # -- core query ---------------------------------------------------
 
     def _query(self, f: Term, g: Term) -> Verdict:
+        """The verdict on the normal forms of ``f`` and ``g``; a rule
+        passes the terms it builds as built."""
+        nf = self._nf.get(f)
+        f = nf if nf is not None else rewrite.normalize(f, self)
+        nf = self._nf.get(g)
+        g = nf if nf is not None else rewrite.normalize(g, self)
         key = (f, g)
         hit = self._memo.get(key)
         if hit is not None:
@@ -410,10 +413,10 @@ class Engine:
         return _LE(_step("L-pgl-mono", f, g, "memberwise into finite gluings"))
 
     def _le_fin_glue(self, x: Term, members: tuple[Term, ...], bound: int) -> bool:
-        """Whether the normal form ``x`` reduces to k copies of the
-        glued member set for some k <= ``bound``."""
+        """Whether ``x`` reduces to k copies of the glued member set
+        for some k <= ``bound``."""
         for k in range(1, bound + 1):
-            if self._le(x, rewrite.normalize(glue_of(members * k), self)):
+            if self._le(x, glue_of(members * k)):
                 return True
         return False
 
@@ -445,7 +448,7 @@ class Engine:
         if isinstance(target, Omega):
             return self._accept_repeated(s, target.body)
         if isinstance(target, PglSet):
-            return self._le(s, rewrite.normalize(glue_of(target.members), self))
+            return self._le(s, glue_of(target.members))
         lam = _max_atom_level(target)
         if lam is not None:
             return cb_type(s).rank <= lam
@@ -464,29 +467,23 @@ class Engine:
         if isinstance(s, Glue):
             return all(self._accept_repeated(x, base) for x in s.summands)
         if isinstance(s, Wedge):
-            verticals_ok = all(
-                self._le(rewrite.normalize(PglSet(v), self), base) for v in s.verticals
-            )
+            verticals_ok = all(self._le(PglSet(v), base) for v in s.verticals)
             diagonal_ok = all(self._accept_repeated(x, base) for x in s.diagonal)
             return verticals_ok and diagonal_ok
         return False
 
     def _rule_pgl_lower(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
-        if isinstance(g, PglSet) and self._le(
-            f, rewrite.normalize(Omega(glue_of(g.members)), self)
-        ):
+        if isinstance(g, PglSet) and self._le(f, Omega(glue_of(g.members))):
             return _LE(_step("L-pgl-lower", f, g, "via omega copies of the member set"))
         return None
 
     def _rule_wedge_bounds(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
         if isinstance(g, Wedge):
-            for bound in _wedge_lower_bounds(g, self):
+            for bound in _wedge_lower_bounds(g):
                 if self._le(f, bound):
                     return _LE(_step("L-wedge-bounds", f, g, "through a lower bound"))
-        if isinstance(f, Wedge):
-            upper = rewrite.normalize(_wedge_upper_bound(f), self)
-            if self._le(upper, g):
-                return _LE(_step("L-wedge-bounds", f, g, "through the upper bound"))
+        if isinstance(f, Wedge) and self._le(_wedge_upper_bound(f), g):
+            return _LE(_step("L-wedge-bounds", f, g, "through the upper bound"))
         return None
 
     def _rule_centered(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
@@ -572,18 +569,16 @@ class Engine:
         )
 
     def _rule_mono(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
-        for p in _structural_lower_bounds(f, self):
-            p = rewrite.normalize(p, self)
+        # the steps print the bounds in normal form
+        for p in _structural_lower_bounds(f):
             if self._not_le(p, g):
-                return _NOT_LE(
-                    _step("N-mono", p, g, "lower bound of ", f, " refuted")
-                )
+                p = rewrite.normalize(p, self)
+                return _NOT_LE(_step("N-mono", p, g, "lower bound of ", f, " refuted"))
         if isinstance(g, Wedge):
-            upper = rewrite.normalize(_wedge_upper_bound(g), self)
+            upper = _wedge_upper_bound(g)
             if self._not_le(f, upper):
-                return _NOT_LE(
-                    _step("N-mono", f, upper, "upper bound of ", g, " refuted")
-                )
+                upper = rewrite.normalize(upper, self)
+                return _NOT_LE(_step("N-mono", f, upper, "upper bound of ", g, " refuted"))
         return None
 
 
@@ -623,11 +618,11 @@ def _sentinel_verdict(f: Term, g: Term) -> Optional[Verdict]:
 # structural helpers
 
 
-def _wedge_lower_bounds(w: Wedge, engine: Engine) -> list[Term]:
-    bounds = [rewrite.normalize(PglSet(v), engine) for v in w.verticals]
+def _wedge_lower_bounds(w: Wedge) -> list[Term]:
+    bounds: list[Term] = [PglSet(v) for v in w.verticals]
     if w.diagonal:
-        bounds.append(rewrite.normalize(Omega(glue_of(w.diagonal)), engine))
-        bounds.extend(rewrite.normalize(x, engine) for x in w.diagonal)
+        bounds.append(Omega(glue_of(w.diagonal)))
+        bounds.extend(w.diagonal)
     return bounds
 
 
@@ -638,7 +633,7 @@ def _wedge_upper_bound(w: Wedge) -> Term:
     return glue_of(parts)
 
 
-def _structural_lower_bounds(f: Term, engine: Engine) -> list[Term]:
+def _structural_lower_bounds(f: Term) -> list[Term]:
     if isinstance(f, Glue):
         return list(dict.fromkeys(f.summands))
     if isinstance(f, Omega):
@@ -646,7 +641,7 @@ def _structural_lower_bounds(f: Term, engine: Engine) -> list[Term]:
     if isinstance(f, PglSet):
         return [Omega(glue_of(f.members))] + list(f.members)
     if isinstance(f, Wedge):
-        return _wedge_lower_bounds(f, engine)
+        return _wedge_lower_bounds(f)
     return []
 
 

@@ -150,24 +150,21 @@ def centered_raw(alpha: Ordinal) -> list[Term]:
     lam, n = ord_mod.split(alpha)
     if n == 0:
         return []
-    if lam.is_zero and n == 1:
-        return [ONE]
-    if n == 1:
-        return [MinFn(alpha), PglSet([MaxFn(lam)])]
-    prev = centered_raw(Ordinal(lam.terms, n - 1))
-    pool = prev + [Omega(c) for c in prev]
-    count = len(prev) + (1 << len(pool)) - 1
-    if count > MAX_RAW:
-        raise FeasibilityError(
-            f"centered set at {alpha} has {count} raw terms (bound {MAX_RAW})"
-        )
-    out = list(prev)
-    seen = set(out)
-    for subset in _power_set_nonempty(pool):
-        t = PglSet(subset)
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
+    out = [ONE] if lam.is_zero else [MinFn(Ordinal(lam.terms, 1)), PglSet([MaxFn(lam)])]
+    # each further finite offset keeps the previous set and adds the
+    # pointed gluings of the non-empty subsets of it and its omega
+    # copies; the exponent is clipped as in generator_raw
+    clip = MAX_RAW.bit_length() + 1
+    for _ in range(n - 1):
+        pool = out + [Omega(c) for c in out]
+        if len(out) + (1 << min(len(pool), clip)) - 1 > MAX_RAW:
+            raise FeasibilityError(f"centered set at {alpha} exceeds the raw bound {MAX_RAW}")
+        seen = set(out)
+        for subset in _power_set_nonempty(pool):
+            t = PglSet(subset)
+            if t not in seen:
+                seen.add(t)
+                out.append(t)
     return out
 
 

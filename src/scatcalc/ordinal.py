@@ -19,10 +19,12 @@ from typing import Iterable, Literal
 
 
 class OrdinalSyntaxError(ValueError):
-    """Raised on malformed ordinal text; carries the offending position."""
+    """Raised on malformed ordinal text; carries the message and the
+    offending position."""
 
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} (at position {position})")
+        self.message = message
         self.position = position
 
 

@@ -52,6 +52,8 @@ per distinct term per engine.
 reducibilities.  Normalization runs on an :class:`~scatcalc.compare.Engine`:
 every rule asks that engine, and the normal forms are cached on it, so
 an engine's normal forms and verdicts depend on nothing outside it.
+A rule passes the terms it holds as they are, normal or not: the
+engine's ``_query`` normalizes each pair it is asked about.
 The queries a rule opens count against the engine's bound on open
 queries, like those of the derivation that asked for the normal form.
 :func:`normalize` and :func:`apply_rule` take that engine as a required
@@ -189,11 +191,6 @@ def _fix(counter: list[int], engine: Engine, t: Term) -> Term:
 # for any reducibility they need
 
 
-def _le(engine: Engine, a: Term, b: Term) -> bool:
-    """Whether ``engine`` decides a <= b."""
-    return engine._le(normalize(a, engine), normalize(b, engine))
-
-
 def _undominated(
     items: Sequence[T], le: Callable[[T, T], bool], key: Callable[[T], Any]
 ) -> list[T]:
@@ -287,7 +284,7 @@ def _rule_omega(t: Term, engine: Engine) -> Optional[Term]:
 def _rule_pgl_members(t: Term, engine: Engine) -> Optional[Term]:
     if not isinstance(t, PglSet) or len(t.members) < 2:
         return None
-    kept = _undominated(t.members, partial(_le, engine), sort_key)
+    kept = _undominated(t.members, engine._le, sort_key)
     return PglSet(kept) if len(kept) < len(t.members) else None
 
 
@@ -327,11 +324,9 @@ def _rule_pgl_absorb(t: Term, engine: Engine) -> Optional[Term]:
         pgls = [p for j, p in enumerate(t.summands) if j != i and isinstance(p, PglSet)]
         if not pgls:
             continue
-        # apply_rule passes raw terms, so s need not be normal yet
-        x = normalize(s, engine)
         count = len(summands_of(s))
         for p in pgls:
-            if engine._le_fin_glue(x, p.members, count):
+            if engine._le_fin_glue(s, p.members, count):
                 return Glue(t.summands[:i] + t.summands[i + 1 :])
     return None
 
@@ -349,7 +344,7 @@ def _rule_wedge_reduce(t: Term, engine: Engine) -> Optional[Term]:
 
     # (a) vertical family -> antichain of domination-maximal sets
     def fam_le(a: tuple[Term, ...], b: tuple[Term, ...]) -> bool:
-        return all(any(_le(engine, x, y) for y in b) for x in a)
+        return all(any(engine._le(x, y) for y in b) for x in a)
 
     keep = _undominated(t.verticals, fam_le, lambda fam: [sort_key(x) for x in fam])
     if len(keep) < len(t.verticals):
@@ -359,8 +354,8 @@ def _rule_wedge_reduce(t: Term, engine: Engine) -> Optional[Term]:
     vertical_terms = [glue_of(v) for v in t.verticals]
     keep = [
         h
-        for h in _undominated(t.diagonal, partial(_le, engine), sort_key)
-        if not any(_le(engine, h, v) for v in vertical_terms)
+        for h in _undominated(t.diagonal, engine._le, sort_key)
+        if not any(engine._le(h, v) for v in vertical_terms)
     ]
     if len(keep) < len(t.diagonal):
         return Wedge(t.verticals, keep)
@@ -371,8 +366,7 @@ def _rule_wedge_reduce(t: Term, engine: Engine) -> Optional[Term]:
 
     # (d) collapse to omega copies of the diagonal
     if t.diagonal and all(
-        engine._le_fin_glue(normalize(PglSet(v), engine), t.diagonal, 1)
-        for v in t.verticals
+        engine._le_fin_glue(PglSet(v), t.diagonal, 1) for v in t.verticals
     ):
         return Glue([Omega(h) for h in t.diagonal])
     return None

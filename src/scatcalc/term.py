@@ -532,7 +532,8 @@ class _Parser:
         try:
             return ord_mod.parse_ordinal(raw.strip())
         except OrdinalSyntaxError as exc:
-            raise TermSyntaxError(str(exc), start) from exc
+            # the position within the term text, reported once
+            raise TermSyntaxError(exc.message, start + exc.position) from exc
 
     def parse_term(self) -> Term:
         self.skip_ws()

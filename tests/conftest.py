@@ -1,4 +1,6 @@
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -31,3 +33,13 @@ def terms(draw, depth=4):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def census_inputs(seed, pool_size, pairs):
+    """``bench/gen.census_inputs``: the benchmark's random census pool
+    and pairs for ``seed``."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen.census_inputs(seed, pool_size, pairs)

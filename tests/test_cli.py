@@ -205,6 +205,23 @@ def test_feasibility_exit(capsys):
     assert "bound" in err
 
 
+@pytest.mark.parametrize(
+    "argv, level",
+    [
+        (["generators", "2000", "--raw"], "2000"),
+        (["generators", "500"], "500"),
+        (["generators", "5", "--centered"], "5"),
+        (["generators", "w+1000", "--centered", "--raw"], "w+1000"),
+    ],
+)
+def test_an_infeasible_centered_set_is_refused_at_its_level(capsys, argv, level):
+    # the refusal names the requested level, with no raw count that
+    # runs to hundreds of digits, and no deep recursion
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (65, "")
+    assert err == f"error: centered set at {level} exceeds the raw bound 100000\n"
+
+
 @pytest.mark.parametrize("text", ["idq", "idbaire"])
 def test_type_of_a_sentinel_exits_65(capsys, text):
     # the sentinels parse, so this is no parse error (64): they have no CB-type

@@ -13,9 +13,9 @@ from scatcalc.ordinal import double, parse_ordinal as po
 from scatcalc.rank import cb_type, lex_le
 from scatcalc.rewrite import normalize
 from scatcalc.sample import random_term
-from scatcalc.term import Glue, MinFn, ONE, Omega, PglSet, parse_term
+from scatcalc.term import Glue, MinFn, ONE, Omega, PglSet, format_term, parse_term
 
-from conftest import terms
+from conftest import census_inputs, terms
 
 
 def outcome(a, b):
@@ -444,6 +444,57 @@ def test_no_le_le_notle_triangle_sampled(rng):
             and engine.compare(g, h).outcome is Outcome.LE
         ):
             assert engine.compare(f, h).outcome is not Outcome.NOT_LE
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_census_normal_forms_have_no_transitivity_violation(seed):
+    # every ordered pair of the first 150 distinct normal forms of a
+    # census pool, classified on one engine: a NOT_LE pair (a, c) with
+    # some b where a <= b and b <= c are both LE is a violation
+    engine = Engine()
+    pool = census_inputs(seed, 1500, 6000)["pool_text"]
+    forms = list(dict.fromkeys(normalize(parse_term(text), engine) for text in pool))[:150]
+    assert len(forms) == 150
+    row = [0] * len(forms)  # row[a]: bit b set when a <= b is LE
+    col = [0] * len(forms)  # col[c]: bit b set when b <= c is LE
+    refuted = []
+    for a, f in enumerate(forms):
+        for c, g in enumerate(forms):
+            if a == c:
+                continue
+            outcome = engine.compare(f, g).outcome
+            if outcome is Outcome.LE:
+                row[a] |= 1 << c
+                col[c] |= 1 << a
+            elif outcome is Outcome.NOT_LE:
+                refuted.append((a, c))
+    assert refuted and any(row)
+    violations = [
+        (format_term(forms[a]), format_term(forms[c]))
+        for a, c in refuted
+        if row[a] & col[c]
+    ]
+    assert violations == []
+
+
+def test_n_mono_prints_its_refuted_bound_in_normal_form():
+    # the vertical set keeps pgl{one} beside omega(pgl{pgl{one}}), which
+    # dominates it; the refuted lower bound, the pointed gluing of that
+    # set, is printed in normal form, without the dominated member
+    engine = Engine()
+    f = parse_term("wedge({omega(pgl{pgl{one}}), pgl{one}} | {max(3)})")
+    g = parse_term("pgl{pgl{pgl{one}}}")
+    assert normalize(f, engine).verticals == (parse_term("glue(omega(pgl{pgl{one}}), pgl{one})").summands,)
+    v = engine.compare(f, g)
+    assert v.outcome is Outcome.NOT_LE
+    assert v.trace == (
+        (
+            "N-mono",
+            "pgl{omega(pgl{pgl{one}})} <= pgl{pgl{pgl{one}}} [lower bound of "
+            "wedge({omega(pgl{pgl{one}}), pgl{one}} | {omega(pgl{omega(pgl{omega(one)})})}) "
+            "refuted]",
+        ),
+    )
 
 
 def test_rank_one_fragment_complete_and_matches_formula():

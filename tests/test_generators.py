@@ -15,7 +15,7 @@ from scatcalc.generators import (
     hasse,
     six_generators,
 )
-from scatcalc.ordinal import from_int, parse_ordinal as po
+from scatcalc.ordinal import Ordinal, from_int, parse_ordinal as po, split
 from scatcalc.rank import cb_type
 from scatcalc.rewrite import normalize
 from scatcalc.sample import random_term
@@ -131,6 +131,36 @@ def test_feasibility_bound(monkeypatch):
     monkeypatch.setattr(generators, "MAX_RAW", 2)
     with pytest.raises(FeasibilityError):
         centered_raw(from_int(2))
+
+
+def recursive_centered_raw(alpha):
+    """The centered set built by recursion on the finite offset: the
+    test oracle for the loop over the offsets."""
+    lam, n = split(alpha)
+    if n == 0:
+        return []
+    if n == 1:
+        return [ONE] if lam.is_zero else [MinFn(alpha), PglSet([MaxFn(lam)])]
+    prev = recursive_centered_raw(Ordinal(lam.terms, n - 1))
+    pool = prev + [Omega(c) for c in prev]
+    out = list(prev)
+    for mask in range(1, 1 << len(pool)):
+        t = PglSet([pool[i] for i in range(len(pool)) if mask >> i & 1])
+        if t not in out:
+            out.append(t)
+    return out
+
+
+@pytest.mark.parametrize("level", ["1", "2", "3", "w", "w+1", "w+2", "w*2+2", "w^2+2"])
+def test_centered_sets_match_the_recursive_definition(level):
+    assert centered_raw(po(level)) == recursive_centered_raw(po(level))
+
+
+@pytest.mark.parametrize("level", ["4", "w+3", str(10**6), f"w^2+{10**6}"])
+def test_an_infeasible_centered_set_is_refused_at_the_requested_level(level):
+    with pytest.raises(FeasibilityError) as exc:
+        centered_raw(po(level))
+    assert str(exc.value) == f"centered set at {po(level)} exceeds the raw bound {generators.MAX_RAW}"
 
 
 def test_refusal_builds_no_pool(monkeypatch):

@@ -1,7 +1,5 @@
 import gc
-import importlib.util
 import weakref
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +11,7 @@ from scatcalc.rank import cb_type
 from scatcalc.rewrite import NormalizationLimitError, apply_rule, normalize, rule_names
 from scatcalc.term import Glue, ONE, Omega, PglSet, Wedge, parse_term
 
-from conftest import terms
+from conftest import census_inputs, terms
 
 
 def norm(text):
@@ -179,14 +177,6 @@ def test_rule_steps_are_equivalences(t):
         assert engine.compare(stepped, t).outcome is Outcome.LE
 
 
-def _census_inputs(seed, pool_size, pairs):
-    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    return gen.census_inputs(seed, pool_size, pairs)
-
-
 def _assert_cache_free(ts):
     # every shape a fixpoint passes through maps to its normal form on
     # the engine, so a normal form must not depend on what that engine
@@ -208,12 +198,12 @@ def test_normal_forms_do_not_depend_on_the_cache(ts):
 
 
 def test_census_normal_forms_do_not_depend_on_the_cache():
-    pool = _census_inputs(1, 1500, 6000)["pool_text"][:300]
+    pool = census_inputs(1, 1500, 6000)["pool_text"][:300]
     _assert_cache_free([parse_term(text) for text in pool])
 
 
 def test_each_rule_runs_once_per_distinct_term(monkeypatch):
-    inputs = _census_inputs(1, 1500, 6000)
+    inputs = census_inputs(1, 1500, 6000)
     pool = [parse_term(text) for text in inputs["pool_text"]]
     runs = []
 

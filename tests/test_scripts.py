@@ -3,6 +3,7 @@ outcomes."""
 
 import hashlib
 import importlib.util
+import json
 import os
 import signal
 import subprocess
@@ -128,6 +129,37 @@ def test_ab_runs_both_trees_without_bytecode(tmp_path, monkeypatch):
     )
     assert done.stdout == "1\n"
     assert not list(copy.rglob("__pycache__"))
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("sys.exit(3)", "ran incorrectly (exit 3)"),
+        ("print('partial'); sys.exit(1)", "ran incorrectly (exit 1)"),
+        ("pass", "printed no result line (last line: nothing)"),
+        ("print('not json')", "printed no result line (last line: 'not json')"),
+        ("print('{}')", "printed no result line (last line: '{}')"),
+        (
+            "print(json.dumps({'correct': False, 'failed': 0, 'metrics': {}}))",
+            "ran incorrectly (exit 0)",
+        ),
+    ],
+)
+def test_ab_reports_a_bad_run_by_its_exit_code_first(tmp_path, body, message):
+    ab = load_script("ab.py")
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(f"import json, sys\n{body}\n")
+    with pytest.raises(SystemExit) as exc:
+        ab.run_bench(tmp_path, "census-random", 7, 1)
+    assert str(exc.value) == f"{tmp_path}: seed 7 {message}"
+
+
+def test_ab_reads_the_metrics_of_a_good_run(tmp_path):
+    ab = load_script("ab.py")
+    (tmp_path / "bench").mkdir()
+    result = {"correct": True, "failed": 0, "metrics": {"round_s": {"value": 0.5}}}
+    (tmp_path / "bench" / "run.py").write_text(f"print('log line')\nprint({json.dumps(result)!r})\n")
+    assert ab.run_bench(tmp_path, "census-random", 7, 1) == {"round_s": 0.5}
 
 
 def test_ab_removes_its_directory_on_sigterm(tmp_path):

@@ -69,6 +69,21 @@ def test_parse_rejections():
     assert exc.value.position == 10
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("max(w^0)", "exponent 0 not allowed; write the finite part as an integer", 6),
+        ("glue(one, min( w+x))", "unexpected character 'x'", 17),
+        ("pgl{max(w*0 )}", "coefficient must be >= 1", 10),
+    ],
+)
+def test_an_ordinal_error_in_a_term_reports_one_absolute_position(text, message, position):
+    with pytest.raises(TermSyntaxError) as exc:
+        parse_term(text)
+    assert exc.value.position == position
+    assert str(exc.value) == f"{message} (at position {position})"
+
+
 def test_gluings_are_bounded_after_flattening():
     assert len(parse_term("glue(50000*one, 50000*one)").summands) == 2
     huge = "1" + "0" * 30 + "*one"
