@@ -4,6 +4,11 @@
 Two trees that print the same lines give the same verdicts, trace text,
 normal forms and single rule steps on these inputs.  Sections:
 
+* ``census <seed> parse``: every pool text of
+  ``bench/gen.census_inputs(seed, pool, pairs)`` and three seeded
+  mutations of it (one character deleted, one character of the grammar
+  inserted, the text cut short), each as ``format_term`` of its parse
+  or as the ``error: <message>`` line the command line prints;
 * ``census <seed> outcomes``: the cold outcome of every pair of
   ``bench/gen.census_inputs(seed, pool, pairs)`` on a fresh engine;
 * ``census <seed> trace-now``: the same pairs on another fresh engine,
@@ -33,6 +38,7 @@ golden section).
 import argparse
 import hashlib
 import importlib.util
+import random
 import sys
 from pathlib import Path
 
@@ -53,7 +59,7 @@ from scatcalc.generators import (  # noqa: E402
 from scatcalc.ordinal import parse_ordinal  # noqa: E402
 from scatcalc.rank import cb_type  # noqa: E402
 from scatcalc.rewrite import apply_rule, normalize, rule_names  # noqa: E402
-from scatcalc.term import format_term, parse_term  # noqa: E402
+from scatcalc.term import TermTooLargeError, format_term, parse_term  # noqa: E402
 
 
 def digest(lines) -> str:
@@ -68,8 +74,33 @@ def trace_lines(verdict) -> list[str]:
     return [verdict.outcome.name] + [f"  {rule}: {text}" for rule, text in verdict.trace]
 
 
+# the characters of the term grammar, its words and punctuation
+GRAMMAR_CHARS = "(){}|,*^+ 0123456789abdegilmnopqrtuwxy"
+
+
+def with_mutations(text: str, rng: random.Random):
+    """``text``, then three mutations of it drawn from ``rng``."""
+    yield text
+    i = rng.randrange(len(text))
+    yield text[:i] + text[i + 1 :]
+    i = rng.randrange(len(text) + 1)
+    yield text[:i] + rng.choice(GRAMMAR_CHARS) + text[i:]
+    yield text[: rng.randrange(len(text))]
+
+
+def parse_line(text: str) -> str:
+    try:
+        return format_term(parse_term(text))
+    except (ValueError, TermTooLargeError) as exc:
+        return f"error: {exc}"
+
+
 def census_sections(seed: int, pool_size: int, n_pairs: int):
     inputs = gen.census_inputs(seed, pool_size, n_pairs)
+    rng = random.Random(seed)
+    texts = (m for text in inputs["pool_text"] for m in with_mutations(text, rng))
+    yield "parse", digest(map(parse_line, texts))
+
     pool = [parse_term(text) for text in inputs["pool_text"]]
     pairs = [(pool[i], pool[j]) for i, j in inputs["pairs"]]
 

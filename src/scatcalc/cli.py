@@ -26,8 +26,8 @@ import sys
 from functools import cache
 from typing import TYPE_CHECKING
 
-from .ordinal import OrdinalSyntaxError, parse_ordinal
-from .term import TermSyntaxError, TermTooLargeError, format_term, parse_term
+from .ordinal import parse_ordinal
+from .term import TermTooLargeError, format_term, parse_term
 
 if TYPE_CHECKING:
     from .compare import Engine
@@ -83,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (TermSyntaxError, OrdinalSyntaxError, ValueError) as exc:
+    except ValueError as exc:
         return _fail(exc, EX_PARSE)
     except TermTooLargeError as exc:
         return _fail(exc, EX_INFEASIBLE)

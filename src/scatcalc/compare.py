@@ -698,30 +698,39 @@ def _wedge_generator_level(t: Term) -> Optional[Ordinal]:
 
 
 def _bipartite_saturates(edges: dict[int, list[int]], n_left: int, caps: list[int]) -> bool:
-    """Kuhn's augmenting-path matching with capacities; True iff every
-    left node can be assigned a right node ``j`` that ``edges`` lists
-    for it, with at most ``caps[j]`` left nodes on each ``j``.  A full
-    right node moves one of its occupants along an augmenting path."""
-    holders: list[list[int]] = [[] for _ in caps]
-
-    def try_assign(i: int, seen: set[int]) -> bool:
-        for j in edges.get(i, ()):
-            if j in seen:
-                continue
-            seen.add(j)
-            held = holders[j]
-            if len(held) < caps[j]:
-                held.append(i)
-                return True
-            for k, other in enumerate(held):
-                if try_assign(other, seen):
-                    held[k] = i
-                    return True
-        return False
-
-    for i in range(n_left):
-        if not try_assign(i, set()):
+    """Augmenting-path matching with capacities; True iff every left
+    node can be assigned a right node ``j`` that ``edges`` lists for
+    it, with at most ``caps[j]`` left nodes on each ``j``.  Each new
+    left node searches breadth-first, without recursion: a full right
+    node passes the search on to its occupants, and on a free slot each
+    left node on the path moves to the right node it reached."""
+    holders: list[set[int]] = [set() for _ in caps]
+    assigned: dict[int, int] = {}  # left node -> its right node
+    for root in range(n_left):
+        came: dict[int, int] = {}  # right node -> the left node that reached it
+        queue = [root]
+        free = None
+        for i in queue:
+            for j in edges.get(i, ()):
+                if j not in came:
+                    came[j] = i
+                    if len(holders[j]) < caps[j]:
+                        free = j
+                        break
+                    queue.extend(holders[j])
+            if free is not None:
+                break
+        if free is None:
             return False
+        j = free
+        while j is not None:  # ends with the root, which held no slot
+            i = came[j]
+            left = assigned.get(i)
+            if left is not None:
+                holders[left].remove(i)
+            holders[j].add(i)
+            assigned[i] = j
+            j = left
     return True
 
 

@@ -10,6 +10,14 @@ used as dict keys and sorted directly.
 Multiplication is deliberately absent.  The only product ever needed is
 doubling, which on lambda+n means 2*(lambda+n) = lambda+2n; see
 :func:`double`.
+
+Text is read in tokens, and ``TOKEN`` is the one token pattern of both
+grammars, ordinals and terms: after optional whitespace it matches
+decimal digits (those ``int`` reads, not every ``str.isdigit``
+character), a word of letters, digits and underscores, one other
+character, or "" at the end.  :func:`read_ordinal` reads an
+ordinal in place inside a longer text, so its errors name positions in
+that text; both grammars raise :class:`OrdinalSyntaxError`.
 """
 
 from __future__ import annotations
@@ -19,8 +27,9 @@ from typing import Iterable, Literal
 
 
 class OrdinalSyntaxError(ValueError):
-    """Raised on malformed ordinal text; carries the message and the
-    offending position."""
+    """Raised on malformed ordinal or term text; carries the message
+    and its character position.  ``term.TermSyntaxError`` is this
+    class."""
 
     def __init__(self, message: str, position: int) -> None:
         super().__init__(f"{message} (at position {position})")
@@ -175,7 +184,10 @@ def sup(ordinals: Iterable[Ordinal]) -> Ordinal:
     return max(items)
 
 
-_INT_RE = re.compile(r"\d+")
+# one token at a position, after any whitespace: decimal digits, a
+# word, one other character, or "" at the end; the term grammar reads
+# the same tokens
+TOKEN = re.compile(r"\s*(\d+|\w+|.|)", re.S)
 
 
 def parse_ordinal(text: str) -> Ordinal:
@@ -187,63 +199,54 @@ def parse_ordinal(text: str) -> Ordinal:
     canonical form.  Exponent 0 is rejected: write the finite part as a
     plain integer.
     """
-    pos = 0
-    n = len(text)
+    return read_ordinal(text, 0, len(text))
 
-    def skip_ws() -> None:
-        nonlocal pos
-        while pos < n and text[pos].isspace():
-            pos += 1
 
-    def read_int() -> int:
-        nonlocal pos
-        m = _INT_RE.match(text, pos)
-        if not m:
-            raise OrdinalSyntaxError("expected an integer", pos)
+def read_ordinal(text: str, pos: int, end: int) -> Ordinal:
+    """The ordinal spelled by ``text[pos:end]``, read in place: an
+    error names its position in ``text``, and a missing atom or integer
+    is reported at ``end``.  An atom ``w`` is the first letter of a word
+    token; the rest of the word is read as the next token."""
+    result = None
+    while True:
+        m = TOKEN.match(text, pos, end)
+        tok = m[1]
+        if tok.isdecimal():
+            atom = from_int(int(tok))
+            m = TOKEN.match(text, m.end(), end)
+        elif tok[:1] == "w":
+            exp = coeff = 1
+            m = TOKEN.match(text, m.start(1) + 1, end)
+            if m[1] == "^":
+                m = TOKEN.match(text, m.end(), end)
+                exp = _positive(m, "exponent 0 not allowed; write the finite part as an integer")
+                m = TOKEN.match(text, m.end(), end)
+            if m[1] == "*":
+                m = TOKEN.match(text, m.end(), end)
+                coeff = _positive(m, "coefficient must be >= 1")
+                m = TOKEN.match(text, m.end(), end)
+            atom = omega_power(exp, coeff)
+        else:
+            message = f"unexpected character {tok[0]!r}" if tok else "expected an ordinal atom"
+            raise OrdinalSyntaxError(message, m.start(1))
+        result = atom if result is None else add(result, atom)
+        tok = m[1]
+        if not tok:
+            return result
+        if tok != "+":
+            raise OrdinalSyntaxError(f"unexpected character {tok[0]!r}", m.start(1))
         pos = m.end()
-        return int(m.group())
 
-    def read_atom() -> Ordinal:
-        nonlocal pos
-        skip_ws()
-        if pos >= n:
-            raise OrdinalSyntaxError("expected an ordinal atom", pos)
-        if text[pos] == "w":
-            pos += 1
-            exp = 1
-            skip_ws()
-            if pos < n and text[pos] == "^":
-                pos += 1
-                skip_ws()
-                at = pos
-                exp = read_int()
-                if exp == 0:
-                    raise OrdinalSyntaxError(
-                        "exponent 0 not allowed; write the finite part as an integer", at
-                    )
-            coeff = 1
-            skip_ws()
-            if pos < n and text[pos] == "*":
-                pos += 1
-                skip_ws()
-                at = pos
-                coeff = read_int()
-                if coeff == 0:
-                    raise OrdinalSyntaxError("coefficient must be >= 1", at)
-            return omega_power(exp, coeff)
-        if text[pos].isdigit():
-            return from_int(read_int())
-        raise OrdinalSyntaxError(f"unexpected character {text[pos]!r}", pos)
 
-    result = read_atom()
-    skip_ws()
-    while pos < n:
-        if text[pos] != "+":
-            raise OrdinalSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        pos += 1
-        result = add(result, read_atom())
-        skip_ws()
-    return result
+def _positive(m: re.Match, zero: str) -> int:
+    """The integer token ``m`` holds; ``zero`` is the message that
+    refuses 0."""
+    if not m[1].isdecimal():
+        raise OrdinalSyntaxError("expected an integer", m.start(1))
+    n = int(m[1])
+    if n == 0:
+        raise OrdinalSyntaxError(zero, m.start(1))
+    return n
 
 
 def format_ordinal(a: Ordinal) -> str:

@@ -41,6 +41,14 @@ centered function is still covered up to equivalence by ``PglSet``, but
 a finitely-supported or monotone non-constant pointed gluing has no
 term of its own; callers needing one must pick an equivalent ``PglSet``
 form by hand.  Points, spaces and reducing maps are never materialized.
+
+The concrete syntax is read by recursive descent over the tokens of
+``ordinal.TOKEN``, so whitespace may stand between any two tokens and
+only decimal digits spell a count.  ``min(...)`` and ``max(...)`` hand
+the tokens up to their closing parenthesis to ``ordinal.read_ordinal``,
+which reads them in place.  Every syntax error is one
+``TermSyntaxError``, the class ``ordinal.OrdinalSyntaxError``, naming a
+character position in the term text.
 """
 
 from __future__ import annotations
@@ -52,15 +60,10 @@ from _weakref import _remove_dead_weakref
 from operator import attrgetter
 
 from . import ordinal as ord_mod
-from .ordinal import Ordinal, OrdinalSyntaxError
+from .ordinal import TOKEN, Ordinal, OrdinalSyntaxError, read_ordinal
 
-
-class TermSyntaxError(ValueError):
-    """Raised on malformed term text; carries the offending position."""
-
-    def __init__(self, message: str, position: int) -> None:
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
+# one syntax-error class for the term and the ordinal grammar
+TermSyntaxError = OrdinalSyntaxError
 
 
 # the degree of a CB-type whose last derivative has infinite image
@@ -454,38 +457,31 @@ def parse_term(text: str) -> Term:
     to more than ``MAX_SUMMANDS`` summands."""
     parser = _Parser(text)
     t = parser.parse_term()
-    parser.expect_end()
+    if parser.tok:
+        raise parser.error("trailing input after term")
     return t
 
 
 class _Parser:
+    """Recursive descent over the tokens of ``ordinal.TOKEN``: ``tok``
+    is the next token ("" at the end) and ``m`` its match."""
+
     def __init__(self, text: str) -> None:
         self.text = text
-        self.pos = 0
         # parsed gluing -> the number of summands it flattens to
         self.widths: dict[Term, int] = {}
+        m = self.m = TOKEN.match(text)
+        self.tok = m[1]
 
     def error(self, message: str) -> TermSyntaxError:
-        return TermSyntaxError(message, self.pos)
+        return TermSyntaxError(message, self.m.start(1))
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def eat(self, ch: str) -> None:
-        self.skip_ws()
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise self.error(f"expected {ch!r}")
-        self.pos += 1
-
-    def expect_end(self) -> None:
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise self.error("trailing input after term")
+    def eat(self, tok: str) -> None:
+        """Consume the next token, which must be ``tok``."""
+        if self.tok != tok:
+            raise self.error(f"expected {tok!r}")
+        m = self.m = TOKEN.match(self.text, self.m.end())
+        self.tok = m[1]
 
     def build(self, ctor, at: int, *args):
         try:
@@ -505,51 +501,30 @@ class _Parser:
         self.widths[t] = width
         return t
 
-    def read_word(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.text[start : self.pos]
-
-    def read_int(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if start == self.pos:
-            raise self.error("expected an integer")
-        return int(self.text[start : self.pos])
-
-    def read_ordinal_until(self, closer: str) -> Ordinal:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] != closer:
-            self.pos += 1
-        raw = self.text[start : self.pos]
-        try:
-            return ord_mod.parse_ordinal(raw.strip())
-        except OrdinalSyntaxError as exc:
-            # the position within the term text, reported once
-            raise TermSyntaxError(exc.message, start + exc.position) from exc
+    def read_rank(self) -> Ordinal:
+        """The ordinal of ``min(...)`` or ``max(...)``, read in place:
+        its tokens end at the closing parenthesis, so a missing atom is
+        reported before the whitespace in front of it."""
+        m = self.m
+        start = end = m.start(1)
+        while m[1] != ")" and m[1]:
+            end = m.end()
+            m = TOKEN.match(self.text, end)
+        self.m, self.tok = m, m[1]
+        return read_ordinal(self.text, start, end)
 
     def parse_term(self) -> Term:
-        self.skip_ws()
-        if self.pos >= len(self.text):
-            raise self.error("expected a term")
-        c = self.text[self.pos]
-        if c.isdigit():
-            at = self.pos
-            count = self.read_int()
+        word, at = self.tok, self.m.start(1)
+        if word.isdecimal():
+            count = int(word)
+            self.eat(word)
             self.eat("*")
             body = self.parse_term()
             return self.build_glue(at, [body], count)
-        if c == "{" or c == "}":
+        if word == "{" or word == "}":
             raise self.error("a set is not a term here")
-        word_start = self.pos
-        word = self.read_word()
+        if word:
+            self.eat(word)
         if word == "empty":
             return EMPTY
         if word == "one":
@@ -560,43 +535,44 @@ class _Parser:
             return ID_BAIRE
         if word == "min" or word == "max":
             self.eat("(")
-            rank = self.read_ordinal_until(")")
+            rank = self.read_rank()
             self.eat(")")
-            return self.build(MinFn if word == "min" else MaxFn, word_start, rank)
+            return self.build(MinFn if word == "min" else MaxFn, at, rank)
         if word == "omega":
             self.eat("(")
             body = self.parse_term()
             self.eat(")")
-            return self.build(Omega, word_start, body)
+            return self.build(Omega, at, body)
         if word == "glue":
             self.eat("(")
             summands = self.parse_list(self.parse_term)
             self.eat(")")
-            return self.build_glue(word_start, summands)
+            return self.build_glue(at, summands)
         if word == "pgl":
             self.eat("{")
             members = self.parse_list(self.parse_term)
             self.eat("}")
-            return self.build(PglSet, word_start, members)
+            return self.build(PglSet, at, members)
         if word == "wedge":
             self.eat("(")
             verticals = self.parse_list(self.parse_set)
             self.eat("|")
             diagonal = self.parse_set()
             self.eat(")")
-            return self.build(Wedge, word_start, verticals, diagonal)
-        raise TermSyntaxError(f"unknown term {word!r}" if word else "expected a term", word_start)
+            return self.build(Wedge, at, verticals, diagonal)
+        is_word = word.isalnum() or "_" in word  # a word token, not one other character
+        raise TermSyntaxError(f"unknown term {word!r}" if is_word else "expected a term", at)
 
     def parse_set(self) -> list[Term]:
         self.eat("{")
-        items = [] if self.peek() == "}" else self.parse_list(self.parse_term)
+        items = [] if self.tok == "}" else self.parse_list(self.parse_term)
         self.eat("}")
         return items
 
     def parse_list(self, parse) -> list:
         """One or more items read by ``parse``, separated by commas."""
         items = [parse()]
-        while self.peek() == ",":
+        while self.tok == ",":
             self.eat(",")
             items.append(parse())
         return items

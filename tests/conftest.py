@@ -1,5 +1,6 @@
 import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,9 @@ from hypothesis import strategies as st
 
 from scatcalc.ordinal import Ordinal
 from scatcalc.sample import random_term
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 @st.composite
@@ -43,3 +47,13 @@ def census_inputs(seed, pool_size, pairs):
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
     return gen.census_inputs(seed, pool_size, pairs)
+
+
+def load_script(name: str):
+    """The module of ``scripts/<name>``."""
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve their annotations through sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module

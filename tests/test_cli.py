@@ -199,6 +199,19 @@ def test_parse_error_exit(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["type", "²*one"], "unknown term '²' (at position 0)"),
+        (["normalize", "min(w+ )"], "expected an ordinal atom (at position 6)"),
+        (["generators", "w+ "], "expected an ordinal atom (at position 3)"),
+        (["compare", "one", "pgl{max(w^x)}"], "expected an integer (at position 10)"),
+    ],
+)
+def test_a_parse_error_prints_one_line_with_its_position(capsys, argv, message):
+    assert run(capsys, *argv) == (64, "", f"error: {message}\n")
+
+
 def test_feasibility_exit(capsys):
     code, _, err = run(capsys, "generators", "3")
     assert code == 65

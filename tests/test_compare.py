@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 import threading
+import time
 import weakref
 
 import pytest
@@ -13,9 +14,9 @@ from scatcalc.ordinal import double, parse_ordinal as po
 from scatcalc.rank import cb_type, lex_le
 from scatcalc.rewrite import normalize
 from scatcalc.sample import random_term
-from scatcalc.term import Glue, MinFn, ONE, Omega, PglSet, format_term, parse_term
+from scatcalc.term import Glue, MinFn, ONE, Omega, PglSet, parse_term
 
-from conftest import census_inputs, terms
+from conftest import load_script, terms
 
 
 def outcome(a, b):
@@ -449,31 +450,15 @@ def test_no_le_le_notle_triangle_sampled(rng):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_census_normal_forms_have_no_transitivity_violation(seed):
     # every ordered pair of the first 150 distinct normal forms of a
-    # census pool, classified on one engine: a NOT_LE pair (a, c) with
-    # some b where a <= b and b <= c are both LE is a violation
+    # census pool, classified on one engine by the audit script: a
+    # NOT_LE pair (a, c) with some b where a <= b and b <= c are both LE
+    # is a violation
+    audit = load_script("audit.py")
     engine = Engine()
-    pool = census_inputs(seed, 1500, 6000)["pool_text"]
-    forms = list(dict.fromkeys(normalize(parse_term(text), engine) for text in pool))[:150]
+    forms = audit.census_forms(seed, 150, engine)
     assert len(forms) == 150
-    row = [0] * len(forms)  # row[a]: bit b set when a <= b is LE
-    col = [0] * len(forms)  # col[c]: bit b set when b <= c is LE
-    refuted = []
-    for a, f in enumerate(forms):
-        for c, g in enumerate(forms):
-            if a == c:
-                continue
-            outcome = engine.compare(f, g).outcome
-            if outcome is Outcome.LE:
-                row[a] |= 1 << c
-                col[c] |= 1 << a
-            elif outcome is Outcome.NOT_LE:
-                refuted.append((a, c))
-    assert refuted and any(row)
-    violations = [
-        (format_term(forms[a]), format_term(forms[c]))
-        for a, c in refuted
-        if row[a] & col[c]
-    ]
+    violations, _, counts = audit.transitivity(forms, engine)
+    assert counts[Outcome.LE] and counts[Outcome.NOT_LE]
     assert violations == []
 
 
@@ -535,3 +520,32 @@ def test_capacity_refutes_a_top_summand_with_no_slot():
 )
 def test_bipartite_saturates_with_capacities(edges, caps, saturates):
     assert _bipartite_saturates(edges, len(edges), caps) is saturates
+
+
+def test_bipartite_saturates_a_long_chain_without_recursion():
+    # each new left node finds its own right node behind a full one;
+    # a recursive search moved every earlier occupant down the chain
+    edges = {i: [max(i - 1, 0), i] for i in range(1100)}
+    start = time.perf_counter()
+    assert _bipartite_saturates(edges, 1100, [1] * 1100)
+    assert not _bipartite_saturates(edges, 1100, [1] * 1099 + [0])
+    assert time.perf_counter() - start < 1
+
+
+def brute_force_saturates(edges, n_left, caps):
+    """Whether some choice of one listed right node per left node keeps
+    every right node within its capacity."""
+    for choice in itertools.product(*(edges.get(i, []) for i in range(n_left))):
+        if all(choice.count(j) <= cap for j, cap in enumerate(caps)):
+            return True
+    return False
+
+
+def test_bipartite_saturates_agrees_with_brute_force():
+    rng = random.Random(7)
+    for _ in range(400):
+        n_left, n_right = rng.randint(0, 6), rng.randint(1, 4)
+        edges = {i: rng.sample(range(n_right), rng.randint(0, n_right)) for i in range(n_left)}
+        caps = [rng.randint(0, 2) for _ in range(n_right)]
+        expected = brute_force_saturates(edges, n_left, caps)
+        assert _bipartite_saturates(edges, n_left, caps) is expected, (edges, caps)

@@ -95,6 +95,36 @@ def test_parse_errors_carry_position():
         parse_ordinal("")
 
 
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("", "expected an ordinal atom", 0),
+        ("  ", "expected an ordinal atom", 2),
+        ("w+", "expected an ordinal atom", 2),
+        ("w+ ", "expected an ordinal atom", 3),
+        ("q", "unexpected character 'q'", 0),
+        ("w2", "unexpected character '2'", 1),
+        ("wx", "unexpected character 'x'", 1),
+        ("3x", "unexpected character 'x'", 1),
+        ("1+ +2", "unexpected character '+'", 3),
+        ("w )", "unexpected character ')'", 2),
+        ("w^", "expected an integer", 2),
+        ("w^x", "expected an integer", 2),
+        ("w*", "expected an integer", 2),
+        ("w^2*", "expected an integer", 4),
+        ("w^0", "exponent 0 not allowed; write the finite part as an integer", 2),
+        ("w*0", "coefficient must be >= 1", 2),
+        # '²' passes str.isdigit, but only decimal digits are digits
+        ("²", "unexpected character '²'", 0),
+    ],
+)
+def test_every_parse_error_names_its_position(text, message, position):
+    with pytest.raises(OrdinalSyntaxError) as exc:
+        parse_ordinal(text)
+    assert (exc.value.message, exc.value.position) == (message, position)
+    assert str(exc.value) == f"{message} (at position {position})"
+
+
 @given(ordinals())
 def test_roundtrip(a):
     assert parse_ordinal(format_ordinal(a)) == a

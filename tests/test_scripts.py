@@ -2,7 +2,6 @@
 outcomes."""
 
 import hashlib
-import importlib.util
 import json
 import os
 import signal
@@ -10,13 +9,11 @@ import subprocess
 import sys
 import textwrap
 import time
-from pathlib import Path
 
 import pytest
 
+from conftest import SCRIPTS, load_script
 from test_golden import load as load_golden
-
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_script(name: str, *args: str) -> str:
@@ -49,7 +46,7 @@ def test_fingerprint_hashes_every_section():
     ).splitlines()
     hashes = dict(line.rsplit(": ", 1) for line in lines)
     assert list(hashes) == [
-        "census 1 outcomes", "census 1 trace-now", "census 1 trace-after",
+        "census 1 parse", "census 1 outcomes", "census 1 trace-now", "census 1 trace-after",
         "census 1 normal-forms", "census 1 rule-steps", "census 1 cb-types",
         *(
             f"levels {name} {order} {part}"
@@ -70,13 +67,12 @@ def test_fingerprint_hashes_every_section():
     assert hashes["golden centered w+2"] == expected
 
 
-def load_script(name: str):
-    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), SCRIPTS / name)
-    module = importlib.util.module_from_spec(spec)
-    # dataclasses resolve their annotations through sys.modules
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
+def test_audit_reports_each_set_without_violations():
+    lines = run_script("audit.py", "--seeds", "1", "--forms", "40", "--centered", "3").splitlines()
+    assert [line.split(":")[0] for line in lines] == ["census 1", "centered 3"]
+    assert lines[0].startswith("census 1: 40 forms, ")
+    for line in lines:
+        assert "; 0 violations, " in line and line.endswith(" UNKNOWN pairs an LE chain decides")
 
 
 def test_ab_summary_on_canned_pairs():

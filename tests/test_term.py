@@ -84,6 +84,62 @@ def test_an_ordinal_error_in_a_term_reports_one_absolute_position(text, message,
     assert str(exc.value) == f"{message} (at position {position})"
 
 
+# one row or more per raise site of the term grammar, and of the ordinal
+# grammar read inside min(...) and max(...): (text, message, position)
+PARSE_ERRORS = [
+    # constructor messages, raised through the parser at the constructor's word
+    ("min(w)", "min() needs a successor rank, got w", 0),
+    ("wedge({one}, {one} | {})", "wedge vertical sets must be pairwise distinct", 0),
+    ("wedge({} | {one})", "wedge vertical sets must be non-empty", 0),
+    ("omega(idq)", "non-scattered sentinel cannot occur inside omega", 0),
+    ("pgl{one, idbaire}", "non-scattered sentinel cannot occur inside pgl", 0),
+    ("2*idq", "non-scattered sentinel cannot occur inside glue", 0),
+    ("glue(one, idq)", "non-scattered sentinel cannot occur inside glue", 0),
+    ("wedge({one} | {idq})", "non-scattered sentinel cannot occur inside wedge", 0),
+    # the term grammar
+    ("one extra", "trailing input after term", 4),
+    ("max(3)  extra", "trailing input after term", 8),
+    ("glue(one", "expected ')'", 8),
+    ("omega(one, one)", "expected ')'", 9),
+    ("wedge({one} {one})", "expected '|'", 12),
+    ("3 one", "expected '*'", 2),
+    ("7", "expected '*'", 1),
+    ("(one)", "expected a term", 0),
+    ("", "expected a term", 0),
+    ("  ", "expected a term", 2),
+    ("glue(one, )", "expected a term", 10),
+    ("pgl{}", "a set is not a term here", 4),
+    ("{one}", "a set is not a term here", 0),
+    ("glue(one, nope)", "unknown term 'nope'", 10),
+    ("max(w+1", "expected ')'", 7),
+    # the ordinal grammar; it ends at the closing parenthesis, before
+    # the whitespace in front of it
+    ("min(w+ )", "expected an ordinal atom", 6),
+    ("min()", "expected an ordinal atom", 4),
+    ("min( )", "expected an ordinal atom", 5),
+    ("max(1+)", "expected an ordinal atom", 6),
+    ("max(w^ )", "expected an integer", 6),
+    ("min(w*)", "expected an integer", 6),
+    ("min(w 1)", "unexpected character '1'", 6),
+    ("min(wx)", "unexpected character 'x'", 5),
+    ("glue(one, min(w2))", "unexpected character '2'", 15),
+    ("min(q)", "unexpected character 'q'", 4),
+    ("max(w^0)", "exponent 0 not allowed; write the finite part as an integer", 6),
+    ("pgl{max(w*0 )}", "coefficient must be >= 1", 10),
+    # only decimal digits are digits: '²' is a word character
+    ("²*one", "unknown term '²'", 0),
+    ("min(²)", "unexpected character '²'", 4),
+]
+
+
+@pytest.mark.parametrize("text, message, position", PARSE_ERRORS)
+def test_every_parse_error_names_its_position(text, message, position):
+    with pytest.raises(TermSyntaxError) as exc:
+        parse_term(text)
+    assert exc.value.position == position
+    assert str(exc.value) == f"{message} (at position {position})"
+
+
 def test_gluings_are_bounded_after_flattening():
     assert len(parse_term("glue(50000*one, 50000*one)").summands) == 2
     huge = "1" + "0" * 30 + "*one"
