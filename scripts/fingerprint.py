@@ -27,17 +27,22 @@ normal forms and single rule steps on these inputs.  Sections:
   ``equivalence_classes`` as its representative and members, its
   undecided pairs, and the ``hasse`` edges or the pair named by
   ``UndecidedPairError``;
+* ``multiplicity outcomes|traces|normal-forms``: every ordered pair of
+  ``multiplicity_terms()``, gluings that repeat their summands, on one
+  fresh engine: each outcome, each trace rendered after all the
+  verdicts, and each term's normal form;
 * ``golden <name>``: the rows ``tests/test_golden.py`` compares with
   ``tests/data/golden_verdicts.txt``.
 
 Run it from any tree: ``python3 scripts/fingerprint.py`` (census seeds
-1-5 with 1,500 terms and 6,000 pairs each, every levels set, every
-golden section).
+1-5 with 1,500 terms and 6,000 pairs each, every levels set, the
+multiplicity section, every golden section).
 """
 
 import argparse
 import hashlib
 import importlib.util
+import itertools
 import random
 import sys
 from pathlib import Path
@@ -59,7 +64,13 @@ from scatcalc.generators import (  # noqa: E402
 from scatcalc.ordinal import parse_ordinal  # noqa: E402
 from scatcalc.rank import cb_type  # noqa: E402
 from scatcalc.rewrite import apply_rule, normalize, rule_names  # noqa: E402
-from scatcalc.term import TermTooLargeError, format_term, parse_term  # noqa: E402
+from scatcalc.term import (  # noqa: E402
+    Glue,
+    TermTooLargeError,
+    format_term,
+    glue_of,
+    parse_term,
+)
 
 
 def digest(lines) -> str:
@@ -153,6 +164,28 @@ def level_sections(name: str):
         yield f"{order} hasse", digest(edges)
 
 
+def multiplicity_terms() -> list:
+    """Gluings of one to four copies of each summand, and two seeded
+    gluings of one to four copies each of every two summands, over the
+    centered set at 2 and the six generators at 1."""
+    summands = centered_raw(parse_ordinal("2")) + six_generators(parse_ordinal("1"))
+    terms = [glue_of((s,) * k) for s in summands for k in range(1, 5)]
+    rng = random.Random(0)
+    for a, b in itertools.combinations(summands, 2):
+        for _ in range(2):
+            terms.append(Glue((a,) * rng.randint(1, 4) + (b,) * rng.randint(1, 4)))
+    return terms
+
+
+def multiplicity_sections():
+    terms = multiplicity_terms()
+    engine = Engine()
+    verdicts = [engine.compare(f, g) for f in terms for g in terms]
+    yield "outcomes", digest(v.outcome.name for v in verdicts)
+    yield "traces", digest(line for v in verdicts for line in trace_lines(v))
+    yield "normal-forms", digest(format_term(normalize(t, engine)) for t in terms)
+
+
 def load_golden():
     spec = importlib.util.spec_from_file_location("golden", ROOT / "tests" / "test_golden.py")
     module = importlib.util.module_from_spec(spec)
@@ -182,6 +215,8 @@ def main() -> int:
     for set_name in args.levels:
         for name, value in level_sections(set_name):
             print(f"levels {set_name} {name}: {value}", flush=True)
+    for name, value in multiplicity_sections():
+        print(f"multiplicity {name}: {value}", flush=True)
     for name in args.golden:
         rows = golden.verdict_rows(golden.SECTIONS[name]())
         print(f"golden {name}: {digest(rows)}", flush=True)

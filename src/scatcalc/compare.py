@@ -77,7 +77,9 @@ N-lex, the axioms, L-gst, L-min/L-max, L-pgl-mono, L-glue,
 L-pgl-lower, L-wedge-bounds, N-centered, N-pgl-deg,
 N-capacity and N-mono.  Each rule takes the pair and its two CB-types
 and returns a verdict or None; the first verdict wins, and a pair no
-rule settles is UNKNOWN with a "rules" blocker.
+rule settles is UNKNOWN with a "rules" blocker.  L-glue and N-capacity
+ask each question once per distinct summand: copies of a source
+summand share its matching edges, and copies of a target add slots.
 
 Verdicts carry a shallow trace naming the rule and the sub-queries it
 used, formatted to text only when read.  ``Engine._query`` normalizes
@@ -135,6 +137,7 @@ from .term import (
     Wedge,
     format_term,
     glue_of,
+    multiplicities,
     summands_of,
 )
 
@@ -423,23 +426,17 @@ class Engine:
     # L-glue: multiset matching with absorbing targets
 
     def _rule_glue_match(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
-        fs, gs = summands_of(f), summands_of(g)
-        leftovers: list[Term] = []
-        for s in fs:
-            if any(self._absorbs(t, s) for t in gs):
-                continue
-            leftovers.append(s)
-        if leftovers:
-            # direct capacity-1 slots, found by augmenting paths
-            edges: dict[int, list[int]] = {}
-            for i, s in enumerate(leftovers):
-                edges[i] = [
-                    j
-                    for j, t in enumerate(gs)
-                    if not (s == f and t == g) and self._le(s, t)
-                ]
-            if not _bipartite_saturates(edges, len(leftovers), [1] * len(gs)):
-                return None
+        fs = summands_of(f)
+        targets = multiplicities(summands_of(g))
+        # a distinct summand is asked once and its copies share its
+        # edges; each copy of a target is one slot
+        edges: list[list[int]] = []
+        for s, n in multiplicities(fs).items():
+            if not any(self._absorbs(t, s) for t in targets):
+                fits = (not (s == f and t == g) and self._le(s, t) for t in targets)
+                edges += [[j for j, ok in enumerate(fits) if ok]] * n
+        if edges and not _bipartite_saturates(edges, len(edges), [*targets.values()]):
+            return None
         return _LE(_step("L-glue", f, g, "matched ", len(fs), " summand(s)"))
 
     def _absorbs(self, target: Term, s: Term) -> bool:
@@ -546,23 +543,25 @@ class Engine:
         if len(fs) == 1 and len(gs) == 1:
             return None
         r = tf.rank
-        ftops = [s for s in fs if cb_type(s).rank == r]
-        gtops = [s for s in gs if cb_type(s).rank == r]
+        ftops = multiplicities(s for s in fs if cb_type(s).rank == r)
+        gtops = multiplicities(s for s in gs if cb_type(s).rank == r)
         for s in ftops:
             if cb_type(s).degree != 1 or not isinstance(s, CENTERED):
                 return None
-        # all pairwise verdicts must be decided
-        edges: dict[int, list[int]] = {i: [] for i in range(len(ftops))}
-        for i, s in enumerate(ftops):
+        # all pairwise verdicts must be decided, each asked once
+        edges: list[list[int]] = []
+        for s, n in ftops.items():
+            row = []
             for j, t in enumerate(gtops):
                 v = self._query(s, t)
                 if v.outcome is Outcome.UNKNOWN:
                     return None
                 if v.outcome is Outcome.LE:
-                    edges[i].append(j)
-        # a target summand of degree d has d degree-slots
-        caps = [min(cb_type(t).degree, len(ftops)) for t in gtops]
-        if _bipartite_saturates(edges, len(ftops), caps):
+                    row.append(j)
+            edges += [row] * n
+        # each copy of a target summand of degree d has d degree-slots
+        caps = [min(n * cb_type(t).degree, len(edges)) for t, n in gtops.items()]
+        if _bipartite_saturates(edges, len(edges), caps):
             return None
         return _NOT_LE(
             _step("N-capacity", f, g, "top summands exceed target degree slots")
@@ -697,10 +696,10 @@ def _wedge_generator_level(t: Term) -> Optional[Ordinal]:
     return None
 
 
-def _bipartite_saturates(edges: dict[int, list[int]], n_left: int, caps: list[int]) -> bool:
+def _bipartite_saturates(edges: list[list[int]], n_left: int, caps: list[int]) -> bool:
     """Augmenting-path matching with capacities; True iff every left
-    node can be assigned a right node ``j`` that ``edges`` lists for
-    it, with at most ``caps[j]`` left nodes on each ``j``.  Each new
+    node ``i`` can be assigned a right node ``j`` that ``edges[i]``
+    lists, with at most ``caps[j]`` left nodes on each ``j``.  Each new
     left node searches breadth-first, without recursion: a full right
     node passes the search on to its occupants, and on a free slot each
     left node on the path moves to the right node it reached."""
@@ -711,7 +710,7 @@ def _bipartite_saturates(edges: dict[int, list[int]], n_left: int, caps: list[in
         queue = [root]
         free = None
         for i in queue:
-            for j in edges.get(i, ()):
+            for j in edges[i]:
                 if j not in came:
                     came[j] = i
                     if len(holders[j]) < caps[j]:

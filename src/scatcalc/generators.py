@@ -23,7 +23,7 @@ from typing import Iterable
 from . import ordinal as ord_mod
 from . import rewrite
 from .compare import Engine, Outcome
-from .ordinal import Ordinal
+from .ordinal import Ordinal, Value
 from .term import (
     MaxFn,
     MinFn,
@@ -51,26 +51,18 @@ class UndecidedPairError(RuntimeError):
         self.pair = (a, b)
 
 
-class GeneratorSet:
+class GeneratorSet(Value):
     """The raw terms enumerated at ``level``."""
 
     __slots__ = ("level", "raw")
-    __hash__ = None  # mutable
+    _fields = __slots__
 
     level: Ordinal
     raw: list[Term]
 
     def __init__(self, level: Ordinal, raw: list[Term]) -> None:
-        self.level = level
-        self.raw = raw
-
-    def __eq__(self, other):
-        if other.__class__ is GeneratorSet:
-            return self.level == other.level and self.raw == other.raw
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"GeneratorSet(level={self.level!r}, raw={self.raw!r})"
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "raw", raw)
 
 
 def equivalence_classes(

@@ -15,15 +15,17 @@ that ground instead.
 
 from __future__ import annotations
 
+from .ordinal import Value
 from .term import Glue, ONE, Term
 
 
-class FiniteFn:
+class FiniteFn(Value):
     """A function between finite discrete spaces ``range(dom_size)``
     and ``range(cod_size)``, listed by its ``values``.  Immutable;
     equal and hashed by its three fields."""
 
     __slots__ = ("dom_size", "cod_size", "values")
+    _fields = __slots__
 
     dom_size: int
     cod_size: int
@@ -39,32 +41,6 @@ class FiniteFn:
         object.__setattr__(self, "dom_size", dom_size)
         object.__setattr__(self, "cod_size", cod_size)
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return FiniteFn, self._fields()
-
-    def _fields(self) -> tuple:
-        return self.dom_size, self.cod_size, self.values
-
-    def __eq__(self, other):
-        if other.__class__ is FiniteFn:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"FiniteFn(dom_size={self.dom_size!r}, cod_size={self.cod_size!r},"
-            f" values={self.values!r})"
-        )
 
     @property
     def image(self) -> frozenset[int]:

@@ -4,8 +4,9 @@ An ordinal is w^e1*c1 + ... + w^em*cm + n with strictly decreasing
 exponents e1 > ... > em >= 1, coefficients ci >= 1 and a finite part
 n >= 0.  This is exactly what the rank computations need: every rank
 that shows up decomposes as "limit plus finite tail", and the tails
-stay small.  Values are immutable and totally ordered, so they can be
-used as dict keys and sorted directly.
+stay small.  An ordinal is a :class:`Value`, immutable like
+``rank.CbType``, ``oracle.FiniteFn`` and ``generators.GeneratorSet``,
+and totally ordered, so ordinals can be dict keys and sorted directly.
 
 Multiplication is deliberately absent.  The only product ever needed is
 doubling, which on lambda+n means 2*(lambda+n) = lambda+2n; see
@@ -23,6 +24,7 @@ that text; both grammars raise :class:`OrdinalSyntaxError`.
 from __future__ import annotations
 
 import re
+from operator import attrgetter, ge, gt, le, lt
 from typing import Iterable, Literal
 
 
@@ -37,12 +39,61 @@ class OrdinalSyntaxError(ValueError):
         self.position = position
 
 
-class Ordinal:
+class Value:
+    """An immutable value.  A subclass names its fields in ``_fields``,
+    in constructor order, and sets them with ``object.__setattr__``.
+    Equal only within its class, hashed by its fields, pickled and
+    copied through the constructor, shown as ``Class(field=value, ...)``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        # the fields as one tuple, read at C level
+        cls._values = attrgetter(*cls._fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # the constructor, since __setattr__ refuses the default path
+        return self.__class__, self._values(self)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = zip(self._fields, self._values(self))
+        return f"{self.__class__.__name__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+
+
+def _order(op):
+    """The comparison ``op`` of two ordinals' ``(terms, finite)``."""
+
+    def compare(self, other):
+        if other.__class__ is Ordinal:
+            return op(self._values(self), self._values(other))
+        return NotImplemented
+
+    return compare
+
+
+class Ordinal(Value):
     """An immutable CNF ordinal ``Ordinal(terms=(), finite=0)``.  Equal
     and ordered as the tuple ``(terms, finite)``, against ordinals
     only."""
 
     __slots__ = ("terms", "finite")
+    _fields = __slots__
 
     # ((exponent, coefficient), ...) with exponents strictly decreasing, all >= 1
     terms: tuple[tuple[int, int], ...]
@@ -61,43 +112,7 @@ class Ordinal:
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "finite", finite)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # the constructor, since __setattr__ refuses the default path
-        return Ordinal, (self.terms, self.finite)
-
-    def __hash__(self) -> int:
-        return hash((self.terms, self.finite))
-
-    def __eq__(self, other):
-        if other.__class__ is Ordinal:
-            return self.terms == other.terms and self.finite == other.finite
-        return NotImplemented
-
-    def __lt__(self, other):
-        if other.__class__ is Ordinal:
-            return (self.terms, self.finite) < (other.terms, other.finite)
-        return NotImplemented
-
-    def __le__(self, other):
-        if other.__class__ is Ordinal:
-            return (self.terms, self.finite) <= (other.terms, other.finite)
-        return NotImplemented
-
-    def __gt__(self, other):
-        if other.__class__ is Ordinal:
-            return (self.terms, self.finite) > (other.terms, other.finite)
-        return NotImplemented
-
-    def __ge__(self, other):
-        if other.__class__ is Ordinal:
-            return (self.terms, self.finite) >= (other.terms, other.finite)
-        return NotImplemented
+    __lt__, __le__, __gt__, __ge__ = map(_order, (lt, le, gt, ge))
 
     def __str__(self) -> str:
         return format_ordinal(self)

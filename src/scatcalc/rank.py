@@ -32,8 +32,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from . import ordinal as ord_mod
-from .ordinal import Ordinal
+from .ordinal import Ordinal, Value
 from .term import (
     OMEGA_DEGREE,
     Empty,
@@ -64,7 +63,7 @@ class NotNormalizedError(ValueError):
     """Raised by syntax-directed predicates on unnormalized input."""
 
 
-class CbType:
+class CbType(Value):
     """A CB-type with what comparisons read of it, built once:
     ``lex_key`` orders types lexicographically, ``rank_key`` orders
     their ranks, ``double_key`` is the key of the doubled rank (see
@@ -72,6 +71,7 @@ class CbType:
     limit.  Immutable; equal and hashed by ``(rank, degree)``."""
 
     __slots__ = ("rank", "degree", "lex_key", "rank_key", "double_key", "limit")
+    _fields = ("rank", "degree")
 
     rank: Ordinal
     degree: Degree
@@ -92,29 +92,9 @@ class CbType:
         object.__setattr__(self, "double_key", (rank.terms, 2 * rank.finite))
         object.__setattr__(self, "limit", rank.is_limit)
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return CbType, (self.rank, self.degree)
-
-    def __eq__(self, other):
-        if other.__class__ is CbType:
-            return self.rank == other.rank and self.degree == other.degree
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.degree))
-
-    def __repr__(self) -> str:
-        return f"CbType(rank={self.rank!r}, degree={self.degree!r})"
-
     def __str__(self) -> str:
         deg = "w" if self.degree == OMEGA_DEGREE else str(int(self.degree))
-        return f"({ord_mod.format_ordinal(self.rank)}, {deg})"
+        return f"({self.rank}, {deg})"
 
 
 def is_scattered(t: Term) -> bool:

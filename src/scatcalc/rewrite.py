@@ -28,7 +28,8 @@ Rule set (names are the public identifiers accepted by
 ``R-pgl-absorb``
     A gluing summand reducible to finitely many copies of a pointed
     gluing's glued set is swallowed by that pointed gluing (a pointed
-    gluing splits off any finite prefix of itself).
+    gluing splits off any finite prefix of itself).  Each distinct
+    pair is asked once, and the first copy of the summand goes.
 ``R-wedge-reduce``
     Reduced form for wedges: vertical families shrink to a
     domination-maximal antichain, dominated diagonal members drop,
@@ -84,6 +85,7 @@ from .term import (
     Wedge,
     glue_of,
     merged_wedge,
+    multiplicities,
     sort_key,
     summands_of,
     term_size,
@@ -318,15 +320,16 @@ def _canonical_side_set(members: tuple[Term, ...], engine: Engine) -> tuple[Term
 def _rule_pgl_absorb(t: Term, engine: Engine) -> Optional[Term]:
     if not isinstance(t, Glue):
         return None
-    if not any(isinstance(s, PglSet) for s in t.summands):
+    pgls = multiplicities(s for s in t.summands if isinstance(s, PglSet))
+    if not pgls:
         return None
-    for i, s in enumerate(t.summands):
-        pgls = [p for j, p in enumerate(t.summands) if j != i and isinstance(p, PglSet)]
-        if not pgls:
-            continue
+    # each distinct pair is asked once; a summand may be swallowed by
+    # another copy of itself, never by itself
+    for s in dict.fromkeys(t.summands):
         count = len(summands_of(s))
-        for p in pgls:
-            if engine._le_fin_glue(s, p.members, count):
+        for p, n in pgls.items():
+            if (p != s or n > 1) and engine._le_fin_glue(s, p.members, count):
+                i = t.summands.index(s)
                 return Glue(t.summands[:i] + t.summands[i + 1 :])
     return None
 

@@ -350,6 +350,14 @@ def summands_of(t: Term) -> tuple[Term, ...]:
     return t.summands if isinstance(t, Glue) else (t,)
 
 
+def multiplicities(items) -> dict[Term, int]:
+    """Each distinct item, in order of first occurrence, with its count."""
+    counts: dict[Term, int] = {}
+    for x in items:
+        counts[x] = counts.get(x, 0) + 1
+    return counts
+
+
 def copies(n: int, t: Term) -> Glue:
     return Glue((t,) * n)
 

@@ -9,12 +9,23 @@ import weakref
 import pytest
 from hypothesis import given, settings
 
-from scatcalc.compare import Engine, Outcome, _bipartite_saturates, le_compact
+from scatcalc import rewrite
+from scatcalc.compare import (
+    _LE,
+    _NOT_LE,
+    _RULES,
+    CENTERED,
+    Engine,
+    Outcome,
+    _bipartite_saturates,
+    _step,
+    le_compact,
+)
 from scatcalc.ordinal import double, parse_ordinal as po
 from scatcalc.rank import cb_type, lex_le
 from scatcalc.rewrite import normalize
 from scatcalc.sample import random_term
-from scatcalc.term import Glue, MinFn, ONE, Omega, PglSet, parse_term
+from scatcalc.term import Glue, MinFn, ONE, Omega, PglSet, parse_term, summands_of
 
 from conftest import load_script, terms
 
@@ -549,3 +560,116 @@ def test_bipartite_saturates_agrees_with_brute_force():
         caps = [rng.randint(0, 2) for _ in range(n_right)]
         expected = brute_force_saturates(edges, n_left, caps)
         assert _bipartite_saturates(edges, n_left, caps) is expected, (edges, caps)
+
+
+# -- repeated summands --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [("glue(199*pgl{one}, one)", "200*pgl{one}"), ("200*pgl{one}", "glue(200*min(3))")],
+)
+def test_repeated_summands_are_asked_once(left, right):
+    # one question per distinct summand: asked per copy, these pairs
+    # made 158,804 and 79,801 queries
+    engine = Engine()
+    queries = []
+    plain = engine._query
+
+    def query(a, b):
+        queries.append((a, b))
+        return plain(a, b)
+
+    engine._query = query
+    assert engine.compare(parse_term(left), parse_term(right)).outcome is Outcome.LE
+    assert len(queries) <= 10
+
+
+def per_copy_glue_match(engine, f, g, tf, tg):
+    """L-glue as it was asked per copy: the reference for the rule that
+    asks each distinct summand once."""
+    fs, gs = summands_of(f), summands_of(g)
+    leftovers = [s for s in fs if not any(engine._absorbs(t, s) for t in gs)]
+    if leftovers:
+        edges = {
+            i: [j for j, t in enumerate(gs) if not (s == f and t == g) and engine._le(s, t)]
+            for i, s in enumerate(leftovers)
+        }
+        if not _bipartite_saturates(edges, len(leftovers), [1] * len(gs)):
+            return None
+    return _LE(_step("L-glue", f, g, "matched ", len(fs), " summand(s)"))
+
+
+def per_copy_capacity(engine, f, g, tf, tg):
+    """N-capacity as it was asked per copy."""
+    if tf.rank != tg.rank or not tf.rank.is_successor:
+        return None
+    fs, gs = summands_of(f), summands_of(g)
+    if len(fs) == 1 and len(gs) == 1:
+        return None
+    ftops = [s for s in fs if cb_type(s).rank == tf.rank]
+    gtops = [s for s in gs if cb_type(s).rank == tf.rank]
+    if any(cb_type(s).degree != 1 or not isinstance(s, CENTERED) for s in ftops):
+        return None
+    edges = {i: [] for i in range(len(ftops))}
+    for i, s in enumerate(ftops):
+        for j, t in enumerate(gtops):
+            v = engine._query(s, t)
+            if v.outcome is Outcome.UNKNOWN:
+                return None
+            if v.outcome is Outcome.LE:
+                edges[i].append(j)
+    caps = [min(cb_type(t).degree, len(ftops)) for t in gtops]
+    if _bipartite_saturates(edges, len(ftops), caps):
+        return None
+    return _NOT_LE(_step("N-capacity", f, g, "top summands exceed target degree slots"))
+
+
+def per_copy_pgl_absorb(t, engine):
+    """R-pgl-absorb as it was asked per copy."""
+    if not isinstance(t, Glue):
+        return None
+    for i, s in enumerate(t.summands):
+        pgls = [p for j, p in enumerate(t.summands) if j != i and isinstance(p, PglSet)]
+        for p in pgls:
+            if engine._le_fin_glue(s, p.members, len(summands_of(s))):
+                return Glue(t.summands[:i] + t.summands[i + 1 :])
+    return None
+
+
+def multiplicity_results(terms):
+    """Outcomes, traces and normal forms over ``terms`` on a fresh engine."""
+    engine = Engine()
+    verdicts = [engine.compare(f, g) for f in terms for g in terms]
+    return (
+        [v.outcome for v in verdicts],
+        [v.trace for v in verdicts],
+        [normalize(t, engine) for t in terms],
+    )
+
+
+def test_repeated_summands_match_the_per_copy_rules(monkeypatch):
+    terms = load_script("fingerprint.py").multiplicity_terms()
+    compare_module = sys.modules["scatcalc.compare"]
+    per_copy = {
+        Engine._rule_glue_match: per_copy_glue_match,
+        Engine._rule_capacity: per_copy_capacity,
+    }
+    with monkeypatch.context() as mp:
+        mp.setattr(compare_module, "_RULES", tuple(per_copy.get(r, r) for r in _RULES))
+        mp.setitem(rewrite._RULES, "R-pgl-absorb", per_copy_pgl_absorb)
+        mp.setattr(
+            rewrite,
+            "_CAPPED_RULES",
+            tuple(rule for name, rule in rewrite._RULES.items() if name != "R-minmax"),
+        )
+        reference = multiplicity_results(terms)
+    outcomes, traces, forms = multiplicity_results(terms)
+    assert outcomes == reference[0]
+    assert traces == reference[1]
+    assert forms == reference[2]
+    # the pairs repeat summands, and each of the three rules acts on them
+    engine = Engine()
+    assert any(len(set(summands_of(t))) < len(summands_of(t)) for t in terms)
+    assert {"L-glue", "N-capacity"} <= {rule for trace in traces for rule, _ in trace}
+    assert any(rewrite.apply_rule(t, "R-pgl-absorb", engine) is not None for t in terms)

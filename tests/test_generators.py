@@ -1,3 +1,6 @@
+import copy
+import itertools
+import pickle
 import random
 
 import pytest
@@ -6,6 +9,7 @@ from scatcalc import generators
 from scatcalc.compare import Engine, Outcome
 from scatcalc.generators import (
     FeasibilityError,
+    GeneratorSet,
     UndecidedPairError,
     centered_raw,
     centered_set,
@@ -16,7 +20,8 @@ from scatcalc.generators import (
     six_generators,
 )
 from scatcalc.ordinal import Ordinal, from_int, parse_ordinal as po, split
-from scatcalc.rank import cb_type
+from scatcalc.oracle import FiniteFn
+from scatcalc.rank import CbType, cb_type
 from scatcalc.rewrite import normalize
 from scatcalc.sample import random_term
 from scatcalc.term import (
@@ -237,6 +242,25 @@ def test_six_generators_requires_limit_or_one():
     with pytest.raises(ValueError):
         six_generators(from_int(2))
     assert len(six_generators(from_int(1))) == 6
+
+
+def test_generator_sets_are_immutable_values():
+    s = centered_set(from_int(1))
+    assert repr(s) == "GeneratorSet(level=Ordinal('1'), raw=[One()])"
+    assert s == GeneratorSet(level=from_int(1), raw=[ONE])
+    assert s != GeneratorSet(from_int(2), [ONE]) and s != (from_int(1), [ONE])
+    with pytest.raises(AttributeError):
+        s.raw = []
+    with pytest.raises(AttributeError):
+        s.extra = 1
+    with pytest.raises(AttributeError):
+        del s.level
+    for t in (pickle.loads(pickle.dumps(s)), copy.copy(s), copy.deepcopy(s)):
+        assert type(t) is GeneratorSet and t == s
+    # values of different classes never compare equal
+    values = [from_int(1), CbType(from_int(1), 1), FiniteFn(1, 1, (0,)), s]
+    for a, b in itertools.permutations(values, 2):
+        assert a != b and not a == b
 
 
 def all_pairs_classes(terms, engine):

@@ -54,6 +54,7 @@ def test_fingerprint_hashes_every_section():
             for order in ("given", "reversed")
             for part in ("classes", "undecided", "hasse")
         ),
+        "multiplicity outcomes", "multiplicity traces", "multiplicity normal-forms",
         "golden six w", "golden centered w+2",
     ]
     # the centered set at w+2 has undecided pairs, the six generators none
