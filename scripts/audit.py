@@ -10,7 +10,8 @@ measures how much the LE side leaves open.
 
 The sets are the first ``--forms`` distinct normal forms of each census
 pool (``bench/gen.census_inputs(seed, 1500, 6000)``) and the distinct
-normal forms of each centered set.  Run it from any tree:
+normal forms of each centered set and of the generator sets at
+``GENERATOR_LEVELS``.  Run it from any tree:
 
     python3 scripts/audit.py [--seeds 1 2] [--forms 400] [--centered 3 w+2]
 
@@ -28,10 +29,12 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import gen  # noqa: E402  (bench/gen.py)
 from scatcalc.compare import Engine, Outcome  # noqa: E402
-from scatcalc.generators import centered_raw  # noqa: E402
+from scatcalc.generators import centered_raw, generator_raw  # noqa: E402
 from scatcalc.ordinal import parse_ordinal  # noqa: E402
 from scatcalc.rewrite import normalize  # noqa: E402
 from scatcalc.term import format_term, parse_term  # noqa: E402
+
+GENERATOR_LEVELS = ("1", "2", "w+1", "w*2+1", "w^2+1")
 
 
 def transitivity(forms, engine: Engine):
@@ -66,9 +69,9 @@ def census_forms(seed: int, n: int, engine: Engine) -> list:
     return list(dict.fromkeys(normalize(parse_term(text), engine) for text in pool))[:n]
 
 
-def centered_forms(level: str, engine: Engine) -> list:
-    """The distinct normal forms of the centered set at ``level``."""
-    return list(dict.fromkeys(normalize(t, engine) for t in centered_raw(parse_ordinal(level))))
+def level_forms(raw, level: str, engine: Engine) -> list:
+    """The distinct normal forms of the set ``raw`` builds at ``level``."""
+    return list(dict.fromkeys(normalize(t, engine) for t in raw(parse_ordinal(level))))
 
 
 def main() -> int:
@@ -78,14 +81,18 @@ def main() -> int:
     parser.add_argument("--centered", nargs="*", default=["3", "w+2"], help="centered set levels")
     args = parser.parse_args()
 
-    sets = [("census", seed) for seed in args.seeds] + [("centered", level) for level in args.centered]
+    sets = (
+        [("census", seed) for seed in args.seeds]
+        + [("centered", level) for level in args.centered]
+        + [("generators", level) for level in GENERATOR_LEVELS]
+    )
     failed = False
     for kind, arg in sets:
         engine = Engine()
         if kind == "census":
             forms = census_forms(arg, args.forms, engine)
         else:
-            forms = centered_forms(arg, engine)
+            forms = level_forms(centered_raw if kind == "centered" else generator_raw, arg, engine)
         violations, chained, counts = transitivity(forms, engine)
         print(
             f"{kind} {arg}: {len(forms)} forms, {counts[Outcome.LE]} LE, {counts[Outcome.NOT_LE]} NOT_LE, "

@@ -16,14 +16,18 @@ Text is read in tokens, and ``TOKEN`` is the one token pattern of both
 grammars, ordinals and terms: after optional whitespace it matches
 decimal digits (those ``int`` reads, not every ``str.isdigit``
 character), a word of letters, digits and underscores, one other
-character, or "" at the end.  :func:`read_ordinal` reads an
-ordinal in place inside a longer text, so its errors name positions in
-that text; both grammars raise :class:`OrdinalSyntaxError`.
+character, or "" at the end.  A text is split into its tokens by one
+``TOKEN.findall`` and read by index; :func:`token_start` scans again
+for a character position only when an error names one.
+:func:`read_ordinal` reads an ordinal inside a term's token list, so
+its errors name positions in the term's text; both grammars raise
+:class:`OrdinalSyntaxError`.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 from operator import attrgetter, ge, gt, le, lt
 from typing import Iterable, Literal
 
@@ -205,6 +209,12 @@ def sup(ordinals: Iterable[Ordinal]) -> Ordinal:
 TOKEN = re.compile(r"\s*(\d+|\w+|.|)", re.S)
 
 
+def token_start(text: str, k: int) -> int:
+    """The character position of token ``k`` of ``text``.  Readers keep
+    token indices and scan again for a position only on an error."""
+    return next(islice(TOKEN.finditer(text), k, None)).start(1)
+
+
 def parse_ordinal(text: str) -> Ordinal:
     """Parse the additive grammar `atom {"+" atom}` with
     `atom := "w" ["^" INT] ["*" INT] | INT`.
@@ -214,53 +224,75 @@ def parse_ordinal(text: str) -> Ordinal:
     canonical form.  Exponent 0 is rejected: write the finite part as a
     plain integer.
     """
-    return read_ordinal(text, 0, len(text))
+    return read_ordinal(text, TOKEN.findall(text), 0)[0]
 
 
-def read_ordinal(text: str, pos: int, end: int) -> Ordinal:
-    """The ordinal spelled by ``text[pos:end]``, read in place: an
-    error names its position in ``text``, and a missing atom or integer
-    is reported at ``end``.  An atom ``w`` is the first letter of a word
-    token; the rest of the word is read as the next token."""
-    result = None
+def read_ordinal(text: str, toks: list[str], i: int, closing: str = "") -> tuple[Ordinal, int]:
+    """The ordinal spelled by ``toks[i:]``, the tokens of ``text``, up
+    to ``closing`` or the end, and the index of that token.  An error
+    names its position in ``text``; a missing atom or integer is
+    reported at the end of the text or, inside a term, right after the
+    ordinal's last token.  An atom ``w`` is the first letter of a word
+    token; the rest of the word is read as the next token.  A canonical
+    spelling builds one ``Ordinal``; any other sum is added up."""
+    first, atoms, canonical = i, [], True
     while True:
-        m = TOKEN.match(text, pos, end)
-        tok = m[1]
+        tok = toks[i]
         if tok.isdecimal():
-            atom = from_int(int(tok))
-            m = TOKEN.match(text, m.end(), end)
-        elif tok[:1] == "w":
+            exp, coeff = 0, int(tok)
+            i += 1
+        elif tok == "w":
             exp = coeff = 1
-            m = TOKEN.match(text, m.start(1) + 1, end)
-            if m[1] == "^":
-                m = TOKEN.match(text, m.end(), end)
-                exp = _positive(m, "exponent 0 not allowed; write the finite part as an integer")
-                m = TOKEN.match(text, m.end(), end)
-            if m[1] == "*":
-                m = TOKEN.match(text, m.end(), end)
-                coeff = _positive(m, "coefficient must be >= 1")
-                m = TOKEN.match(text, m.end(), end)
-            atom = omega_power(exp, coeff)
+            i += 1
+            if toks[i] == "^":
+                exp = _positive(text, toks, first, i + 1, closing, _EXPONENT_ZERO)
+                i += 2
+            if toks[i] == "*":
+                coeff = _positive(text, toks, first, i + 1, closing, "coefficient must be >= 1")
+                i += 2
+        elif tok[:1] == "w":
+            raise OrdinalSyntaxError(f"unexpected character {tok[1]!r}", token_start(text, i) + 1)
         else:
-            message = f"unexpected character {tok[0]!r}" if tok else "expected an ordinal atom"
-            raise OrdinalSyntaxError(message, m.start(1))
-        result = atom if result is None else add(result, atom)
-        tok = m[1]
-        if not tok:
-            return result
+            missing = not tok or tok == closing
+            message = "expected an ordinal atom" if missing else f"unexpected character {tok[0]!r}"
+            raise OrdinalSyntaxError(message, _position(text, toks, first, i, closing))
+        canonical = canonical and (not atoms or exp < atoms[-1][0])
+        atoms.append((exp, coeff))
+        tok = toks[i]
         if tok != "+":
-            raise OrdinalSyntaxError(f"unexpected character {tok[0]!r}", m.start(1))
-        pos = m.end()
+            break
+        i += 1
+    if tok and tok != closing:
+        raise OrdinalSyntaxError(f"unexpected character {tok[0]!r}", token_start(text, i))
+    if canonical:  # exponents strictly decrease, the finite part (exponent 0) last
+        exp, coeff = atoms[-1]
+        return (Ordinal(tuple(atoms), 0) if exp else Ordinal(tuple(atoms[:-1]), coeff)), i
+    value = ZERO
+    for exp, coeff in atoms:
+        value = add(value, omega_power(exp, coeff) if exp else from_int(coeff))
+    return value, i
 
 
-def _positive(m: re.Match, zero: str) -> int:
-    """The integer token ``m`` holds; ``zero`` is the message that
+_EXPONENT_ZERO = "exponent 0 not allowed; write the finite part as an integer"
+
+
+def _position(text: str, toks: list[str], first: int, k: int, closing: str) -> int:
+    """The position of token ``k`` of an ordinal read from token
+    ``first`` on; inside a term, its closing token or the end stands
+    right after the ordinal's last token."""
+    if closing and k > first and toks[k] in (closing, ""):
+        return token_start(text, k - 1) + len(toks[k - 1])
+    return token_start(text, k)
+
+
+def _positive(text: str, toks: list[str], first: int, k: int, closing: str, zero: str) -> int:
+    """The integer token ``k`` holds; ``zero`` is the message that
     refuses 0."""
-    if not m[1].isdecimal():
-        raise OrdinalSyntaxError("expected an integer", m.start(1))
-    n = int(m[1])
+    if not toks[k].isdecimal():
+        raise OrdinalSyntaxError("expected an integer", _position(text, toks, first, k, closing))
+    n = int(toks[k])
     if n == 0:
-        raise OrdinalSyntaxError(zero, m.start(1))
+        raise OrdinalSyntaxError(zero, token_start(text, k))
     return n
 
 

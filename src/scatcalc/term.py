@@ -42,13 +42,14 @@ a finitely-supported or monotone non-constant pointed gluing has no
 term of its own; callers needing one must pick an equivalent ``PglSet``
 form by hand.  Points, spaces and reducing maps are never materialized.
 
-The concrete syntax is read by recursive descent over the tokens of
-``ordinal.TOKEN``, so whitespace may stand between any two tokens and
-only decimal digits spell a count.  ``min(...)`` and ``max(...)`` hand
-the tokens up to their closing parenthesis to ``ordinal.read_ordinal``,
-which reads them in place.  Every syntax error is one
+The concrete syntax is read by recursive descent, one frame per
+nesting level, over the list of ``ordinal.TOKEN`` tokens that one
+``findall`` makes of the text, so whitespace may stand between any two
+tokens and only decimal digits spell a count.  ``min(...)`` and
+``max(...)`` read their rank from the same list with
+``ordinal.read_ordinal``.  Every syntax error is one
 ``TermSyntaxError``, the class ``ordinal.OrdinalSyntaxError``, naming a
-character position in the term text.
+character position in the term text, worked out only for the error.
 """
 
 from __future__ import annotations
@@ -57,10 +58,11 @@ import math
 import threading
 import weakref
 from _weakref import _remove_dead_weakref
+from itertools import chain
 from operator import attrgetter
 
 from . import ordinal as ord_mod
-from .ordinal import TOKEN, Ordinal, OrdinalSyntaxError, read_ordinal
+from .ordinal import TOKEN, Ordinal, OrdinalSyntaxError, read_ordinal, token_start
 
 # one syntax-error class for the term and the ordinal grammar
 TermSyntaxError = OrdinalSyntaxError
@@ -262,12 +264,12 @@ class Wedge(Term):
     _variant = 9
 
     def __new__(cls, verticals, diagonal) -> "Wedge":
-        vert = tuple(sorted((_sorted_set(v) for v in verticals), key=_family_key))
+        vert = tuple(sorted(map(_sorted_set, verticals), key=_family_key))
         if not vert:
             raise ValueError("wedge needs at least one vertical set")
+        if not vert[0]:  # an empty set sorts first
+            raise ValueError("wedge vertical sets must be non-empty")
         for v in vert:
-            if not v:
-                raise ValueError("wedge vertical sets must be non-empty")
             _check_inner(v, "wedge")
         if len(set(vert)) != len(vert):
             raise ValueError("wedge vertical sets must be pairwise distinct")
@@ -278,16 +280,17 @@ class Wedge(Term):
     def _measure(self) -> tuple[tuple, int, tuple]:
         vs, ds = self.verticals, self.diagonal
         key = (self._variant, tuple(map(_family_key, vs)), tuple(map(_key_of, ds)))
-        size = 1 + sum(sum(map(_size_of, v)) for v in vs + (ds,))
+        size = 1 + sum(map(_size_of, chain(ds, *vs)))
         # each vertical is a pointed gluing: one above its gluing's rank
-        verticals = [(terms, finite + 1) for terms, finite, _ in map(_glue_type, vs)]
-        terms, finite, diag_degree = _glue_type(ds)
+        terms, finite, _ = max(map(_glue_type, vs))
+        vert = (terms, finite + 1)
+        terms, finite, degree = _glue_type(ds)
         diag = (terms, finite)
-        rank = max(diag, *verticals)
-        degree = 1 if rank in verticals else 0
-        if rank == diag and diag_degree:
-            degree = OMEGA_DEGREE
-        return key, size, (*rank, degree)
+        if diag < vert:
+            return key, size, (*vert, 1)
+        # the diagonal's copies make a nonzero top degree infinite; a tie
+        # with the verticals is a successor rank, never of degree 0
+        return key, size, (*diag, OMEGA_DEGREE if degree else 0)
 
 
 class MinFn(Term):
@@ -326,6 +329,7 @@ EMPTY = Empty()
 ONE = One()
 ID_Q = IdQ()
 ID_BAIRE = IdBaire()
+_ATOMS = {"empty": EMPTY, "one": ONE, "idq": ID_Q, "idbaire": ID_BAIRE}
 
 
 def merged_wedge(verticals, diagonal) -> "Wedge":
@@ -465,37 +469,34 @@ def parse_term(text: str) -> Term:
     to more than ``MAX_SUMMANDS`` summands."""
     parser = _Parser(text)
     t = parser.parse_term()
-    if parser.tok:
-        raise parser.error("trailing input after term")
+    if parser.toks[parser.i]:
+        raise parser.error("trailing input after term", parser.i)
     return t
 
 
 class _Parser:
-    """Recursive descent over the tokens of ``ordinal.TOKEN``: ``tok``
-    is the next token ("" at the end) and ``m`` its match."""
+    """Recursive descent, one frame per nesting level, over the tokens
+    of one text: ``toks[i]`` is the next one, and the last is ""."""
 
     def __init__(self, text: str) -> None:
-        self.text = text
-        # parsed gluing -> the number of summands it flattens to
-        self.widths: dict[Term, int] = {}
-        m = self.m = TOKEN.match(text)
-        self.tok = m[1]
+        self.text, self.toks, self.i = text, TOKEN.findall(text), 0
+        self.widths: dict[Term, int] = {}  # parsed gluing -> the summands it flattens to
 
-    def error(self, message: str) -> TermSyntaxError:
-        return TermSyntaxError(message, self.m.start(1))
+    def error(self, message: str, k: int) -> TermSyntaxError:
+        return TermSyntaxError(message, token_start(self.text, k))
 
     def eat(self, tok: str) -> None:
         """Consume the next token, which must be ``tok``."""
-        if self.tok != tok:
-            raise self.error(f"expected {tok!r}")
-        m = self.m = TOKEN.match(self.text, self.m.end())
-        self.tok = m[1]
+        i = self.i
+        if self.toks[i] != tok:
+            raise self.error(f"expected {tok!r}", i)
+        self.i = i + 1
 
     def build(self, ctor, at: int, *args):
         try:
             return ctor(*args)
         except ValueError as exc:
-            raise TermSyntaxError(str(exc), at) from exc
+            raise self.error(str(exc), at) from exc
 
     def build_glue(self, at: int, summands: list[Term], repeat: int = 1) -> Term:
         """The gluing of ``repeat`` copies of ``summands``, refused
@@ -509,41 +510,19 @@ class _Parser:
         self.widths[t] = width
         return t
 
-    def read_rank(self) -> Ordinal:
-        """The ordinal of ``min(...)`` or ``max(...)``, read in place:
-        its tokens end at the closing parenthesis, so a missing atom is
-        reported before the whitespace in front of it."""
-        m = self.m
-        start = end = m.start(1)
-        while m[1] != ")" and m[1]:
-            end = m.end()
-            m = TOKEN.match(self.text, end)
-        self.m, self.tok = m, m[1]
-        return read_ordinal(self.text, start, end)
-
     def parse_term(self) -> Term:
-        word, at = self.tok, self.m.start(1)
+        toks, at = self.toks, self.i
+        word = toks[at]
+        self.i = at + 1
+        if word in _ATOMS:
+            return _ATOMS[word]
         if word.isdecimal():
             count = int(word)
-            self.eat(word)
             self.eat("*")
-            body = self.parse_term()
-            return self.build_glue(at, [body], count)
-        if word == "{" or word == "}":
-            raise self.error("a set is not a term here")
-        if word:
-            self.eat(word)
-        if word == "empty":
-            return EMPTY
-        if word == "one":
-            return ONE
-        if word == "idq":
-            return ID_Q
-        if word == "idbaire":
-            return ID_BAIRE
+            return self.build_glue(at, [self.parse_term()], count)
         if word == "min" or word == "max":
             self.eat("(")
-            rank = self.read_rank()
+            rank, self.i = read_ordinal(self.text, toks, self.i, ")")
             self.eat(")")
             return self.build(MinFn if word == "min" else MaxFn, at, rank)
         if word == "omega":
@@ -551,36 +530,35 @@ class _Parser:
             body = self.parse_term()
             self.eat(")")
             return self.build(Omega, at, body)
-        if word == "glue":
-            self.eat("(")
-            summands = self.parse_list(self.parse_term)
-            self.eat(")")
-            return self.build_glue(at, summands)
-        if word == "pgl":
-            self.eat("{")
-            members = self.parse_list(self.parse_term)
+        if word == "glue" or word == "pgl":
+            self.eat("(" if word == "glue" else "{")
+            items = [self.parse_term()]
+            while toks[self.i] == ",":
+                self.i += 1
+                items.append(self.parse_term())
+            if word == "glue":
+                self.eat(")")
+                return self.build_glue(at, items)
             self.eat("}")
-            return self.build(PglSet, at, members)
+            return self.build(PglSet, at, items)
         if word == "wedge":
             self.eat("(")
-            verticals = self.parse_list(self.parse_set)
-            self.eat("|")
-            diagonal = self.parse_set()
+            sets, diagonal = [], False  # the vertical sets, then the diagonal
+            while True:
+                self.eat("{")
+                items = [] if toks[self.i] == "}" else [self.parse_term()]
+                while items and toks[self.i] == ",":
+                    self.i += 1
+                    items.append(self.parse_term())
+                self.eat("}")
+                sets.append(items)
+                if diagonal:
+                    break
+                diagonal = toks[self.i] != ","
+                self.eat("|" if diagonal else ",")
             self.eat(")")
-            return self.build(Wedge, at, verticals, diagonal)
+            return self.build(Wedge, at, sets[:-1], sets[-1])
+        if word == "{" or word == "}":
+            raise self.error("a set is not a term here", at)
         is_word = word.isalnum() or "_" in word  # a word token, not one other character
-        raise TermSyntaxError(f"unknown term {word!r}" if is_word else "expected a term", at)
-
-    def parse_set(self) -> list[Term]:
-        self.eat("{")
-        items = [] if self.tok == "}" else self.parse_list(self.parse_term)
-        self.eat("}")
-        return items
-
-    def parse_list(self, parse) -> list:
-        """One or more items read by ``parse``, separated by commas."""
-        items = [parse()]
-        while self.tok == ",":
-            self.eat(",")
-            items.append(parse())
-        return items
+        raise self.error(f"unknown term {word!r}" if is_word else "expected a term", at)

@@ -275,6 +275,12 @@ def test_deep_terms_answer_or_exit_65(capsys, argv, answer):
         assert (code, out, err) == (65, "", "error: term nested too deeply\n")
 
 
+def test_type_answers_on_900_nested_pointed_gluings(capsys):
+    # the parser takes one frame per nesting level
+    code, out, err = run(capsys, "type", "pgl{" * 900 + "one" + "}" * 900)
+    assert (code, out, err) == (0, "(901, 1)\n", "")
+
+
 def test_trace_is_read_before_the_verdict_is_printed(capsys):
     # decided by type without normalizing min(400); the trace needs its normal form
     code, out, _ = run(capsys, "compare", "min(400)", "one")

@@ -70,10 +70,19 @@ def test_fingerprint_hashes_every_section():
 
 def test_audit_reports_each_set_without_violations():
     lines = run_script("audit.py", "--seeds", "1", "--forms", "40", "--centered", "3").splitlines()
-    assert [line.split(":")[0] for line in lines] == ["census 1", "centered 3"]
+    levels = ["1", "2", "w+1", "w*2+1", "w^2+1"]
+    assert [line.split(":")[0] for line in lines] == ["census 1", "centered 3"] + [
+        f"generators {level}" for level in levels
+    ]
     assert lines[0].startswith("census 1: 40 forms, ")
+    # the distinct normal forms of the generator sets, every pair decided
+    assert [line.split(", ")[0].split(": ")[1] for line in lines[2:]] == [
+        "2 forms", "7 forms", "5 forms", "5 forms", "5 forms"
+    ]
     for line in lines:
         assert "; 0 violations, " in line and line.endswith(" UNKNOWN pairs an LE chain decides")
+    for line in lines[2:]:
+        assert " 0 UNKNOWN; " in line
 
 
 def test_ab_summary_on_canned_pairs():

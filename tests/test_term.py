@@ -1,13 +1,15 @@
 import copy
 import gc
 import pickle
+import random
 import sys
 import threading
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scatcalc import term
+from scatcalc import ordinal, term
 from scatcalc.compare import Engine
 from scatcalc.ordinal import Ordinal, parse_ordinal
 from scatcalc.rewrite import normalize
@@ -33,7 +35,8 @@ from scatcalc.term import (
     term_size,
 )
 
-from conftest import terms
+import reference_parser
+from conftest import census_inputs, load_script, terms
 
 
 def test_parse_examples():
@@ -148,6 +151,88 @@ def test_gluings_are_bounded_after_flattening():
             parse_term(text)
     # a gluing under omega or pgl is not flattened into the outer one
     assert parse_term("2*omega(100000*one)") == Glue([Omega(Glue([ONE] * 100000))] * 2)
+
+
+def outcome(parse, text):
+    """What ``parse`` makes of ``text``: its value, or its exception
+    as class, message and position."""
+    try:
+        return parse(text)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def assert_parses_as_reference(text):
+    new, old = outcome(parse_term, text), outcome(reference_parser.parse_term, text)
+    assert new is old or (isinstance(old, tuple) and new == old), text
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_census_texts_and_mutations_parse_as_the_reference(seed):
+    with_mutations = load_script("fingerprint.py").with_mutations
+    rng = random.Random(seed)
+    for text in census_inputs(seed, 1500, 6000)["pool_text"]:
+        for mutated in with_mutations(text, rng):
+            assert_parses_as_reference(mutated)
+
+
+_TERM_WORDS = ["one", "empty", "omega", "pgl", "glue", "wedge", "min", "max", "idq", "idbaire", "w"]
+_TERM_GARBAGE = st.lists(
+    st.sampled_from(_TERM_WORDS + list("(){},|*^+ 0123456789_x\t²")), max_size=16
+).map("".join)
+
+
+@given(_TERM_GARBAGE)
+@settings(max_examples=1000, deadline=None)
+def test_garbage_parses_as_the_reference(text):
+    assert_parses_as_reference(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "100000*one", "100001*one", "1000*1000*one", "glue(50000*one, 50001*one)",
+        "glue(2*50000*one, one)", "3*glue(40000*one)", "1" + "0" * 30 + "*one",
+        "2*omega(100000*one)", "0*glue(200000*one)", "glue(100001*one",
+    ],
+)
+def test_oversized_gluings_fail_as_in_the_reference(text):
+    assert_parses_as_reference(text)
+
+
+_ORDINAL_TEXT = st.lists(
+    st.sampled_from(list("w^*+0123456789 x)(,") + ["w2", "wx", "10"]), max_size=10
+).map("".join)
+
+
+@given(_ORDINAL_TEXT)
+@settings(max_examples=1000, deadline=None)
+def test_ordinals_read_as_the_reference(text):
+    for wrapped in (f"min({text})", f"max({text}", f"glue(one, max( {text} ), one)"):
+        assert_parses_as_reference(wrapped)
+    new, old = outcome(parse_ordinal, text), outcome(reference_parser.parse_ordinal, text)
+    assert new == old, text
+
+
+def test_a_canonical_rank_builds_one_ordinal(monkeypatch):
+    added = []
+    add = ordinal.add
+    monkeypatch.setattr(ordinal, "add", lambda a, b: added.append(b) or add(a, b))
+    assert parse_term("min(w^2*3+w+4)").rank == Ordinal(((2, 3), (1, 1)), 4)
+    assert parse_term("max(0)").rank == Ordinal() and not added
+    assert parse_term("max(w+w^2+1+2)").rank == Ordinal(((2, 1),), 3) and len(added) == 4
+
+
+def test_nesting_costs_one_frame_per_level():
+    frame, used = sys._getframe(), 0
+    while frame is not None:
+        frame, used = frame.f_back, used + 1
+    # the frames left under the recursion limit, less a few for the
+    # constructors at the innermost level
+    depth = sys.getrecursionlimit() - used - 20
+    for opening, closing in (("pgl{", "}"), ("omega(", ")"), ("1*", ""), ("wedge({", "} | {})")):
+        t = parse_term(opening * depth + "one" + closing * depth)
+        assert term_size(t) >= depth + 1
 
 
 def test_sentinels_cannot_nest():
