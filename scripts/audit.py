@@ -6,7 +6,9 @@ one engine, and each form keeps its LE row and its LE column as int
 bitsets.  A NOT_LE pair (a, c) with a form b such that a <= b and
 b <= c are both LE is a violation; a sound engine has none.  An UNKNOWN
 pair with such a b is one that an LE, LE chain decides; their count
-measures how much the LE side leaves open.
+measures how much the LE side leaves open.  An unordered pair of forms
+that are LE both ways is an equivalent pair: two normal forms of one
+class, which canonical normal forms would make one.
 
 The sets are the first ``--forms`` distinct normal forms of each census
 pool (``bench/gen.census_inputs(seed, 1500, 6000)``) and the distinct
@@ -40,7 +42,8 @@ GENERATOR_LEVELS = ("1", "2", "w+1", "w*2+1", "w^2+1")
 def transitivity(forms, engine: Engine):
     """Classify every ordered pair of distinct ``forms`` on ``engine``.
     Returns the violations and the UNKNOWN pairs an LE chain decides,
-    each as pairs of formatted terms, and the count of each outcome."""
+    each as pairs of formatted terms, the count of each outcome, and
+    the number of equivalent pairs."""
     row = [0] * len(forms)  # row[a]: bit b set when a <= b is LE
     col = [0] * len(forms)  # col[c]: bit b set when b <= c is LE
     open_pairs = {Outcome.NOT_LE: [], Outcome.UNKNOWN: []}
@@ -60,7 +63,9 @@ def transitivity(forms, engine: Engine):
     def chained(pairs):
         return [(format_term(forms[a]), format_term(forms[c])) for a, c in pairs if row[a] & col[c]]
 
-    return chained(open_pairs[Outcome.NOT_LE]), chained(open_pairs[Outcome.UNKNOWN]), counts
+    # a <= b and b <= a: bit b of both row[a] and col[a], each pair twice
+    equivalent = sum(bin(r & c).count("1") for r, c in zip(row, col)) // 2
+    return chained(open_pairs[Outcome.NOT_LE]), chained(open_pairs[Outcome.UNKNOWN]), counts, equivalent
 
 
 def census_forms(seed: int, n: int, engine: Engine) -> list:
@@ -93,11 +98,11 @@ def main() -> int:
             forms = census_forms(arg, args.forms, engine)
         else:
             forms = level_forms(centered_raw if kind == "centered" else generator_raw, arg, engine)
-        violations, chained, counts = transitivity(forms, engine)
+        violations, chained, counts, equivalent = transitivity(forms, engine)
         print(
             f"{kind} {arg}: {len(forms)} forms, {counts[Outcome.LE]} LE, {counts[Outcome.NOT_LE]} NOT_LE, "
             f"{counts[Outcome.UNKNOWN]} UNKNOWN; {len(violations)} violations, "
-            f"{len(chained)} UNKNOWN pairs an LE chain decides",
+            f"{len(chained)} UNKNOWN pairs an LE chain decides, {equivalent} equivalent pairs",
             flush=True,
         )
         for f, g in violations:

@@ -24,7 +24,9 @@ Le-rules
              targets that absorb unbounded multiplicity (omega terms,
              pointed gluings via their split-off finite prefixes, max
              atoms, min atoms via general-structure bounds) accept any
-             number of summands.
+             number of summands.  ``_absorbs`` decides absorption, and
+             the rewrite rule R-absorb asks the same predicate, so a
+             summand normalization drops is one L-glue would absorb.
     L-pgl-mono
              pointed gluings are monotone under memberwise reduction
              into finite gluings of the target members.

@@ -16,20 +16,46 @@ Rule set (names are the public identifiers accepted by
     Expands min/max atoms by their defining recurrences until the
     argument is 1, a limit, or limit-plus-one; ``pgl{empty}`` is ``one``.
 ``R-omega``
-    Countable gluing absorbs finite multiplicity: omega of empty/omega
-    collapses, omega distributes over gluing, and inside a gluing an
-    omega-of-f swallows plain copies of f and duplicate omegas of f.
+    Omega of empty is empty, omega of an omega term is that term, omega
+    distributes over gluing, and omega of the max atom at a limit
+    lambda is that atom: both have rank lambda, and L-gst reduces any
+    term to one whose rank is a limit at least its own.
 ``R-pgl-members``
     A pointed-gluing member strictly dominated by a fellow member is
     redundant (mutual domination keeps the syntactically least).
 ``R-pgl-wedge``
     A wedge member of a pointed gluing is replaced by its vertical
     pointed gluings and omega copies of its diagonal members.
-``R-pgl-absorb``
-    A gluing summand reducible to finitely many copies of a pointed
-    gluing's glued set is swallowed by that pointed gluing (a pointed
-    gluing splits off any finite prefix of itself).  Each distinct
-    pair is asked once, and the first copy of the summand goes.
+``R-absorb``
+    A gluing summand goes when another summand, or another copy of
+    itself, absorbs it by ``Engine._absorbs``, the predicate L-glue
+    uses.  Each rewrite is an equivalence: ``t <= glue(t, s)`` holds as
+    a summand inclusion, and ``glue(t, s) <= t`` is the L-glue
+    derivation of that pair, in which ``t`` matches itself and absorbs
+    ``s``.  The rule is therefore exactly as strong as L-glue, whose
+    absorbing targets ``t`` are:
+
+    * ``omega(b)``, when ``s <= b``, or ``s`` is an omega term, gluing or
+      wedge whose parts are each so absorbed: every part lands in
+      countably many copies of ``b``, and omega copies plus omega
+      copies are omega copies;
+    * ``pgl{M}``, when ``s <= glue(M)``: a pointed gluing splits off
+      any finite prefix of its rays, so ``pgl{M}`` is
+      ``glue(pgl{M}, glue(M))``;
+    * the max atom at a limit lambda, when ``rank(s) <= lambda``: the
+      gluing still has rank at most lambda, and L-max reduces every
+      such term to the atom;
+    * the min atom at lambda + 1, lambda a limit, when ``rank(s)`` is
+      below lambda: the atom is a pointed gluing of min atoms whose
+      ranks are cofinal in lambda, so it splits off a ray of rank above
+      twice ``rank(s)``, and ``s`` reduces to that ray by the
+      general-structure bound of L-gst.
+
+    One pass over the distinct summands, in order, decides them all:
+    a summand goes, every copy at once, when a summand still present
+    absorbs it, and one that only absorbs itself keeps a single copy.
+    Each drop is a valid step on its own, and ``k*t`` costs one
+    question per distinct pair, not one rewrite per copy.
 ``R-wedge-reduce``
     Reduced form for wedges: vertical families shrink to a
     domination-maximal antichain, dominated diagonal members drop,
@@ -49,7 +75,7 @@ each rewrite) maps to the normal form in the engine's cache, and a pass
 that meets a cached shape stops there, so each rule runs at most once
 per distinct term per engine.
 
-``R-pgl-members``, ``R-pgl-absorb`` and ``R-wedge-reduce`` decide
+``R-pgl-members``, ``R-absorb`` and ``R-wedge-reduce`` decide
 reducibilities.  Normalization runs on an :class:`~scatcalc.compare.Engine`:
 every rule asks that engine, and the normal forms are cached on it, so
 an engine's normal forms and verdicts depend on nothing outside it.
@@ -253,33 +279,15 @@ def _rule_minmax(t: Term, engine: Engine) -> Optional[Term]:
 
 
 def _rule_omega(t: Term, engine: Engine) -> Optional[Term]:
-    if isinstance(t, Omega):
-        if isinstance(t.body, Empty):
-            return EMPTY
-        if isinstance(t.body, Omega):
-            return t.body
-        if isinstance(t.body, Glue):
-            return Glue([Omega(s) for s in t.body.summands])
+    if not isinstance(t, Omega):
         return None
-    if isinstance(t, Glue):
-        omegas = {s.body for s in t.summands if isinstance(s, Omega)}
-        if not omegas:
-            return None
-        out: list[Term] = []
-        seen_omega: set[Term] = set()
-        changed = False
-        for s in t.summands:
-            if isinstance(s, Omega):
-                if s.body in seen_omega:
-                    changed = True
-                    continue
-                seen_omega.add(s.body)
-                out.append(s)
-            elif s in omegas:
-                changed = True
-            else:
-                out.append(s)
-        return Glue(out) if changed else None
+    body = t.body
+    if isinstance(body, Empty):
+        return EMPTY
+    if isinstance(body, Omega) or (isinstance(body, MaxFn) and body.rank.is_limit):
+        return body
+    if isinstance(body, Glue):
+        return Glue([Omega(s) for s in body.summands])
     return None
 
 
@@ -317,21 +325,20 @@ def _canonical_side_set(members: tuple[Term, ...], engine: Engine) -> tuple[Term
     return parts
 
 
-def _rule_pgl_absorb(t: Term, engine: Engine) -> Optional[Term]:
+def _rule_absorb(t: Term, engine: Engine) -> Optional[Term]:
     if not isinstance(t, Glue):
         return None
-    pgls = multiplicities(s for s in t.summands if isinstance(s, PglSet))
-    if not pgls:
+    counts = multiplicities(t.summands)
+    # a summand's absorber must still be present when it goes, so that
+    # each drop is a valid step on its own
+    for s, n in list(counts.items()):
+        if any(u is not s and engine._absorbs(u, s) for u in counts):
+            del counts[s]
+        elif n > 1 and engine._absorbs(s, s):
+            counts[s] = 1
+    if sum(counts.values()) == len(t.summands):
         return None
-    # each distinct pair is asked once; a summand may be swallowed by
-    # another copy of itself, never by itself
-    for s in dict.fromkeys(t.summands):
-        count = len(summands_of(s))
-        for p, n in pgls.items():
-            if (p != s or n > 1) and engine._le_fin_glue(s, p.members, count):
-                i = t.summands.index(s)
-                return Glue(t.summands[:i] + t.summands[i + 1 :])
-    return None
+    return glue_of([s for s, n in counts.items() for _ in range(n)])
 
 
 def _rule_wedge_reduce(t: Term, engine: Engine) -> Optional[Term]:
@@ -381,7 +388,7 @@ _RULES: dict[str, Callable[[Term, Engine], Optional[Term]]] = {
     "R-omega": _rule_omega,
     "R-pgl-members": _rule_pgl_members,
     "R-pgl-wedge": _rule_pgl_wedge,
-    "R-pgl-absorb": _rule_pgl_absorb,
+    "R-absorb": _rule_absorb,
     "R-wedge-reduce": _rule_wedge_reduce,
 }
 

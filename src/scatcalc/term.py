@@ -330,6 +330,7 @@ ONE = One()
 ID_Q = IdQ()
 ID_BAIRE = IdBaire()
 _ATOMS = {"empty": EMPTY, "one": ONE, "idq": ID_Q, "idbaire": ID_BAIRE}
+_ATOM_NAMES = {atom: name for name, atom in _ATOMS.items()}
 
 
 def merged_wedge(verticals, diagonal) -> "Wedge":
@@ -429,37 +430,53 @@ def term_size(t: Term) -> int:
 
 
 def format_term(t: Term) -> str:
-    if isinstance(t, Empty):
-        return "empty"
-    if isinstance(t, One):
-        return "one"
-    if isinstance(t, IdQ):
-        return "idq"
-    if isinstance(t, IdBaire):
-        return "idbaire"
-    if isinstance(t, MinFn):
-        return f"min({ord_mod.format_ordinal(t.rank)})"
-    if isinstance(t, MaxFn):
-        return f"max({ord_mod.format_ordinal(t.rank)})"
-    if isinstance(t, Omega):
-        return f"omega({format_term(t.body)})"
-    if isinstance(t, Glue):
-        ss = t.summands
-        if not ss:
-            return "0*empty"
-        if len(set(ss)) == 1:
-            return f"{len(ss)}*{format_term(ss[0])}"
-        return "glue(" + ", ".join(format_term(s) for s in ss) + ")"
-    if isinstance(t, PglSet):
-        return "pgl{" + ", ".join(format_term(m) for m in t.members) + "}"
-    if isinstance(t, Wedge):
-        vs = ", ".join(_format_set(v) for v in t.verticals)
-        return f"wedge({vs} | {_format_set(t.diagonal)})"
-    raise TypeError(f"not a term: {t!r}")
+    """The concrete syntax of ``t``, as ``parse_term`` reads it.  An
+    explicit stack of terms still to print and text still to emit
+    replaces recursion, so any nesting the parser accepts prints."""
+    out: list[str] = []
+    todo: list = [t]  # popped from the end: pushed in reverse order
+    while todo:
+        x = todo.pop()
+        if isinstance(x, str):
+            out.append(x)
+        elif x in _ATOM_NAMES:
+            out.append(_ATOM_NAMES[x])
+        elif isinstance(x, (MinFn, MaxFn)):
+            name = "min" if isinstance(x, MinFn) else "max"
+            out.append(f"{name}({ord_mod.format_ordinal(x.rank)})")
+        elif isinstance(x, Omega):
+            todo += (")", x.body, "omega(")
+        elif isinstance(x, Glue):
+            ss = x.summands
+            if not ss:
+                out.append("0*empty")
+            elif ss[0] is ss[-1]:  # sorted and interned: one distinct summand
+                todo += (ss[0], f"{len(ss)}*")
+            else:
+                _push_items(todo, "glue(", ss, ")")
+        elif isinstance(x, PglSet):
+            _push_items(todo, "pgl{", x.members, "}")
+        elif isinstance(x, Wedge):
+            todo.append(")")
+            _push_items(todo, "{", x.diagonal, "}")
+            todo.append(" | ")
+            for i, v in enumerate(reversed(x.verticals)):
+                _push_items(todo, "{", v, "}" if i == 0 else "}, ")
+            todo.append("wedge(")
+        else:
+            raise TypeError(f"not a term: {x!r}")
+    return "".join(out)
 
 
-def _format_set(items: tuple[Term, ...]) -> str:
-    return "{" + ", ".join(format_term(t) for t in items) + "}"
+def _push_items(todo: list, opening: str, items: tuple[Term, ...], closing: str) -> None:
+    """Push the text ``opening``, ``items`` separated by commas, and
+    ``closing``, to be popped in that order."""
+    todo.append(closing)
+    for i in range(len(items) - 1, 0, -1):
+        todo += (items[i], ", ")
+    if items:
+        todo.append(items[0])
+    todo.append(opening)
 
 
 def parse_term(text: str) -> Term:

@@ -25,7 +25,7 @@ from scatcalc.ordinal import double, parse_ordinal as po
 from scatcalc.rank import cb_type, lex_le
 from scatcalc.rewrite import normalize
 from scatcalc.sample import random_term
-from scatcalc.term import Glue, MinFn, ONE, Omega, PglSet, parse_term, summands_of
+from scatcalc.term import Glue, MinFn, ONE, Omega, PglSet, glue_of, parse_term, summands_of
 
 from conftest import load_script, terms
 
@@ -463,32 +463,34 @@ def test_census_normal_forms_have_no_transitivity_violation(seed):
     # every ordered pair of the first 150 distinct normal forms of a
     # census pool, classified on one engine by the audit script: a
     # NOT_LE pair (a, c) with some b where a <= b and b <= c are both LE
-    # is a violation
+    # is a violation; a pair LE both ways is two normal forms of one
+    # class, and over the whole pool seed 1 has at most 10, seed 2 8
     audit = load_script("audit.py")
     engine = Engine()
     forms = audit.census_forms(seed, 150, engine)
     assert len(forms) == 150
-    violations, _, counts = audit.transitivity(forms, engine)
+    violations, _, counts, equivalent = audit.transitivity(forms, engine)
     assert counts[Outcome.LE] and counts[Outcome.NOT_LE]
     assert violations == []
+    assert equivalent <= {1: 10, 2: 8}[seed]
 
 
 def test_n_mono_prints_its_refuted_bound_in_normal_form():
-    # the vertical set keeps pgl{one} beside omega(pgl{pgl{one}}), which
-    # dominates it; the refuted lower bound, the pointed gluing of that
-    # set, is printed in normal form, without the dominated member
+    # the vertical set keeps min(w+1) beside pgl{max(w)}, which
+    # dominates it without absorbing it; the refuted lower bound, the
+    # pointed gluing of that set, is printed in normal form, without
+    # the dominated member
     engine = Engine()
-    f = parse_term("wedge({omega(pgl{pgl{one}}), pgl{one}} | {max(3)})")
-    g = parse_term("pgl{pgl{pgl{one}}}")
-    assert normalize(f, engine).verticals == (parse_term("glue(omega(pgl{pgl{one}}), pgl{one})").summands,)
+    f = parse_term("wedge({min(w+1), pgl{max(w)}} | {max(w+1)})")
+    g = parse_term("min(w+2)")
+    assert normalize(f, engine).verticals == (parse_term("glue(min(w+1), pgl{max(w)})").summands,)
     v = engine.compare(f, g)
     assert v.outcome is Outcome.NOT_LE
     assert v.trace == (
         (
             "N-mono",
-            "pgl{omega(pgl{pgl{one}})} <= pgl{pgl{pgl{one}}} [lower bound of "
-            "wedge({omega(pgl{pgl{one}}), pgl{one}} | {omega(pgl{omega(pgl{omega(one)})})}) "
-            "refuted]",
+            "pgl{pgl{max(w)}} <= pgl{min(w+1)} [lower bound of "
+            "wedge({min(w+1), pgl{max(w)}} | {omega(pgl{max(w)})}) refuted]",
         ),
     )
 
@@ -625,15 +627,14 @@ def per_copy_capacity(engine, f, g, tf, tg):
     return _NOT_LE(_step("N-capacity", f, g, "top summands exceed target degree slots"))
 
 
-def per_copy_pgl_absorb(t, engine):
-    """R-pgl-absorb as it was asked per copy."""
+def per_copy_absorb(t, engine):
+    """R-absorb asked per copy: the first copy another copy absorbs
+    goes, one copy per rewrite."""
     if not isinstance(t, Glue):
         return None
     for i, s in enumerate(t.summands):
-        pgls = [p for j, p in enumerate(t.summands) if j != i and isinstance(p, PglSet)]
-        for p in pgls:
-            if engine._le_fin_glue(s, p.members, len(summands_of(s))):
-                return Glue(t.summands[:i] + t.summands[i + 1 :])
+        if any(j != i and engine._absorbs(u, s) for j, u in enumerate(t.summands)):
+            return glue_of(t.summands[:i] + t.summands[i + 1 :])
     return None
 
 
@@ -657,7 +658,7 @@ def test_repeated_summands_match_the_per_copy_rules(monkeypatch):
     }
     with monkeypatch.context() as mp:
         mp.setattr(compare_module, "_RULES", tuple(per_copy.get(r, r) for r in _RULES))
-        mp.setitem(rewrite._RULES, "R-pgl-absorb", per_copy_pgl_absorb)
+        mp.setitem(rewrite._RULES, "R-absorb", per_copy_absorb)
         mp.setattr(
             rewrite,
             "_CAPPED_RULES",
@@ -672,4 +673,4 @@ def test_repeated_summands_match_the_per_copy_rules(monkeypatch):
     engine = Engine()
     assert any(len(set(summands_of(t))) < len(summands_of(t)) for t in terms)
     assert {"L-glue", "N-capacity"} <= {rule for trace in traces for rule, _ in trace}
-    assert any(rewrite.apply_rule(t, "R-pgl-absorb", engine) is not None for t in terms)
+    assert any(rewrite.apply_rule(t, "R-absorb", engine) is not None for t in terms)

@@ -40,10 +40,17 @@ def test_minmax_expansions():
 def test_omega_rules():
     assert norm("omega(0*empty)") == parse_term("empty")
     assert norm("omega(omega(one))") == parse_term("omega(one)")
-    assert norm("omega(glue(one, min(w+1)))") == parse_term(
-        "glue(omega(one), omega(min(w+1)))"
-    )
+    # omega distributes over a gluing, then omega(min(w+1)) absorbs
+    # omega(one), since one reduces to min(w+1)
+    t = parse_term("omega(glue(one, min(w+1)))")
+    assert apply_rule(t, "R-omega", Engine()) == parse_term("glue(omega(one), omega(min(w+1)))")
+    assert norm("omega(glue(one, min(w+1)))") == parse_term("omega(min(w+1))")
     assert norm("glue(omega(one), omega(one))") == parse_term("omega(one)")
+    # a limit max atom is omega copies of itself; at a successor the
+    # atom expands (R-minmax) and the omega stays
+    assert norm("omega(max(w))") == parse_term("max(w)")
+    assert apply_rule(parse_term("omega(max(w+1))"), "R-omega", Engine()) is None
+    assert norm("omega(max(w+1))") == parse_term("omega(pgl{max(w)})")
 
 
 def test_pgl_absorb():
@@ -54,6 +61,32 @@ def test_pgl_absorb():
     assert norm("glue(pgl{max(w)}, min(w+1))") == parse_term(
         "glue(pgl{max(w)}, min(w+1))"
     )
+    # copies of a pointed gluing do not absorb one another
+    assert norm("3*pgl{one}") == parse_term("3*pgl{one}")
+
+
+@pytest.mark.parametrize(
+    "text, normal_form",
+    [
+        # a min atom at a limit plus one takes what ranks below the limit
+        ("glue(one, min(w*2+1))", "min(w*2+1)"),
+        ("pgl{pgl{glue(one, min(w^2+1))}}", "pgl{pgl{min(w^2+1)}}"),
+        # a limit max atom takes its own copies and what ranks up to it
+        ("glue(2000*pgl{one}, 2000*max(w))", "max(w)"),
+        # of two summands that absorb each other, one stays
+        ("glue(omega(pgl{2*one}), omega(pgl{one}))", "omega(pgl{2*one})"),
+    ],
+)
+def test_absorb(text, normal_form):
+    assert norm(text) == parse_term(normal_form)
+
+
+def test_absorb_drops_every_absorbed_copy_in_one_step():
+    engine = Engine()
+    assert apply_rule(parse_term("100000*max(w)"), "R-absorb", engine) == parse_term("max(w)")
+    # built flat: the parser nests a counted gluing inside glue(...)
+    flat = Glue([Omega(ONE)] * 99999 + [ONE])
+    assert apply_rule(flat, "R-absorb", engine) == Omega(ONE)
 
 
 def test_pgl_wedge_replacement():
@@ -139,13 +172,14 @@ def test_normalize_cap_overflow(monkeypatch):
     # a fresh engine has no cached normal form to answer from
     monkeypatch.setattr(rewrite, "DEFAULT_CAP_FACTOR", 0)
     engine = Engine()
-    t = parse_term("glue(pgl{one}, one, one, one, one)")
+    t = parse_term("glue(pgl{one}, min(1), min(1))")
     with pytest.raises(NormalizationLimitError):
         normalize(t, engine)
     # the failed chain cached none of its shapes: the input, and the
-    # gluing R-pgl-absorb rewrote it to before the cap stopped it
-    absorbed = parse_term("glue(pgl{one}, one, one, one)")
-    assert t not in engine._nf and absorbed not in engine._nf
+    # gluing its children normalize to, which R-absorb then rewrote
+    # before the cap stopped it
+    children_normal = parse_term("glue(pgl{one}, one, one)")
+    assert t not in engine._nf and children_normal not in engine._nf
     with pytest.raises(NormalizationLimitError):
         normalize(t, engine)
 

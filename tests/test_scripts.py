@@ -79,10 +79,16 @@ def test_audit_reports_each_set_without_violations():
     assert [line.split(", ")[0].split(": ")[1] for line in lines[2:]] == [
         "2 forms", "7 forms", "5 forms", "5 forms", "5 forms"
     ]
+    equivalent = []
     for line in lines:
-        assert "; 0 violations, " in line and line.endswith(" UNKNOWN pairs an LE chain decides")
+        assert "; 0 violations, " in line and line.endswith(" equivalent pairs")
+        assert " UNKNOWN pairs an LE chain decides, " in line
+        equivalent.append(int(line.rsplit(", ", 1)[1].split()[0]))
     for line in lines[2:]:
         assert " 0 UNKNOWN; " in line
+    # each distinct form of a level set is a class of its own; census
+    # seed 1 has at most 10 equivalent pairs over all its forms
+    assert equivalent[0] <= 10 and equivalent[1:] == [0] * 6
 
 
 def test_ab_summary_on_canned_pairs():

@@ -4,6 +4,7 @@ import pickle
 import random
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -251,6 +252,20 @@ def test_format_examples():
     assert format_term(Wedge([[MaxFn(parse_ordinal("w"))]], [])) == "wedge({max(w)} | {})"
 
 
+@pytest.mark.parametrize(
+    "opening, closing", [("pgl{", "}"), ("omega(", ")"), ("1*", ""), ("wedge({", "} | {})")]
+)
+def test_format_prints_any_nesting_the_parser_reads(opening, closing):
+    # a thread starts near the bottom of its stack, as a script's top
+    # level does, where the parser reads up to 989 levels
+    text = opening * 980 + "one" + closing * 980
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        t = pool.submit(parse_term, text).result(timeout=60)
+    assert term_size(t) >= 981
+    # printed from under the test runner's own frames: no recursion
+    assert format_term(t) == text
+
+
 def test_syntactic_cmp_examples():
     assert syntactic_cmp(EMPTY, ONE) < 0
     assert syntactic_cmp(ONE, ONE) == 0
@@ -307,6 +322,7 @@ def test_deep_terms_need_no_recursion():
     for _ in range(1000):
         t = Omega(t)
     assert term_size(t) == 1001
+    assert format_term(t) == "omega(" * 1000 + "one" + ")" * 1000
     assert isinstance(hash(t), int)
     assert sort_key(t) == (sort_key(Omega(ONE))[0], sort_key(t.body))
     assert term_size(normalize(parse_term("min(300)"), Engine())) == 300
