@@ -16,10 +16,13 @@ does on a fresh checkout, and reads the standard library's bytecode as
 usual.  The script prints each pair's end-to-end metrics, then per
 metric: the base median and quartiles, the change
 median, the change of the medians, the median of the per-pair changes,
-and the pairs the change won.  ``clear`` marks a metric whose median
-moved the better way by more than the base runs' interquartile range.
-Metric names and directions come from ``BENCHMARK.json``.  The
-temporary directory is removed on exit, on an error and on SIGTERM.
+that median again over the pairs where the change ran first and over
+those where the base ran first (an order effect shows as a gap between
+the two), and the pairs the change won.  ``clear`` marks a metric
+whose median moved the better way by more than the base runs'
+interquartile range.  Metric names and directions come from
+``BENCHMARK.json``.  The temporary directory is removed on exit, on an
+error and on SIGTERM.
 """
 
 from __future__ import annotations
@@ -48,6 +51,8 @@ class Row:
     change: float
     median_change: float  # relative change of the medians
     pair_change: float  # median of the per-pair relative changes
+    change_first: float  # ... over the pairs where the change ran first
+    base_first: float  # ... over the pairs where the base ran first
     wins: int
     pairs: int
     clear: bool
@@ -57,17 +62,29 @@ def _relative(base: float, change: float) -> float:
     return (change - base) / base if base else 0.0
 
 
+def change_runs_first(i: int) -> bool:
+    """Whether the change runs first in pair ``i`` (from 0): the order
+    alternates, the base first in pair 0."""
+    return i % 2 == 1
+
+
+def _median_or_nan(values: list[float]) -> float:
+    return statistics.median(values) if values else float("nan")
+
+
 def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[Row]:
     """One row per metric of ``better`` (name -> "higher" or "lower")
     over ``pairs`` of (base metrics, change metrics), each a dict from
-    metric name to value."""
+    metric name to value, in run order (see ``change_runs_first``)."""
     rows = []
+    first = [change_runs_first(i) for i in range(len(pairs))]
     for name, direction in better.items():
         base = [b[name] for b, _ in pairs]
         change = [c[name] for _, c in pairs]
         sign = 1 if direction == "higher" else -1
         b_med, c_med = statistics.median(base), statistics.median(change)
         q1, _, q3 = statistics.quantiles(base, n=4) if len(base) > 1 else base * 3
+        per_pair = [_relative(b, c) for b, c in zip(base, change)]
         rows.append(Row(
             metric=name,
             base=b_med,
@@ -75,7 +92,9 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[Ro
             base_q3=q3,
             change=c_med,
             median_change=_relative(b_med, c_med),
-            pair_change=statistics.median(_relative(b, c) for b, c in zip(base, change)),
+            pair_change=statistics.median(per_pair),
+            change_first=_median_or_nan([r for r, f in zip(per_pair, first) if f]),
+            base_first=_median_or_nan([r for r, f in zip(per_pair, first) if not f]),
             wins=sum(sign * (c - b) > 0 for b, c in zip(base, change)),
             pairs=len(pairs),
             clear=sign * (c_med - b_med) > q3 - q1,
@@ -85,12 +104,14 @@ def summarize(pairs: list[tuple[dict, dict]], better: dict[str, str]) -> list[Ro
 
 def format_rows(rows: list[Row]) -> str:
     lines = [f"{'metric':18s} {'base median':>12s} {'base q1-q3':>23s} {'change median':>13s}"
-             f" {'chg median':>10s} {'chg pair':>9s} {'wins':>6s}  clear"]
+             f" {'chg median':>10s} {'chg pair':>9s} {'chg first':>9s} {'base first':>10s}"
+             f" {'wins':>6s}  clear"]
     for r in rows:
         quartiles = f"{r.base_q1:.5g}-{r.base_q3:.5g}"
         lines.append(
             f"{r.metric:18s} {r.base:12.6g} {quartiles:>23s} {r.change:13.6g}"
             f" {r.median_change:+10.1%} {r.pair_change:+9.1%}"
+            f" {r.change_first:+9.1%} {r.base_first:+10.1%}"
             f" {r.wins:>3d}/{r.pairs:<2d}  {'yes' if r.clear else 'no'}"
         )
     return "\n".join(lines)
@@ -170,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
         pairs = []
         for i, seed in enumerate(args.seeds):
             order = [("base", base), ("change", change)]
-            if i % 2:
+            if change_runs_first(i):
                 order.reverse()
             got = {label: run_bench(tree, args.workload, seed, args.seconds) for label, tree in order}
             pairs.append((got["base"], got["change"]))

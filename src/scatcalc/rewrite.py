@@ -57,23 +57,26 @@ Rule set (names are the public identifiers accepted by
     Each drop is a valid step on its own, and ``k*t`` costs one
     question per distinct pair, not one rewrite per copy.
 ``R-wedge-reduce``
-    Reduced form for wedges: vertical families shrink to a
-    domination-maximal antichain, dominated diagonal members drop,
-    a single vertical over an empty diagonal is a plain pointed
-    gluing, and a wedge whose verticals all reduce to finite gluings
-    over the diagonal collapses to omega copies of the diagonal.
+    Reduced form for wedges, built in one application: (a0) side sets
+    resplit from their gluings' normal forms, (a) vertical families
+    shrink to a domination-maximal antichain, (b) dominated diagonal
+    members drop, then (c) one vertical over an empty diagonal is a
+    pointed gluing, or (d) verticals that all reduce to finite gluings
+    over the diagonal collapse to omega copies of the diagonal.
 
 One pass normalizes bottom-up: each node's children are normalized
 first, then ``R-minmax``, or failing it the first of the six other
 rules in the order listed above, rewrites the node until none applies.
+A wedge's children and its ``R-wedge-reduce`` are one step: the wedge
+with normal children is neither built nor cached.
 ``R-minmax`` stops on its own (it strictly decreases an atom's ordinal,
 or turns ``pgl{empty}`` into ``one``); the six others share a hard
 application cap of ``10 * term_size`` of the input, converting any
 unforeseen cycle into a diagnosable failure.  Every shape a fixpoint
-passes through (its input, each node once its children are normal, and
-each rewrite) maps to the normal form in the engine's cache, and a pass
-that meets a cached shape stops there, so each rule runs at most once
-per distinct term per engine.
+passes through (its input, each node but a wedge once its children are
+normal, and each rewrite) maps to the normal form in the engine's
+cache, and a pass that meets a cached shape stops there, so each rule
+runs at most once per distinct term per engine.
 
 ``R-pgl-members``, ``R-absorb`` and ``R-wedge-reduce`` decide
 reducibilities.  Normalization runs on an :class:`~scatcalc.compare.Engine`:
@@ -109,6 +112,8 @@ from .term import (
     PglSet,
     Term,
     Wedge,
+    _family_key,
+    _sorted_set,
     glue_of,
     merged_wedge,
     multiplicities,
@@ -140,10 +145,12 @@ def normalize(t: Term, engine: Engine) -> Term:
     result: every shape the fixpoint passes through (the input, each
     node once its children are normal, and each rewrite) maps to the
     normal form there, so each rule runs at most once per distinct term
-    per engine.  At most ``DEFAULT_CAP_FACTOR * term_size(t)``
-    applications of the six rules other than ``R-minmax`` are made
-    before :class:`NormalizationLimitError` is raised; a failed chain
-    caches none of its shapes.
+    per engine.  A wedge's children and its ``R-wedge-reduce`` are one
+    step: the wedge with normal children is neither built nor cached.
+    At most ``DEFAULT_CAP_FACTOR * term_size(t)`` applications of the
+    six rules other than ``R-minmax`` are made before
+    :class:`NormalizationLimitError` is raised; a failed chain caches
+    none of its shapes.
     """
     hit = engine._nf.get(t)
     if hit is not None:
@@ -183,31 +190,44 @@ def _fix(counter: list[int], engine: Engine, t: Term) -> Term:
     shapes = [t]
     normalize_child = partial(_fix, counter, engine)
     while True:
-        t2 = _map_children(t, normalize_child)
-        if t2 is not t:
-            nf = cache.get(t2)
-            if nf is not None:
-                break
-            shapes.append(t2)
-        # R-minmax stops on its own, so it does not count against the cap
-        rewritten = _rule_minmax(t2, engine)
-        if rewritten is None:
-            for rule in _CAPPED_RULES:
-                rewritten = rule(t2, engine)
-                if rewritten is not None:
+        if isinstance(t, Wedge):
+            # children and R-wedge-reduce are one step; it builds no wedge
+            # with normal children, and a wedge it returns is normal
+            rewritten = _reduce_wedge(
+                tuple(map(tuple, map(partial(map, normalize_child), t.verticals))),
+                tuple(map(normalize_child, t.diagonal)),
+                engine,
+            )
+            capped = True
+        else:
+            t2 = _map_children(t, normalize_child)
+            if t2 is not t:
+                nf = cache.get(t2)
+                if nf is not None:
                     break
-            else:
-                nf = t2
-                break
+                shapes.append(t2)
+            # R-minmax stops on its own, so it does not count against the cap
+            rewritten = _rule_minmax(t2, engine)
+            capped = rewritten is None
+            if capped:
+                for rule in _CAPPED_RULES:
+                    rewritten = rule(t2, engine)
+                    if rewritten is not None:
+                        break
+                else:
+                    nf = t2
+                    break
+        if capped:
             counter[0] += 1
             if counter[0] > counter[1]:
-                raise NormalizationLimitError(
-                    f"no fixpoint within {counter[1]} rule applications"
-                )
+                raise NormalizationLimitError(f"no fixpoint within {counter[1]} rule applications")
         nf = cache.get(rewritten)
         if nf is not None:
             break
         shapes.append(rewritten)
+        if isinstance(rewritten, Wedge):
+            nf = rewritten
+            break
         t = rewritten
     for shape in shapes:
         cache[shape] = nf
@@ -318,9 +338,7 @@ def _canonical_side_set(members: tuple[Term, ...], engine: Engine) -> tuple[Term
         return members
     n = normalize(glue_of(members), engine)
     parts = summands_of(n)
-    if not parts or len(set(parts)) != len(parts):
-        return members
-    if isinstance(n, Empty):
+    if isinstance(n, Empty) or len(set(parts)) != len(parts):
         return members
     return parts
 
@@ -342,44 +360,46 @@ def _rule_absorb(t: Term, engine: Engine) -> Optional[Term]:
 
 
 def _rule_wedge_reduce(t: Term, engine: Engine) -> Optional[Term]:
-    if not isinstance(t, Wedge):
-        return None
+    reduced = _reduce_wedge(t.verticals, t.diagonal, engine) if isinstance(t, Wedge) else t
+    return None if reduced is t else reduced
+
+
+def _reduce_wedge(verticals: Sequence[tuple], diagonal: tuple, engine: Engine) -> Term:
+    """(a0)-(d) on the wedge of ``verticals`` over ``diagonal``, building one term."""
     # (a0) canonicalize each side set through its glued normal form:
     # the wedge only sees the gluing of a side set, so a duplicate-free
-    # resplit of that normal form denotes the same verticals/diagonal
-    new_verticals = [_canonical_side_set(v, engine) for v in t.verticals]
-    new_diagonal = _canonical_side_set(t.diagonal, engine)
-    if tuple(new_verticals) != t.verticals or new_diagonal != t.diagonal:
-        return merged_wedge(new_verticals, new_diagonal)
+    # resplit of that normal form denotes the same verticals/diagonal;
+    # sets are deduplicated and sorted as merged_wedge does
+    family = sorted({_sorted_set(v) for v in verticals}, key=_family_key)
+    family = sorted({_canonical_side_set(v, engine) for v in family}, key=_family_key)
+    diagonal = _canonical_side_set(_sorted_set(diagonal), engine)
 
     # (a) vertical family -> antichain of domination-maximal sets
     def fam_le(a: tuple[Term, ...], b: tuple[Term, ...]) -> bool:
         return all(any(engine._le(x, y) for y in b) for x in a)
 
-    keep = _undominated(t.verticals, fam_le, lambda fam: [sort_key(x) for x in fam])
-    if len(keep) < len(t.verticals):
-        return Wedge(keep, t.diagonal)
+    family = _undominated(family, fam_le, lambda fam: [sort_key(x) for x in fam])
 
-    # (b) drop diagonal members below a vertical or a fellow member
-    vertical_terms = [glue_of(v) for v in t.verticals]
-    keep = [
-        h
-        for h in _undominated(t.diagonal, engine._le, sort_key)
-        if not any(engine._le(h, v) for v in vertical_terms)
-    ]
-    if len(keep) < len(t.diagonal):
-        return Wedge(t.verticals, keep)
+    # (b) drop diagonal members below a vertical or a fellow member, resplitting as in (a0)
+    vertical_terms = [glue_of(v) for v in family]
+    while True:
+        keep = tuple(
+            h
+            for h in _undominated(diagonal, engine._le, sort_key)
+            if not any(engine._le(h, v) for v in vertical_terms)
+        )
+        if len(keep) == len(diagonal):
+            break
+        diagonal = _canonical_side_set(keep, engine)
 
     # (c) a single vertical over an empty diagonal is a pointed gluing
-    if not t.diagonal and len(t.verticals) == 1:
-        return PglSet(t.verticals[0])
+    if not diagonal and len(family) == 1:
+        return PglSet(family[0])
 
     # (d) collapse to omega copies of the diagonal
-    if t.diagonal and all(
-        engine._le_fin_glue(PglSet(v), t.diagonal, 1) for v in t.verticals
-    ):
-        return Glue([Omega(h) for h in t.diagonal])
-    return None
+    if diagonal and all(engine._le_fin_glue(PglSet(v), diagonal, 1) for v in family):
+        return Glue([Omega(h) for h in diagonal])
+    return Wedge(family, diagonal)
 
 
 _RULES: dict[str, Callable[[Term, Engine], Optional[Term]]] = {
@@ -392,7 +412,7 @@ _RULES: dict[str, Callable[[Term, Engine], Optional[Term]]] = {
     "R-wedge-reduce": _rule_wedge_reduce,
 }
 
-# tried in this order at each node, after R-minmax
+# tried in this order at each node but a wedge, after R-minmax
 _CAPPED_RULES = tuple(rule for name, rule in _RULES.items() if name != "R-minmax")
 
 

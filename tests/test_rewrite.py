@@ -98,13 +98,51 @@ def test_pgl_wedge_replacement():
 
 def test_wedge_reduce_diagonal_and_collapse():
     # dominated diagonal member drops, then the wedge collapses to
-    # omega copies once the vertical reduces into the diagonal
+    # omega copies once the vertical reduces into the diagonal: (d)
     engine = Engine()
     t = parse_term("wedge({max(w)} | {min(w+1), pgl{max(w)}})")
     assert normalize(t, engine) == parse_term("omega(pgl{max(w)})")
-    # vertical family reduces to a domination-maximal antichain
+    # the gluing of one omega unwraps by R-flat
+    assert apply_rule(t, "R-wedge-reduce", Engine()) == parse_term("1*omega(pgl{max(w)})")
+    # vertical family reduces to a domination-maximal antichain, whose
+    # single vertical over the empty diagonal is a pointed gluing: (c)
     t2 = parse_term("wedge({one}, {omega(one)} | {})")
     assert normalize(t2, engine) == parse_term("pgl{omega(one)}")
+    assert apply_rule(t2, "R-wedge-reduce", Engine()) == parse_term("pgl{omega(one)}")
+
+
+# (a0) resplits {one, omega(one)} as {omega(one)}, (a) drops that
+# vertical below {max(w)}, and (b) drops the diagonal max(w) below it
+REDUCIBLE_WEDGE = "wedge({one, omega(one)}, {max(w)} | {max(w), min(w+1)})"
+
+
+def test_wedge_reduce_runs_every_substep_in_one_application():
+    engine = Engine()
+    reduced = apply_rule(parse_term(REDUCIBLE_WEDGE), "R-wedge-reduce", engine)
+    assert reduced == parse_term("wedge({max(w)} | {min(w+1)})")
+    assert apply_rule(reduced, "R-wedge-reduce", engine) is None
+    assert normalize(parse_term(REDUCIBLE_WEDGE), engine) is reduced
+
+
+def test_normalizing_a_wedge_builds_one_wedge():
+    t = parse_term(REDUCIBLE_WEDGE)
+
+    def wedges():
+        return sum(ident[0] == Wedge._variant for ident in list(term._table))
+
+    # the engine caches every shape it meets, so it keeps them alive
+    engine = Engine()
+    before = wedges()
+    nf = normalize(t, engine)
+    assert isinstance(nf, Wedge) and wedges() <= before + 1
+
+
+def test_normalize_reads_deeply_nested_wedges():
+    # each level reduces to a pointed gluing of the level below
+    depth = 400
+    t = parse_term("wedge({" * depth + "one" + "} | {one})" * depth)
+    nf = normalize(t, Engine())
+    assert nf == parse_term("pgl{" * depth + "one" + "}" * depth)
 
 
 def test_apply_rule_examples():

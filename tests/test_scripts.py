@@ -3,6 +3,7 @@ outcomes."""
 
 import hashlib
 import json
+import math
 import os
 import signal
 import subprocess
@@ -109,6 +110,26 @@ def test_ab_summary_on_canned_pairs():
     (worse,) = ab.summarize([(c, b) for b, c in pairs], {"t": "lower"})
     assert worse.wins == 1 and not worse.clear
     assert "ops" in ab.format_rows([ops, t])
+
+
+def test_ab_summary_splits_the_pairs_by_run_order():
+    ab = load_script("ab.py")
+    # the tree that runs second reads 10 % faster, whichever it is
+    pairs = []
+    for i in range(10):
+        second_is_change = not ab.change_runs_first(i)
+        pairs.append(({"s": 1.0}, {"s": 0.9 if second_is_change else 1.1}))
+    (row,) = ab.summarize(pairs, {"s": "lower"})
+    assert [ab.change_runs_first(i) for i in range(4)] == [False, True, False, True]
+    assert row.change_first == pytest.approx(0.1)
+    assert row.base_first == pytest.approx(-0.1)
+    assert row.pair_change == pytest.approx(0.0) and row.wins == 5
+    header, line = ab.format_rows([row]).splitlines()
+    assert "chg first" in header and "base first" in header
+    assert "+10.0%" in line and "-10.0%" in line
+    # one pair leaves the change-first median undefined
+    (single,) = ab.summarize(pairs[:1], {"s": "lower"})
+    assert single.base_first == pytest.approx(-0.1) and math.isnan(single.change_first)
 
 
 def test_ab_parses_seed_lists():
