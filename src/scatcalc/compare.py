@@ -95,15 +95,17 @@ asked past that bound is UNKNOWN with a "depth" blocker.
 
 The CB-type is an invariant of equivalence, so N-lex and L-gst, which
 read only the two types, answer a raw pair as they would its normal
-forms.  ``Engine.compare`` therefore asks them before normalizing a
-pair whose normal forms are not both cached.  Such a type-decided
-verdict is memoized under the raw pair, and derives its steps when
-first read: it normalizes both terms and takes the root rule that
-fires on them, so its trace is the one the full path gives.  It holds
-its engine weakly, so the engine's memo does not keep the engine
-alive; read after the engine is gone, it derives its steps on a fresh
-engine, which gives the same steps because normal forms and verdicts
-do not depend on the engine.
+forms.  ``Engine.compare`` therefore asks them, from the type keys
+the two terms store, before normalizing a pair whose normal forms are
+not both cached, and ``Engine._query`` asks them of its normalized
+pair before the rule loop (past its memo, cycle and depth checks).
+Such a type-decided verdict is memoized under its pair, and derives
+its steps when first read: it normalizes both terms and takes the
+root rule that fires on them, so its trace is the one the full path
+gives.  It holds its engine weakly, so the engine's memo does not keep
+the engine alive; read after the engine is gone, it derives its steps
+on a fresh engine, which gives the same steps because normal forms and
+verdicts do not depend on the engine.
 
 An :class:`Engine` owns its memo and its normal-form cache, and runs
 normalization on itself: the rewrite rules that decide reducibilities
@@ -124,7 +126,7 @@ from typing import Optional
 from . import ordinal as ord_mod
 from . import rewrite
 from .ordinal import Ordinal
-from .rank import CENTERED, OMEGA_DEGREE, CbType, cb_type, is_compact_domain, lex_le
+from .rank import CENTERED, OMEGA_DEGREE, cb_type, is_compact_domain, lex_le
 from .term import (
     ONE,
     Glue,
@@ -159,10 +161,10 @@ Step = tuple[str, Term, Term, tuple]
 
 class Verdict:
     """An outcome and the steps of its derivation.  A verdict that
-    ``Engine.compare`` took from the CB-types alone holds a weak
-    reference to its engine and the raw pair instead, and derives its
-    steps when they are first read, on a fresh engine if its own is
-    gone."""
+    ``Engine.compare`` or ``Engine._query`` took from the CB-types
+    alone holds a weak reference to its engine and its pair instead,
+    and derives its steps when they are first read, on a fresh engine
+    if its own is gone."""
 
     __slots__ = ("outcome", "_steps", "_pending")
 
@@ -218,15 +220,25 @@ def _render(rule: str, f: Term, g: Term, note: tuple) -> TraceStep:
     return (rule, text)
 
 
-def _gst_note(tf: CbType, tg: CbType) -> Optional[str]:
-    """The L-gst condition on two CB-types: the note its step cites, or
-    None when the rank arithmetic does not apply."""
-    if tg.limit and tf.rank_key <= tg.rank_key:
-        return "limit target rank"
-    if tf.double_key < tg.rank_key:
-        return "doubled rank below target"
-    if not tf.rank.terms and not tg.rank.terms and tf.double_key <= tg.rank_key:
-        return "finite ranks"
+def _type_rule(kf: tuple | None, kg: tuple | None) -> Optional[tuple[Outcome, str]]:
+    """N-lex or L-gst on the type keys ``(rank terms, rank finite part,
+    degree)`` of two terms, all that either rule reads of the CB-types:
+    ``(NOT_LE, "")`` when N-lex refutes the pair, ``(LE, note)`` with
+    the note L-gst cites, or None, also for a sentinel (key None).  The
+    two never both apply, since L-gst puts the source type below the
+    target's; so past N-lex, the source rank is at most the target's."""
+    if kf is None or kg is None:
+        return None
+    if kf > kg:
+        return Outcome.NOT_LE, ""
+    terms, finite, _ = kf
+    gterms, gfinite, _ = kg
+    if gterms and not gfinite:
+        return Outcome.LE, "limit target rank"
+    if (terms, 2 * finite) < (gterms, gfinite):
+        return Outcome.LE, "doubled rank below target"
+    if not terms and not gterms and 2 * finite <= gfinite:
+        return Outcome.LE, "finite ranks"
     return None
 
 
@@ -259,6 +271,8 @@ class Engine:
         self._memo: dict[tuple[Term, Term], Verdict] = {}
         # term -> normal form, filled by rewrite.normalize
         self._nf: dict[Term, Term] = {}
+        # wedge side set -> its canonical resplit, see rewrite._canonical_side_set
+        self._sides: dict[tuple[Term, ...], tuple[Term, ...]] = {}
         self._local = _QueryState()
         # held by type-decided verdicts in the memo, so no cycle keeps
         # the engine alive
@@ -280,17 +294,10 @@ class Engine:
         # N-lex and L-gst read only the CB-types, which normalization
         # preserves, so they settle the raw pair as they would its
         # normal forms; the steps are derived when read (_root_steps)
-        if not isinstance(f, _SENTINELS) and not isinstance(g, _SENTINELS):
-            tf, tg = cb_type(f), cb_type(g)
-            if not lex_le(tf, tg):
-                outcome = Outcome.NOT_LE
-            elif _gst_note(tf, tg) is not None:
-                outcome = Outcome.LE
-            else:
-                outcome = None
-            if outcome is not None:
-                verdict = self._memo[key] = Verdict(outcome, (), (self._ref, f, g))
-                return verdict
+        typed = _type_rule(f._type_key, g._type_key)
+        if typed is not None:
+            verdict = self._memo[key] = Verdict(typed[0], (), (self._ref, f, g))
+            return verdict
         return self._query(f, g)
 
     def equivalent(self, f: Term, g: Term) -> str:
@@ -324,6 +331,11 @@ class Engine:
         if len(taint) >= MAX_OPEN_QUERIES:
             taint[-1] = True
             return Verdict(Outcome.UNKNOWN, (_step("blocked:depth", f, g),))
+        # the root rules that read only the types, without the rule loop
+        typed = _type_rule(f._type_key, g._type_key)
+        if typed is not None:
+            verdict = self._memo[key] = Verdict(typed[0], (), (self._ref, f, g))
+            return verdict
         in_progress.add(key)
         taint.append(False)
         try:
@@ -368,7 +380,8 @@ class Engine:
         return _LE(_step("L-refl", f, g)) if f == g else None
 
     def _rule_lex(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
-        if lex_le(tf, tg):
+        typed = _type_rule(tf.lex_key, tg.lex_key)
+        if typed is None or typed[0] is Outcome.LE:
             return None
         return _NOT_LE(_step("N-lex", f, g, "tp ", tf, " > tp ", tg))
 
@@ -393,8 +406,10 @@ class Engine:
         return None
 
     def _rule_gst(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
-        note = _gst_note(tf, tg)
-        return None if note is None else _LE(_step("L-gst", f, g, note))
+        typed = _type_rule(tf.lex_key, tg.lex_key)
+        if typed is None or typed[0] is Outcome.NOT_LE:
+            return None
+        return _LE(_step("L-gst", f, g, typed[1]))
 
     def _rule_min_max(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
         lvl = _min_atom_rank(f)

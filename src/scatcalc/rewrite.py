@@ -65,8 +65,12 @@ Rule set (names are the public identifiers accepted by
     over the diagonal collapse to omega copies of the diagonal.
 
 One pass normalizes bottom-up: each node's children are normalized
-first, then ``R-minmax``, or failing it the first of the six other
-rules in the order listed above, rewrites the node until none applies.
+first, then the first of the rules for the node's constructor, in the
+order listed above, rewrites the node until none applies: ``R-flat``
+and ``R-absorb`` on a gluing, ``R-omega`` on an omega term,
+``R-minmax`` on a min or max atom, and ``R-minmax``, ``R-pgl-members``
+and ``R-pgl-wedge`` on a pointed gluing.  ``_RULES`` names each rule's
+constructors, and no other rule is tried at the node.
 A wedge's children and its ``R-wedge-reduce`` are one step: the wedge
 with normal children is neither built nor cached.
 ``R-minmax`` stops on its own (it strictly decreases an atom's ordinal,
@@ -206,17 +210,13 @@ def _fix(counter: list[int], engine: Engine, t: Term) -> Term:
                 if nf is not None:
                     break
                 shapes.append(t2)
-            # R-minmax stops on its own, so it does not count against the cap
-            rewritten = _rule_minmax(t2, engine)
-            capped = rewritten is None
-            if capped:
-                for rule in _CAPPED_RULES:
-                    rewritten = rule(t2, engine)
-                    if rewritten is not None:
-                        break
-                else:
-                    nf = t2
+            for rule, capped in _DISPATCH.get(t2.__class__, ()):
+                rewritten = rule(t2, engine)
+                if rewritten is not None:
                     break
+            else:
+                nf = t2
+                break
         if capped:
             counter[0] += 1
             if counter[0] > counter[1]:
@@ -245,33 +245,32 @@ def _undominated(
     """The items that no other item strictly dominates, in order.
     ``le(a, b)`` says that ``b`` dominates ``a``; of mutually dominating
     items only the one with the least ``key`` survives."""
-    return [
-        a
-        for a in items
-        if not any(
-            b != a and le(a, b) and (not le(b, a) or key(b) < key(a)) for b in items
-        )
-    ]
+    kept = []
+    for a in items:
+        for b in items:
+            if b != a and le(a, b) and (not le(b, a) or key(b) < key(a)):
+                break
+        else:
+            kept.append(a)
+    return kept
 
 
-def _rule_flat(t: Term, engine: Engine) -> Optional[Term]:
-    if not isinstance(t, Glue):
-        return None
-    if any(isinstance(s, (Glue, Empty)) for s in t.summands):
-        out: list[Term] = []
-        for s in t.summands:
-            if isinstance(s, Empty):
-                continue
-            if isinstance(s, Glue):
-                out.extend(s.summands)
-            else:
-                out.append(s)
-        return Glue(out)
-    if len(t.summands) == 1:
-        return t.summands[0]
-    if not t.summands:
-        return EMPTY
-    return None
+def _rule_flat(t: Glue, engine: Engine) -> Optional[Term]:
+    summands = t.summands
+    for s in summands:
+        if isinstance(s, (Glue, Empty)):
+            break
+    else:
+        if len(summands) == 1:
+            return summands[0]
+        return None if summands else EMPTY
+    out: list[Term] = []
+    for s in summands:
+        if isinstance(s, Glue):
+            out += s.summands
+        elif not isinstance(s, Empty):
+            out.append(s)
+    return Glue(out)
 
 
 def _rule_minmax(t: Term, engine: Engine) -> Optional[Term]:
@@ -298,9 +297,7 @@ def _rule_minmax(t: Term, engine: Engine) -> Optional[Term]:
     return None
 
 
-def _rule_omega(t: Term, engine: Engine) -> Optional[Term]:
-    if not isinstance(t, Omega):
-        return None
+def _rule_omega(t: Omega, engine: Engine) -> Optional[Term]:
     body = t.body
     if isinstance(body, Empty):
         return EMPTY
@@ -311,16 +308,14 @@ def _rule_omega(t: Term, engine: Engine) -> Optional[Term]:
     return None
 
 
-def _rule_pgl_members(t: Term, engine: Engine) -> Optional[Term]:
-    if not isinstance(t, PglSet) or len(t.members) < 2:
+def _rule_pgl_members(t: PglSet, engine: Engine) -> Optional[Term]:
+    if len(t.members) < 2:
         return None
     kept = _undominated(t.members, engine._le, sort_key)
     return PglSet(kept) if len(kept) < len(t.members) else None
 
 
-def _rule_pgl_wedge(t: Term, engine: Engine) -> Optional[Term]:
-    if not isinstance(t, PglSet):
-        return None
+def _rule_pgl_wedge(t: PglSet, engine: Engine) -> Optional[Term]:
     for m in t.members:
         if isinstance(m, Wedge):
             replacement = [PglSet(v) for v in m.verticals]
@@ -331,6 +326,15 @@ def _rule_pgl_wedge(t: Term, engine: Engine) -> Optional[Term]:
 
 
 def _canonical_side_set(members: tuple[Term, ...], engine: Engine) -> tuple[Term, ...]:
+    """``_resplit(members)``, computed once per side set per engine."""
+    sides = engine._sides
+    parts = sides.get(members)
+    if parts is None:
+        parts = sides[members] = _resplit(members, engine)
+    return parts
+
+
+def _resplit(members: tuple[Term, ...], engine: Engine) -> tuple[Term, ...]:
     """Normalize the gluing a wedge side set denotes, and resplit it
     into a set when the normal form is duplicate-free.  Duplicated
     summands (which a set cannot spell) leave the set unchanged."""
@@ -343,24 +347,25 @@ def _canonical_side_set(members: tuple[Term, ...], engine: Engine) -> tuple[Term
     return parts
 
 
-def _rule_absorb(t: Term, engine: Engine) -> Optional[Term]:
-    if not isinstance(t, Glue):
-        return None
+def _rule_absorb(t: Glue, engine: Engine) -> Optional[Term]:
     counts = multiplicities(t.summands)
     # a summand's absorber must still be present when it goes, so that
     # each drop is a valid step on its own
     for s, n in list(counts.items()):
-        if any(u is not s and engine._absorbs(u, s) for u in counts):
-            del counts[s]
-        elif n > 1 and engine._absorbs(s, s):
-            counts[s] = 1
+        for u in counts:
+            if u is not s and engine._absorbs(u, s):
+                del counts[s]  # safe: the loop over counts ends here
+                break
+        else:
+            if n > 1 and engine._absorbs(s, s):
+                counts[s] = 1
     if sum(counts.values()) == len(t.summands):
         return None
     return glue_of([s for s, n in counts.items() for _ in range(n)])
 
 
-def _rule_wedge_reduce(t: Term, engine: Engine) -> Optional[Term]:
-    reduced = _reduce_wedge(t.verticals, t.diagonal, engine) if isinstance(t, Wedge) else t
+def _rule_wedge_reduce(t: Wedge, engine: Engine) -> Optional[Term]:
+    reduced = _reduce_wedge(t.verticals, t.diagonal, engine)
     return None if reduced is t else reduced
 
 
@@ -376,21 +381,23 @@ def _reduce_wedge(verticals: Sequence[tuple], diagonal: tuple, engine: Engine) -
 
     # (a) vertical family -> antichain of domination-maximal sets
     def fam_le(a: tuple[Term, ...], b: tuple[Term, ...]) -> bool:
-        return all(any(engine._le(x, y) for y in b) for x in a)
+        for x in a:
+            if not any(map(partial(engine._le, x), b)):
+                return False
+        return True
 
     family = _undominated(family, fam_le, lambda fam: [sort_key(x) for x in fam])
 
     # (b) drop diagonal members below a vertical or a fellow member, resplitting as in (a0)
     vertical_terms = [glue_of(v) for v in family]
     while True:
-        keep = tuple(
-            h
-            for h in _undominated(diagonal, engine._le, sort_key)
-            if not any(engine._le(h, v) for v in vertical_terms)
-        )
+        keep = []
+        for h in _undominated(diagonal, engine._le, sort_key):
+            if not any(map(partial(engine._le, h), vertical_terms)):
+                keep.append(h)
         if len(keep) == len(diagonal):
             break
-        diagonal = _canonical_side_set(keep, engine)
+        diagonal = _canonical_side_set(tuple(keep), engine)
 
     # (c) a single vertical over an empty diagonal is a pointed gluing
     if not diagonal and len(family) == 1:
@@ -402,18 +409,31 @@ def _reduce_wedge(verticals: Sequence[tuple], diagonal: tuple, engine: Engine) -
     return Wedge(family, diagonal)
 
 
-_RULES: dict[str, Callable[[Term, Engine], Optional[Term]]] = {
-    "R-flat": _rule_flat,
-    "R-minmax": _rule_minmax,
-    "R-omega": _rule_omega,
-    "R-pgl-members": _rule_pgl_members,
-    "R-pgl-wedge": _rule_pgl_wedge,
-    "R-absorb": _rule_absorb,
-    "R-wedge-reduce": _rule_wedge_reduce,
+# name -> the rule and the constructors it rewrites; a rule is asked
+# only about nodes of those constructors
+_RULES: dict[str, tuple[Callable, tuple[type, ...]]] = {
+    "R-flat": (_rule_flat, (Glue,)),
+    "R-minmax": (_rule_minmax, (MinFn, MaxFn, PglSet)),
+    "R-omega": (_rule_omega, (Omega,)),
+    "R-pgl-members": (_rule_pgl_members, (PglSet,)),
+    "R-pgl-wedge": (_rule_pgl_wedge, (PglSet,)),
+    "R-absorb": (_rule_absorb, (Glue,)),
+    "R-wedge-reduce": (_rule_wedge_reduce, (Wedge,)),
 }
 
-# tried in this order at each node but a wedge, after R-minmax
-_CAPPED_RULES = tuple(rule for name, rule in _RULES.items() if name != "R-minmax")
+
+def _by_constructor(rules: dict[str, tuple[Callable, tuple]]) -> dict[type, tuple]:
+    """Each constructor's rules in the order of ``rules``, each with
+    whether it counts against the cap (all but R-minmax)."""
+    table: dict[type, tuple] = {}
+    for name, (rule, kinds) in rules.items():
+        for kind in kinds:
+            table[kind] = table.get(kind, ()) + ((rule, name != "R-minmax"),)
+    return table
+
+
+# what _fix tries at a node but a wedge, which it reduces with its children
+_DISPATCH = _by_constructor(_RULES)
 
 
 def rule_names() -> tuple[str, ...]:
@@ -423,24 +443,25 @@ def rule_names() -> tuple[str, ...]:
 def apply_rule(t: Term, rule_name: str, engine: Engine) -> Optional[Term]:
     """One outermost-leftmost application of the named rule, or None if
     it applies nowhere in ``t``.  Comparisons run on ``engine``."""
-    rule = _RULES.get(rule_name)
-    if rule is None:
+    entry = _RULES.get(rule_name)
+    if entry is None:
         raise ValueError(f"unknown rule {rule_name!r}; known: {', '.join(_RULES)}")
+    rule, kinds = entry
     fired: list[Term] = []
-    out = _step(fired, partial(rule, engine=engine), t)
+    out = _step(fired, partial(rule, engine=engine), kinds, t)
     return out if fired else None
 
 
-def _step(fired: list[Term], rule: Callable[[Term], Optional[Term]], t: Term) -> Term:
-    """``rule`` at ``t``, else at its children in the order of
-    ``_map_children``; once ``fired`` holds an application, every later
-    node stays as it is."""
+def _step(fired: list[Term], rule: Callable, kinds: tuple[type, ...], t: Term) -> Term:
+    """``rule`` at ``t`` if it is of one of ``kinds``, else at its
+    children in the order of ``_map_children``; once ``fired`` holds an
+    application, every later node stays as it is."""
     # a partial, unlike a nested function, makes no reference cycle, so
     # the walk does not keep the engine alive for the collector
     if fired:
         return t
-    stepped = rule(t)
+    stepped = rule(t) if isinstance(t, kinds) else None
     if stepped is None:
-        return _map_children(t, partial(_step, fired, rule))
+        return _map_children(t, partial(_step, fired, rule, kinds))
     fired.append(stepped)
     return stepped

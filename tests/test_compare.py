@@ -154,6 +154,30 @@ def test_type_decided_verdicts_match_the_full_path(f, g):
     assert v.outcome is w.outcome and v.trace == w.trace
 
 
+@pytest.mark.parametrize("source", ["census 1", "census 2", "centered 2", "centered w+1"])
+def test_the_type_check_agrees_with_the_rule_loop(source):
+    # every ordered pair of normal forms, on a fresh engine, where
+    # compare and _query answer N-lex and L-gst from the type keys,
+    # has the outcome and steps of _decide, which runs the rule loop
+    audit = load_script("audit.py")
+    kind, arg = source.split()
+    loop = Engine()
+    if kind == "census":
+        forms = audit.census_forms(int(arg), 150, loop)
+    else:
+        forms = audit.level_forms(audit.centered_raw, arg, loop)
+    engine, typed = Engine(), 0
+    for f in forms:
+        for g in forms:
+            v, w = engine.compare(f, g), loop._decide(f, g)
+            typed += v._pending is not None
+            assert v.outcome is w.outcome and v.steps == w.steps, (f, g)
+    # some census pairs need the rule loop, and some are decided by
+    # their types; the centered set at w+1 has a single type
+    assert typed < len(forms) ** 2
+    assert typed or source == "centered w+1"
+
+
 def _mixed_pairs():
     """The type-decided pairs above and 100 seeded random pairs, some
     of which need the full path."""
@@ -652,19 +676,26 @@ def multiplicity_results(terms):
 def test_repeated_summands_match_the_per_copy_rules(monkeypatch):
     terms = load_script("fingerprint.py").multiplicity_terms()
     compare_module = sys.modules["scatcalc.compare"]
+    ran = set()
+
+    def spy(rule):
+        def run(*args):
+            ran.add(rule)
+            return rule(*args)
+
+        return run
+
     per_copy = {
-        Engine._rule_glue_match: per_copy_glue_match,
-        Engine._rule_capacity: per_copy_capacity,
+        Engine._rule_glue_match: spy(per_copy_glue_match),
+        Engine._rule_capacity: spy(per_copy_capacity),
     }
     with monkeypatch.context() as mp:
         mp.setattr(compare_module, "_RULES", tuple(per_copy.get(r, r) for r in _RULES))
-        mp.setitem(rewrite._RULES, "R-absorb", per_copy_absorb)
-        mp.setattr(
-            rewrite,
-            "_CAPPED_RULES",
-            tuple(rule for name, rule in rewrite._RULES.items() if name != "R-minmax"),
-        )
+        mp.setitem(rewrite._RULES, "R-absorb", (spy(per_copy_absorb), (Glue,)))
+        mp.setattr(rewrite, "_DISPATCH", rewrite._by_constructor(rewrite._RULES))
         reference = multiplicity_results(terms)
+    # the reference ran the per-copy rules
+    assert ran == {per_copy_glue_match, per_copy_capacity, per_copy_absorb}
     outcomes, traces, forms = multiplicity_results(terms)
     assert outcomes == reference[0]
     assert traces == reference[1]

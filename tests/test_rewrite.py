@@ -286,13 +286,37 @@ def test_each_rule_runs_once_per_distinct_term(monkeypatch):
 
         return run
 
-    monkeypatch.setattr(rewrite, "_CAPPED_RULES", tuple(map(spy, rewrite._CAPPED_RULES)))
-    monkeypatch.setattr(rewrite, "_rule_minmax", spy(rewrite._rule_minmax))
+    spied = {name: (spy(rule), kinds) for name, (rule, kinds) in rewrite._RULES.items()}
+    monkeypatch.setattr(rewrite, "_DISPATCH", rewrite._by_constructor(spied))
     engine = Engine()
     for i, j in inputs["pairs"][:1000]:
         engine.compare(pool[i], pool[j])
     repeated = len(runs) - len(set(runs))
     assert runs and repeated == 0
+    # each rule ran, but R-wedge-reduce, which _fix runs with a wedge's children
+    ran = {rule for rule, _ in runs}
+    assert ran == {rule for rule, _ in rewrite._RULES.values()} - {rewrite._rule_wedge_reduce}
+    # and only on the constructors the table gives it
+    kinds = {rule: kinds for rule, kinds in rewrite._RULES.values()}
+    assert all(isinstance(t, kinds[rule]) for rule, t in runs)
+
+
+def test_each_side_set_is_resplit_once_per_engine(monkeypatch):
+    inputs = census_inputs(1, 1500, 6000)
+    pool = [parse_term(text) for text in inputs["pool_text"]]
+    resplit, asked = rewrite._resplit, []
+
+    def spy(members, engine):
+        asked.append(members)
+        return resplit(members, engine)
+
+    monkeypatch.setattr(rewrite, "_resplit", spy)
+    engine = Engine()
+    for i, j in inputs["pairs"]:
+        engine.compare(pool[i], pool[j])
+    # the round asks about 2,125 side sets, 540 of them distinct
+    assert len(asked) > 500
+    assert len(asked) == len(set(asked)) == len(engine._sides)
 
 
 @pytest.mark.parametrize(

@@ -92,6 +92,24 @@ def test_audit_reports_each_set_without_violations():
     assert equivalent[0] <= 10 and equivalent[1:] == [0] * 6
 
 
+def test_workcount_counts_a_cold_round():
+    args = ("--seeds", "1", "2", "--pool", "200", "--pairs", "800")
+    lines = run_script("workcount.py", *args).splitlines()
+    assert [line.split(":")[0] for line in lines] == ["census 1", "census 2"]
+    for line in lines:
+        fields = line.split(": ", 1)[1].split("  ")
+        counts = {name: int(value) for name, value in (f.split(" ") for f in fields)}
+        assert list(counts) == ["calls", "decide", "fix", "nf", "memo", "renormalize"]
+        # the memo holds the pairs and the rules' sub-queries; most
+        # pairs are settled by their types, and the memo spares the
+        # second round its decisions
+        assert 800 < counts["memo"] and 0 < counts["decide"] < 800
+        assert 0 < counts["fix"] and 0 < counts["nf"]
+        assert 0 < counts["renormalize"] < counts["calls"]
+    # the counts depend on the inputs alone
+    assert run_script("workcount.py", *args).splitlines() == lines
+
+
 def test_ab_summary_on_canned_pairs():
     ab = load_script("ab.py")
     base = [100.0, 110.0, 90.0, 105.0, 95.0]
