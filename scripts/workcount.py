@@ -10,6 +10,9 @@ One line per seed gives:
   profiler: function calls and generator resumptions, not C calls);
 * ``decide``: the ``Engine._decide`` runs among them;
 * ``fix``: the ``rewrite._fix`` calls among them;
+* ``built``: the term nodes the round built, counted as the call
+  events of ``term``'s ``_measure`` methods, which run once per new
+  node;
 * ``nf`` and ``memo``: the engine's normal-form cache and memo entries
   after the round;
 * ``renormalize``: the call events of the same round on a second fresh
@@ -33,9 +36,17 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
 import gen  # noqa: E402  (bench/gen.py)
-from scatcalc import rewrite  # noqa: E402
+from scatcalc import rewrite, term  # noqa: E402
 from scatcalc.compare import Engine  # noqa: E402
 from scatcalc.term import parse_term  # noqa: E402
+
+
+# the code of every node's _measure, which runs once when the node is built
+MEASURES = {
+    cls._measure.__code__
+    for cls in vars(term).values()
+    if isinstance(cls, type) and issubclass(cls, term.Term)
+}
 
 
 def profiled_round(engine: Engine, pairs) -> Counter:
@@ -67,6 +78,7 @@ def work(seed: int, pool_size: int, n_pairs: int) -> dict[str, int]:
         "calls": sum(calls.values()),
         "decide": calls[Engine._decide.__code__],
         "fix": calls[rewrite._fix.__code__],
+        "built": sum(calls[code] for code in MEASURES),
         "nf": len(engine._nf),
         "memo": len(engine._memo),
         "renormalize": sum(profiled_round(again, pairs).values()),

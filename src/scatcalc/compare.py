@@ -449,9 +449,15 @@ class Engine:
         # edges; each copy of a target is one slot
         edges: list[list[int]] = []
         for s, n in multiplicities(fs).items():
-            if not any(self._absorbs(t, s) for t in targets):
-                fits = (not (s == f and t == g) and self._le(s, t) for t in targets)
-                edges += [[j for j, ok in enumerate(fits) if ok]] * n
+            for t in targets:
+                if self._absorbs(t, s):
+                    break
+            else:
+                fits = []
+                for j, t in enumerate(targets):
+                    if not (s == f and t == g) and self._le(s, t):
+                        fits.append(j)
+                edges += [fits] * n
         if edges and not _bipartite_saturates(edges, len(edges), [*targets.values()]):
             return None
         return _LE(_step("L-glue", f, g, "matched ", len(fs), " summand(s)"))

@@ -65,20 +65,17 @@ class NotNormalizedError(ValueError):
 
 class CbType(Value):
     """A CB-type with what comparisons read of it, built once:
-    ``lex_key`` orders types lexicographically, ``rank_key`` orders
-    their ranks, ``double_key`` is the key of the doubled rank (see
-    ``ordinal.double``) and ``limit`` tells whether the rank is a
-    limit.  Immutable; equal and hashed by ``(rank, degree)``."""
+    ``lex_key`` orders types lexicographically and ``double_key`` is
+    the key of the doubled rank (see ``ordinal.double``).  Immutable;
+    equal and hashed by ``(rank, degree)``."""
 
-    __slots__ = ("rank", "degree", "lex_key", "rank_key", "double_key", "limit")
+    __slots__ = ("rank", "degree", "lex_key", "double_key")
     _fields = ("rank", "degree")
 
     rank: Ordinal
     degree: Degree
     lex_key: tuple
-    rank_key: tuple
     double_key: tuple
-    limit: bool
 
     def __init__(self, rank: Ordinal, degree: Degree) -> None:
         if degree == 0 and rank.is_successor:
@@ -88,9 +85,7 @@ class CbType(Value):
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "lex_key", (rank.terms, rank.finite, degree))
-        object.__setattr__(self, "rank_key", (rank.terms, rank.finite))
         object.__setattr__(self, "double_key", (rank.terms, 2 * rank.finite))
-        object.__setattr__(self, "limit", rank.is_limit)
 
     def __str__(self) -> str:
         deg = "w" if self.degree == OMEGA_DEGREE else str(int(self.degree))

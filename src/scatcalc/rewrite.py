@@ -65,22 +65,38 @@ Rule set (names are the public identifiers accepted by
     over the diagonal collapse to omega copies of the diagonal.
 
 One pass normalizes bottom-up: each node's children are normalized
-first, then the first of the rules for the node's constructor, in the
-order listed above, rewrites the node until none applies: ``R-flat``
-and ``R-absorb`` on a gluing, ``R-omega`` on an omega term,
-``R-minmax`` on a min or max atom, and ``R-minmax``, ``R-pgl-members``
-and ``R-pgl-wedge`` on a pointed gluing.  ``_RULES`` names each rule's
-constructors, and no other rule is tried at the node.
-A wedge's children and its ``R-wedge-reduce`` are one step: the wedge
-with normal children is neither built nor cached.
+first, then the rules for the node's constructor, in the order listed
+above, rewrite the node until none applies.  ``_RULES`` names each
+rule's constructors, and no other rule is tried at the node.  An omega
+term (``R-omega``) and a min or max atom (``R-minmax``) are rewritten
+one application at a time.  A gluing, a pointed gluing and a wedge are
+each reduced in one step with their children, over plain tuples:
+
+* a gluing: ``R-flat`` splices the normal summands' gluings and drops
+  ``empty``, then ``R-absorb`` makes its one pass over the sorted
+  summands;
+* a pointed gluing: the normal members, deduplicated and sorted, go
+  through ``R-pgl-members``, ``R-minmax``'s ``pgl{empty}`` case, then
+  ``R-pgl-wedge``;
+* a wedge: ``R-wedge-reduce`` on the normal side sets.
+
+A step builds only the term it returns, never the node with normal
+children or a shape between.  That term is normal, but for
+``R-pgl-wedge``'s pointed gluing, whose new members are not, and a
+pointed gluing or gluing that ``R-wedge-reduce`` returns, which the
+pass goes on to normalize.  A second ``R-absorb`` or ``R-pgl-members``
+pass would drop nothing: what no item present dominates, none of fewer
+items does.
+
 ``R-minmax`` stops on its own (it strictly decreases an atom's ordinal,
 or turns ``pgl{empty}`` into ``one``); the six others share a hard
 application cap of ``10 * term_size`` of the input, converting any
-unforeseen cycle into a diagnosable failure.  Every shape a fixpoint
-passes through (its input, each node but a wedge once its children are
-normal, and each rewrite) maps to the normal form in the engine's
-cache, and a pass that meets a cached shape stops there, so each rule
-runs at most once per distinct term per engine.
+unforeseen cycle into a diagnosable failure.  Each ``R-omega``
+application counts once against it, and so does each step in which
+one of the six fires (a wedge's step always counts).  A fixpoint's
+input, each term a rule or step returns and the normal form map to
+the normal form in the engine's cache, and a pass that meets a cached
+term stops there, so each node is reduced at most once per engine.
 
 ``R-pgl-members``, ``R-absorb`` and ``R-wedge-reduce`` decide
 reducibilities.  Normalization runs on an :class:`~scatcalc.compare.Engine`:
@@ -101,6 +117,7 @@ nesting depth; the rule fires at the outermost-leftmost node it fits.
 from __future__ import annotations
 
 from functools import partial
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence, TypeVar
 
 from . import ordinal as ord_mod
@@ -117,6 +134,7 @@ from .term import (
     Term,
     Wedge,
     _family_key,
+    _key_of,
     _sorted_set,
     glue_of,
     merged_wedge,
@@ -146,15 +164,15 @@ def normalize(t: Term, engine: Engine) -> Term:
     The result denotes the same reducibility class: every rule is an
     equivalence.  Idempotent, and rank-preserving on scattered terms.
     The rules' comparisons run on ``engine``, which also caches the
-    result: every shape the fixpoint passes through (the input, each
-    node once its children are normal, and each rewrite) maps to the
-    normal form there, so each rule runs at most once per distinct term
-    per engine.  A wedge's children and its ``R-wedge-reduce`` are one
-    step: the wedge with normal children is neither built nor cached.
-    At most ``DEFAULT_CAP_FACTOR * term_size(t)`` applications of the
-    six rules other than ``R-minmax`` are made before
-    :class:`NormalizationLimitError` is raised; a failed chain caches
-    none of its shapes.
+    result: the input, each term a rule or step returns and the normal
+    form map to the normal form there, so each node is reduced at most
+    once per engine.  A gluing, a pointed gluing and a wedge are each
+    reduced with their children in one step, which builds only the
+    term it returns: no node with normal children and no shape between
+    is built or cached.  At most ``DEFAULT_CAP_FACTOR * term_size(t)``
+    applications of ``R-omega`` and steps that fire a rule other than
+    ``R-minmax`` are made before :class:`NormalizationLimitError` is
+    raised; a failed chain caches none of its shapes.
     """
     hit = engine._nf.get(t)
     if hit is not None:
@@ -194,15 +212,24 @@ def _fix(counter: list[int], engine: Engine, t: Term) -> Term:
     shapes = [t]
     normalize_child = partial(_fix, counter, engine)
     while True:
-        if isinstance(t, Wedge):
-            # children and R-wedge-reduce are one step; it builds no wedge
-            # with normal children, and a wedge it returns is normal
+        # a gluing, a pointed gluing and a wedge are each one step with
+        # their children, which builds only the term it returns; that
+        # term is normal unless R-pgl-wedge brought in members or
+        # R-wedge-reduce returned no wedge
+        normal = True
+        if isinstance(t, Glue):
+            rewritten, capped = _reduce_glue(list(map(normalize_child, t.summands)), engine)
+        elif isinstance(t, PglSet):
+            # set() consumes the map, so no Python frame per level
+            members = _sorted_set(set(map(normalize_child, t.members)))
+            rewritten, capped, normal = _reduce_pgl(members, engine)
+        elif isinstance(t, Wedge):
             rewritten = _reduce_wedge(
                 tuple(map(tuple, map(partial(map, normalize_child), t.verticals))),
                 tuple(map(normalize_child, t.diagonal)),
                 engine,
             )
-            capped = True
+            capped, normal = True, isinstance(rewritten, Wedge)
         else:
             t2 = _map_children(t, normalize_child)
             if t2 is not t:
@@ -217,6 +244,7 @@ def _fix(counter: list[int], engine: Engine, t: Term) -> Term:
             else:
                 nf = t2
                 break
+            normal = False
         if capped:
             counter[0] += 1
             if counter[0] > counter[1]:
@@ -225,7 +253,7 @@ def _fix(counter: list[int], engine: Engine, t: Term) -> Term:
         if nf is not None:
             break
         shapes.append(rewritten)
-        if isinstance(rewritten, Wedge):
+        if normal:
             nf = rewritten
             break
         t = rewritten
@@ -236,7 +264,8 @@ def _fix(counter: list[int], engine: Engine, t: Term) -> Term:
 
 # ---------------------------------------------------------------------------
 # Individual rules, each applying at the root only and asking ``engine``
-# for any reducibility they need
+# for any reducibility they need, over helpers that the normalizer's
+# steps share
 
 
 def _undominated(
@@ -257,27 +286,34 @@ def _undominated(
 
 def _rule_flat(t: Glue, engine: Engine) -> Optional[Term]:
     summands = t.summands
+    flat = _flatten(summands)
+    if flat is not None:
+        return Glue(flat)
+    if len(summands) == 1:
+        return summands[0]
+    return None if summands else EMPTY
+
+
+def _flatten(summands: Sequence[Term]) -> Optional[list[Term]]:
+    """R-flat's splice: ``summands`` with each gluing replaced by its
+    summands and each ``empty`` dropped, or None when there is none."""
     for s in summands:
         if isinstance(s, (Glue, Empty)):
             break
     else:
-        if len(summands) == 1:
-            return summands[0]
-        return None if summands else EMPTY
+        return None
     out: list[Term] = []
     for s in summands:
         if isinstance(s, Glue):
             out += s.summands
         elif not isinstance(s, Empty):
             out.append(s)
-    return Glue(out)
+    return out
 
 
 def _rule_minmax(t: Term, engine: Engine) -> Optional[Term]:
-    if isinstance(t, PglSet) and t.members == (EMPTY,):
-        # the pointed gluing of the empty function is the singleton
-        # identity, the same base case the min recurrence bottoms out in
-        return ONE
+    if isinstance(t, PglSet):
+        return _pgl_of_empty(t.members)
     if isinstance(t, MinFn):
         r = t.rank
         if r.finite == 1 and not r.terms:
@@ -297,6 +333,14 @@ def _rule_minmax(t: Term, engine: Engine) -> Optional[Term]:
     return None
 
 
+def _pgl_of_empty(members: tuple[Term, ...]) -> Optional[Term]:
+    """R-minmax on a pointed gluing's member set: ``one`` for
+    ``pgl{empty}``, else None.  The pointed gluing of the empty function
+    is the singleton identity, the base case the min recurrence bottoms
+    out in."""
+    return ONE if members == (EMPTY,) else None
+
+
 def _rule_omega(t: Omega, engine: Engine) -> Optional[Term]:
     body = t.body
     if isinstance(body, Empty):
@@ -309,18 +353,31 @@ def _rule_omega(t: Omega, engine: Engine) -> Optional[Term]:
 
 
 def _rule_pgl_members(t: PglSet, engine: Engine) -> Optional[Term]:
-    if len(t.members) < 2:
-        return None
-    kept = _undominated(t.members, engine._le, sort_key)
-    return PglSet(kept) if len(kept) < len(t.members) else None
+    kept = _dominant_members(t.members, engine)
+    return None if kept is t.members else PglSet(kept)
+
+
+def _dominant_members(members: tuple[Term, ...], engine: Engine) -> tuple[Term, ...]:
+    """R-pgl-members on a sorted member set: the members that no fellow
+    member strictly dominates, or ``members`` itself when none goes."""
+    if len(members) < 2:
+        return members
+    kept = _undominated(members, engine._le, sort_key)
+    return members if len(kept) == len(members) else tuple(kept)
 
 
 def _rule_pgl_wedge(t: PglSet, engine: Engine) -> Optional[Term]:
-    for m in t.members:
+    return _pgl_wedge(t.members)
+
+
+def _pgl_wedge(members: tuple[Term, ...]) -> Optional[PglSet]:
+    """R-pgl-wedge on a member set: the pointed gluing with its first
+    wedge member replaced, or None when no member is a wedge."""
+    for m in members:
         if isinstance(m, Wedge):
             replacement = [PglSet(v) for v in m.verticals]
             replacement += [Omega(h) for h in m.diagonal]
-            rest = [x for x in t.members if x != m]
+            rest = [x for x in members if x != m]
             return PglSet(rest + replacement)
     return None
 
@@ -348,20 +405,66 @@ def _resplit(members: tuple[Term, ...], engine: Engine) -> tuple[Term, ...]:
 
 
 def _rule_absorb(t: Glue, engine: Engine) -> Optional[Term]:
-    counts = multiplicities(t.summands)
+    kept = _absorb(t.summands, engine)
+    return None if kept is None else glue_of(kept)
+
+
+def _absorb(summands: Sequence[Term], engine: Engine) -> Optional[list[Term]]:
+    """R-absorb's one pass over the distinct ``summands`` of a gluing,
+    in order: the summands it keeps, or None when it drops no copy."""
+    counts = multiplicities(summands)
+    dropped = False
     # a summand's absorber must still be present when it goes, so that
     # each drop is a valid step on its own
     for s, n in list(counts.items()):
         for u in counts:
             if u is not s and engine._absorbs(u, s):
                 del counts[s]  # safe: the loop over counts ends here
+                dropped = True
                 break
         else:
             if n > 1 and engine._absorbs(s, s):
                 counts[s] = 1
-    if sum(counts.values()) == len(t.summands):
+                dropped = True
+    if not dropped:
         return None
-    return glue_of([s for s, n in counts.items() for _ in range(n)])
+    # n copies of each kept summand s, without a comprehension's frame
+    return list(chain.from_iterable(map(repeat, counts, counts.values())))
+
+
+def _reduce_glue(summands: list[Term], engine: Engine) -> tuple[Term, bool]:
+    """R-flat, then R-absorb, on the gluing of the normal ``summands``,
+    building one term: the normal form, and whether either rule fired.
+    One pass of R-absorb leaves nothing for a second: a summand that no
+    summand present absorbed is absorbed by none of fewer."""
+    flat = _flatten(summands)
+    if flat is not None:
+        summands = flat
+    if len(summands) < 2:  # R-flat unwraps a singleton and an empty gluing
+        return (summands[0] if summands else EMPTY), True
+    # R-absorb reads the summands in the order a gluing stores them
+    summands.sort(key=_key_of)
+    kept = _absorb(summands, engine)
+    if kept is None:
+        return glue_of(summands), flat is not None
+    return glue_of(kept), True
+
+
+def _reduce_pgl(members: tuple[Term, ...], engine: Engine) -> tuple[Term, bool, bool]:
+    """R-pgl-members, R-minmax's ``pgl{empty}`` case, then R-pgl-wedge,
+    on the pointed gluing of the normal sorted set ``members``, building
+    one term: the term, whether R-pgl-members or R-pgl-wedge fired, and
+    whether the term is normal (R-pgl-wedge brings in members that are
+    not).  R-pgl-members leaves nothing for a second pass, as R-absorb
+    does, and changes no single member, which R-minmax reads first."""
+    kept = _dominant_members(members, engine)
+    one = _pgl_of_empty(kept)
+    if one is not None:
+        return one, kept is not members, True
+    wedged = _pgl_wedge(kept)
+    if wedged is not None:
+        return wedged, True, False
+    return PglSet(kept), kept is not members, True
 
 
 def _rule_wedge_reduce(t: Wedge, engine: Engine) -> Optional[Term]:
@@ -432,8 +535,13 @@ def _by_constructor(rules: dict[str, tuple[Callable, tuple]]) -> dict[type, tupl
     return table
 
 
-# what _fix tries at a node but a wedge, which it reduces with its children
-_DISPATCH = _by_constructor(_RULES)
+# what _fix tries at an omega term or a min or max atom; it reduces the
+# other constructors with their children, in one step each
+_DISPATCH = {
+    kind: rules
+    for kind, rules in _by_constructor(_RULES).items()
+    if kind not in (Glue, PglSet, Wedge)
+}
 
 
 def rule_names() -> tuple[str, ...]:

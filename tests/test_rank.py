@@ -67,9 +67,7 @@ def test_cb_types_carry_their_comparison_keys():
     for text in ("0*empty", "one", "3*one", "max(w)", "min(w*2+3)", "omega(max(w^2+1))"):
         t = tp(text)
         assert t.lex_key == (t.rank.terms, t.rank.finite, t.degree)
-        assert t.rank_key == (t.rank.terms, t.rank.finite)
         assert t.double_key == (double(t.rank).terms, double(t.rank).finite)
-        assert t.limit is t.rank.is_limit
     # terms of equal type share one stored CbType
     assert tp("one") is tp("min(1)") and tp("omega(one)") is tp("max(1)")
 
@@ -223,9 +221,7 @@ def test_cb_types_are_immutable_values():
         t.extra = 1
     for u in (pickle.loads(pickle.dumps(t)), copy.copy(t), copy.deepcopy(t)):
         assert type(u) is CbType and u == t
-        assert (u.lex_key, u.rank_key, u.double_key, u.limit) == (
-            t.lex_key, t.rank_key, t.double_key, t.limit
-        )
+        assert (u.lex_key, u.double_key) == (t.lex_key, t.double_key)
 
 
 def test_deep_and_shared_terms_are_typed_without_recursion():

@@ -1,5 +1,7 @@
 import gc
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
@@ -135,6 +137,44 @@ def test_normalizing_a_wedge_builds_one_wedge():
     before = wedges()
     nf = normalize(t, engine)
     assert isinstance(nf, Wedge) and wedges() <= before + 1
+
+
+@pytest.mark.parametrize(
+    "text, normal",
+    [
+        # R-flat splices the normal gluing pgl{one} and drops empty
+        ("glue(glue(one, pgl{one}), empty, omega(one))", "glue(omega(one), pgl{one})"),
+        # the member glue(one, omega(one)) normalizes to omega(one),
+        # which dominates one
+        ("pgl{one, omega(one), glue(one, omega(one))}", "pgl{omega(one)}"),
+    ],
+)
+def test_normalizing_a_gluing_builds_only_its_normal_form(text, normal):
+    t = parse_term(text)
+    # the engine caches every shape it meets, so it keeps them alive
+    engine = Engine()
+    before = set(term._table)
+    nf = normalize(t, engine)
+    built = {term._table[ident]() for ident in set(term._table) - before}
+    assert nf == parse_term(normal) and built <= {nf}
+
+
+@pytest.mark.parametrize(
+    "opening, closing, depth, normal",
+    [
+        ("pgl{", "}", 900, None),  # already normal
+        ("omega(", ")", 490, "omega(one)"),
+        ("glue(one, ", ")", 900, "901*one"),
+    ],
+)
+def test_normalize_reads_deep_nesting(opening, closing, depth, normal):
+    # a thread starts near the bottom of its stack, as a script's top
+    # level does; a gluing's or pointed gluing's step costs one Python
+    # frame per level, and an omega term two
+    text = opening * depth + "one" + closing * depth
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        nf = pool.submit(norm, text).result(timeout=60)
+    assert nf == parse_term(text if normal is None else normal)
 
 
 def test_normalize_reads_deeply_nested_wedges():
@@ -286,18 +326,33 @@ def test_each_rule_runs_once_per_distinct_term(monkeypatch):
 
         return run
 
-    spied = {name: (spy(rule), kinds) for name, (rule, kinds) in rewrite._RULES.items()}
-    monkeypatch.setattr(rewrite, "_DISPATCH", rewrite._by_constructor(spied))
+    def spy_step(step):
+        def run(*args):
+            # a step takes the normal children of the node _fix reduces
+            runs.append((step, sys._getframe(1).f_locals["t"]))
+            return step(*args)
+
+        return run
+
+    dispatch = {
+        kind: tuple((spy(rule), capped) for rule, capped in rules)
+        for kind, rules in rewrite._DISPATCH.items()
+    }
+    monkeypatch.setattr(rewrite, "_DISPATCH", dispatch)
+    steps = {rewrite._reduce_glue: Glue, rewrite._reduce_pgl: PglSet, rewrite._reduce_wedge: Wedge}
+    for step in steps:
+        monkeypatch.setattr(rewrite, step.__name__, spy_step(step))
     engine = Engine()
     for i, j in inputs["pairs"][:1000]:
         engine.compare(pool[i], pool[j])
     repeated = len(runs) - len(set(runs))
     assert runs and repeated == 0
-    # each rule ran, but R-wedge-reduce, which _fix runs with a wedge's children
+    # each step ran, and each rule that _fix asks one node at a time
     ran = {rule for rule, _ in runs}
-    assert ran == {rule for rule, _ in rewrite._RULES.values()} - {rewrite._rule_wedge_reduce}
-    # and only on the constructors the table gives it
+    assert ran == {rewrite._rule_minmax, rewrite._rule_omega, *steps}
+    # and only on the constructors the rule table or the step gives it
     kinds = {rule: kinds for rule, kinds in rewrite._RULES.values()}
+    kinds.update((step, (kind,)) for step, kind in steps.items())
     assert all(isinstance(t, kinds[rule]) for rule, t in runs)
 
 

@@ -99,12 +99,15 @@ def test_workcount_counts_a_cold_round():
     for line in lines:
         fields = line.split(": ", 1)[1].split("  ")
         counts = {name: int(value) for name, value in (f.split(" ") for f in fields)}
-        assert list(counts) == ["calls", "decide", "fix", "nf", "memo", "renormalize"]
+        assert list(counts) == ["calls", "decide", "fix", "built", "nf", "memo", "renormalize"]
         # the memo holds the pairs and the rules' sub-queries; most
         # pairs are settled by their types, and the memo spares the
         # second round its decisions
         assert 800 < counts["memo"] and 0 < counts["decide"] < 800
         assert 0 < counts["fix"] and 0 < counts["nf"]
+        # the cache holds the pool's terms, which the round does not
+        # build, besides most of the nodes the round builds
+        assert 0 < counts["built"] < counts["nf"]
         assert 0 < counts["renormalize"] < counts["calls"]
     # the counts depend on the inputs alone
     assert run_script("workcount.py", *args).splitlines() == lines
