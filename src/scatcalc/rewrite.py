@@ -64,25 +64,25 @@ Rule set (names are the public identifiers accepted by
     pointed gluing, or (d) verticals that all reduce to finite gluings
     over the diagonal collapse to omega copies of the diagonal.
 
-One pass normalizes bottom-up: each node's children are normalized
-first, then the rules for the node's constructor, in the order listed
-above, rewrite the node until none applies.  ``_RULES`` names each
-rule's constructors, and no other rule is tried at the node.  An omega
-term (``R-omega``) and a min or max atom (``R-minmax``) are rewritten
-one application at a time.  A gluing, a pointed gluing and a wedge are
-each reduced in one step with their children, over plain tuples:
+One pass normalizes bottom-up: each node is reduced in one step with
+its normal children, and the step applies the rules for the node's
+constructor in the order listed above:
 
 * a gluing: ``R-flat`` splices the normal summands' gluings and drops
   ``empty``, then ``R-absorb`` makes its one pass over the sorted
   summands;
+* an omega term: ``R-omega`` on the normal body;
 * a pointed gluing: the normal members, deduplicated and sorted, go
   through ``R-pgl-members``, ``R-minmax``'s ``pgl{empty}`` case, then
   ``R-pgl-wedge``;
-* a wedge: ``R-wedge-reduce`` on the normal side sets.
+* a wedge: ``R-wedge-reduce`` on the normal side sets;
+* a min or max atom: one ``R-minmax`` expansion.  Every other atom is
+  normal.
 
 A step builds only the term it returns, never the node with normal
-children or a shape between.  That term is normal, but for
-``R-pgl-wedge``'s pointed gluing, whose new members are not, and a
+children or a shape between.  That term is normal, but for the omega
+copies of a gluing's summands that ``R-omega`` returns, ``R-pgl-wedge``'s
+pointed gluing, whose new members are not, an expanded atom, and a
 pointed gluing or gluing that ``R-wedge-reduce`` returns, which the
 pass goes on to normalize.  A second ``R-absorb`` or ``R-pgl-members``
 pass would drop nothing: what no item present dominates, none of fewer
@@ -91,12 +91,12 @@ items does.
 ``R-minmax`` stops on its own (it strictly decreases an atom's ordinal,
 or turns ``pgl{empty}`` into ``one``); the six others share a hard
 application cap of ``10 * term_size`` of the input, converting any
-unforeseen cycle into a diagnosable failure.  Each ``R-omega``
-application counts once against it, and so does each step in which
-one of the six fires (a wedge's step always counts).  A fixpoint's
-input, each term a rule or step returns and the normal form map to
-the normal form in the engine's cache, and a pass that meets a cached
-term stops there, so each node is reduced at most once per engine.
+unforeseen cycle into a diagnosable failure.  Each step in which one
+of the six fires counts once against it (a wedge's step always
+counts).  A fixpoint's input, each term a rule or step returns and the
+normal form map to the normal form in the engine's cache, and a pass
+that meets a cached term stops there, so each node is reduced at most
+once per engine.
 
 ``R-pgl-members``, ``R-absorb`` and ``R-wedge-reduce`` decide
 reducibilities.  Normalization runs on an :class:`~scatcalc.compare.Engine`:
@@ -109,9 +109,11 @@ queries, like those of the derivation that asked for the normal form.
 :func:`normalize` and :func:`apply_rule` take that engine as a required
 argument.
 
-:func:`apply_rule` walks a term with the normalizer's ``_map_children``,
-so it visits nodes in the normalizer's order and reaches the same
-nesting depth; the rule fires at the outermost-leftmost node it fits.
+:func:`apply_rule` walks a term on its own, trying the rule at a node
+before its children (summands, body, members, then verticals and
+diagonal), so the rule fires at the outermost-leftmost node it fits.
+The walk and the normalizer each cost one Python frame per level of
+nesting.
 """
 
 from __future__ import annotations
@@ -129,7 +131,6 @@ from .term import (
     MinFn,
     ONE,
     Omega,
-    One,
     PglSet,
     Term,
     Wedge,
@@ -166,40 +167,17 @@ def normalize(t: Term, engine: Engine) -> Term:
     The rules' comparisons run on ``engine``, which also caches the
     result: the input, each term a rule or step returns and the normal
     form map to the normal form there, so each node is reduced at most
-    once per engine.  A gluing, a pointed gluing and a wedge are each
-    reduced with their children in one step, which builds only the
-    term it returns: no node with normal children and no shape between
-    is built or cached.  At most ``DEFAULT_CAP_FACTOR * term_size(t)``
-    applications of ``R-omega`` and steps that fire a rule other than
-    ``R-minmax`` are made before :class:`NormalizationLimitError` is
-    raised; a failed chain caches none of its shapes.
+    once per engine.  Every node is reduced with its children in one
+    step, which builds only the term it returns: no node with normal
+    children and no shape between is built or cached.  At most
+    ``DEFAULT_CAP_FACTOR * term_size(t)`` steps that fire a rule other
+    than ``R-minmax`` are made before :class:`NormalizationLimitError`
+    is raised; a failed chain caches none of its shapes.
     """
     hit = engine._nf.get(t)
     if hit is not None:
         return hit
     return _fix([0, DEFAULT_CAP_FACTOR * term_size(t)], engine, t)
-
-
-def _map_children(t: Term, f: Callable[[Term], Term]) -> Term:
-    """``t`` with ``f`` applied to each child; ``t`` itself when ``f``
-    returns every child unchanged."""
-    # map() and partial() add no stack frame per level of nesting
-    if isinstance(t, Glue):
-        summands = tuple(map(f, t.summands))
-        return t if summands == t.summands else Glue(summands)
-    if isinstance(t, Omega):
-        body = f(t.body)
-        return t if body is t.body else Omega(body)
-    if isinstance(t, PglSet):
-        members = tuple(map(f, t.members))
-        return t if members == t.members else PglSet(members)
-    if isinstance(t, Wedge):
-        verticals = tuple([tuple(map(f, v)) for v in t.verticals])
-        diagonal = tuple(map(f, t.diagonal))
-        if verticals == t.verticals and diagonal == t.diagonal:
-            return t
-        return merged_wedge(verticals, diagonal)
-    return t
 
 
 def _fix(counter: list[int], engine: Engine, t: Term) -> Term:
@@ -212,10 +190,10 @@ def _fix(counter: list[int], engine: Engine, t: Term) -> Term:
     shapes = [t]
     normalize_child = partial(_fix, counter, engine)
     while True:
-        # a gluing, a pointed gluing and a wedge are each one step with
-        # their children, which builds only the term it returns; that
-        # term is normal unless R-pgl-wedge brought in members or
-        # R-wedge-reduce returned no wedge
+        # each constructor is one step with its children, which builds
+        # only the term it returns; that term is normal unless R-omega
+        # brought in omega copies, R-pgl-wedge members, R-minmax expanded
+        # an atom or R-wedge-reduce returned no wedge
         normal = True
         if isinstance(t, Glue):
             rewritten, capped = _reduce_glue(list(map(normalize_child, t.summands)), engine)
@@ -230,21 +208,17 @@ def _fix(counter: list[int], engine: Engine, t: Term) -> Term:
                 engine,
             )
             capped, normal = True, isinstance(rewritten, Wedge)
-        else:
-            t2 = _map_children(t, normalize_child)
-            if t2 is not t:
-                nf = cache.get(t2)
-                if nf is not None:
-                    break
-                shapes.append(t2)
-            for rule, capped in _DISPATCH.get(t2.__class__, ()):
-                rewritten = rule(t2, engine)
-                if rewritten is not None:
-                    break
-            else:
-                nf = t2
+        elif isinstance(t, Omega):
+            rewritten, capped, normal = _reduce_omega(normalize_child(t.body))
+        elif isinstance(t, (MinFn, MaxFn)):
+            # R-minmax stops on its own, so it stays outside the cap
+            rewritten, capped, normal = _rule_minmax(t, engine), False, False
+            if rewritten is None:
+                nf = t
                 break
-            normal = False
+        else:  # one and empty
+            nf = t
+            break
         if capped:
             counter[0] += 1
             if counter[0] > counter[1]:
@@ -342,14 +316,21 @@ def _pgl_of_empty(members: tuple[Term, ...]) -> Optional[Term]:
 
 
 def _rule_omega(t: Omega, engine: Engine) -> Optional[Term]:
-    body = t.body
+    rewritten, fired, _ = _reduce_omega(t.body)
+    return rewritten if fired else None
+
+
+def _reduce_omega(body: Term) -> tuple[Term, bool, bool]:
+    """R-omega on the omega term of ``body``: the term, whether the rule
+    fired, and whether the term is normal when ``body`` is (omega copies
+    of a gluing's summands are not)."""
     if isinstance(body, Empty):
-        return EMPTY
+        return EMPTY, True, True
     if isinstance(body, Omega) or (isinstance(body, MaxFn) and body.rank.is_limit):
-        return body
+        return body, True, True
     if isinstance(body, Glue):
-        return Glue([Omega(s) for s in body.summands])
-    return None
+        return Glue([Omega(s) for s in body.summands]), True, False
+    return Omega(body), False, True
 
 
 def _rule_pgl_members(t: PglSet, engine: Engine) -> Optional[Term]:
@@ -525,25 +506,6 @@ _RULES: dict[str, tuple[Callable, tuple[type, ...]]] = {
 }
 
 
-def _by_constructor(rules: dict[str, tuple[Callable, tuple]]) -> dict[type, tuple]:
-    """Each constructor's rules in the order of ``rules``, each with
-    whether it counts against the cap (all but R-minmax)."""
-    table: dict[type, tuple] = {}
-    for name, (rule, kinds) in rules.items():
-        for kind in kinds:
-            table[kind] = table.get(kind, ()) + ((rule, name != "R-minmax"),)
-    return table
-
-
-# what _fix tries at an omega term or a min or max atom; it reduces the
-# other constructors with their children, in one step each
-_DISPATCH = {
-    kind: rules
-    for kind, rules in _by_constructor(_RULES).items()
-    if kind not in (Glue, PglSet, Wedge)
-}
-
-
 def rule_names() -> tuple[str, ...]:
     return tuple(_RULES)
 
@@ -562,14 +524,32 @@ def apply_rule(t: Term, rule_name: str, engine: Engine) -> Optional[Term]:
 
 def _step(fired: list[Term], rule: Callable, kinds: tuple[type, ...], t: Term) -> Term:
     """``rule`` at ``t`` if it is of one of ``kinds``, else at its
-    children in the order of ``_map_children``; once ``fired`` holds an
-    application, every later node stays as it is."""
-    # a partial, unlike a nested function, makes no reference cycle, so
-    # the walk does not keep the engine alive for the collector
+    children: summands, body, members, then verticals and diagonal.
+    Once ``fired`` holds an application, every later node stays as it
+    is, and a node whose children all stay is returned as it is."""
     if fired:
         return t
     stepped = rule(t) if isinstance(t, kinds) else None
-    if stepped is None:
-        return _map_children(t, partial(_step, fired, rule, kinds))
-    fired.append(stepped)
-    return stepped
+    if stepped is not None:
+        fired.append(stepped)
+        return stepped
+    # a partial, unlike a nested function, makes no reference cycle, so
+    # the walk does not keep the engine alive for the collector; it and
+    # map() add no Python frame per level of nesting
+    step = partial(_step, fired, rule, kinds)
+    if isinstance(t, Glue):
+        summands = tuple(map(step, t.summands))
+        return t if summands == t.summands else Glue(summands)
+    if isinstance(t, Omega):
+        body = step(t.body)
+        return t if body is t.body else Omega(body)
+    if isinstance(t, PglSet):
+        members = tuple(map(step, t.members))
+        return t if members == t.members else PglSet(members)
+    if isinstance(t, Wedge):
+        verticals = tuple(map(tuple, map(partial(map, step), t.verticals)))
+        diagonal = tuple(map(step, t.diagonal))
+        if verticals == t.verticals and diagonal == t.diagonal:
+            return t
+        return merged_wedge(verticals, diagonal)
+    return t

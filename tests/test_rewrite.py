@@ -11,7 +11,7 @@ from scatcalc import rewrite, term
 from scatcalc.compare import Engine, Outcome
 from scatcalc.rank import cb_type
 from scatcalc.rewrite import NormalizationLimitError, apply_rule, normalize, rule_names
-from scatcalc.term import Glue, ONE, Omega, PglSet, Wedge, parse_term
+from scatcalc.term import Glue, MaxFn, MinFn, ONE, Omega, PglSet, Wedge, parse_term
 
 from conftest import census_inputs, terms
 
@@ -147,6 +147,9 @@ def test_normalizing_a_wedge_builds_one_wedge():
         # the member glue(one, omega(one)) normalizes to omega(one),
         # which dominates one
         ("pgl{one, omega(one), glue(one, omega(one))}", "pgl{omega(one)}"),
+        # R-omega drops the outer omega of omega(pgl{one}) without
+        # building omega(omega(pgl{one}))
+        ("omega(omega(glue(pgl{one})))", "omega(pgl{one})"),
     ],
 )
 def test_normalizing_a_gluing_builds_only_its_normal_form(text, normal):
@@ -163,18 +166,26 @@ def test_normalizing_a_gluing_builds_only_its_normal_form(text, normal):
     "opening, closing, depth, normal",
     [
         ("pgl{", "}", 900, None),  # already normal
-        ("omega(", ")", 490, "omega(one)"),
+        ("omega(", ")", 900, "omega(one)"),
         ("glue(one, ", ")", 900, "901*one"),
     ],
 )
 def test_normalize_reads_deep_nesting(opening, closing, depth, normal):
     # a thread starts near the bottom of its stack, as a script's top
-    # level does; a gluing's or pointed gluing's step costs one Python
-    # frame per level, and an omega term two
+    # level does; each constructor's step costs one Python frame per level
     text = opening * depth + "one" + closing * depth
     with ThreadPoolExecutor(max_workers=1) as pool:
         nf = pool.submit(norm, text).result(timeout=60)
     assert nf == parse_term(text if normal is None else normal)
+
+
+def test_apply_rule_reads_deep_nesting():
+    # in a thread, as above: the walk costs one Python frame per level
+    depth = 900
+    t = parse_term("pgl{" * depth + "min(3)" + "}" * depth)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        stepped = pool.submit(apply_rule, t, "R-minmax", Engine()).result(timeout=60)
+    assert stepped == parse_term("pgl{" * depth + "pgl{min(2)}" + "}" * depth)
 
 
 def test_normalize_reads_deeply_nested_wedges():
@@ -319,41 +330,32 @@ def test_each_rule_runs_once_per_distinct_term(monkeypatch):
     pool = [parse_term(text) for text in inputs["pool_text"]]
     runs = []
 
-    def spy(rule):
-        def run(t, engine):
-            runs.append((rule, t))
-            return rule(t, engine)
-
-        return run
-
-    def spy_step(step):
+    def spy(step):
         def run(*args):
-            # a step takes the normal children of the node _fix reduces
+            # a step may take the node's normal children, not the node
+            # _fix reduces, so read that node from _fix's frame
             runs.append((step, sys._getframe(1).f_locals["t"]))
             return step(*args)
 
         return run
 
-    dispatch = {
-        kind: tuple((spy(rule), capped) for rule, capped in rules)
-        for kind, rules in rewrite._DISPATCH.items()
+    steps = {
+        rewrite._reduce_glue: (Glue,),
+        rewrite._reduce_pgl: (PglSet,),
+        rewrite._reduce_wedge: (Wedge,),
+        rewrite._reduce_omega: (Omega,),
+        rewrite._rule_minmax: (MinFn, MaxFn),
     }
-    monkeypatch.setattr(rewrite, "_DISPATCH", dispatch)
-    steps = {rewrite._reduce_glue: Glue, rewrite._reduce_pgl: PglSet, rewrite._reduce_wedge: Wedge}
     for step in steps:
-        monkeypatch.setattr(rewrite, step.__name__, spy_step(step))
+        monkeypatch.setattr(rewrite, step.__name__, spy(step))
     engine = Engine()
     for i, j in inputs["pairs"][:1000]:
         engine.compare(pool[i], pool[j])
     repeated = len(runs) - len(set(runs))
     assert runs and repeated == 0
-    # each step ran, and each rule that _fix asks one node at a time
-    ran = {rule for rule, _ in runs}
-    assert ran == {rewrite._rule_minmax, rewrite._rule_omega, *steps}
-    # and only on the constructors the rule table or the step gives it
-    kinds = {rule: kinds for rule, kinds in rewrite._RULES.values()}
-    kinds.update((step, (kind,)) for step, kind in steps.items())
-    assert all(isinstance(t, kinds[rule]) for rule, t in runs)
+    # each step ran, and only on its own constructors
+    assert {step for step, _ in runs} == set(steps)
+    assert all(isinstance(t, steps[step]) for step, t in runs)
 
 
 def test_each_side_set_is_resplit_once_per_engine(monkeypatch):
@@ -389,6 +391,7 @@ def test_map_children_returns_an_unchanged_node(text, monkeypatch):
     built = []
     intern = term._intern
     monkeypatch.setattr(term, "_intern", lambda *args: built.append(args) or intern(*args))
-    assert rewrite._map_children(t, lambda x: x) is t
+    # a rule asked at every node that applies at none
+    assert rewrite._step([], lambda node: None, (term.Term,), t) is t
     # nor is the node sorted, checked and looked up again
     assert built == []
