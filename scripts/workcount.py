@@ -18,6 +18,9 @@ One line per seed gives:
 * ``renormalize``: the call events of the same round on a second fresh
   engine that starts with a copy of the first engine's memo but no
   normal forms, so it only normalizes again.
+* ``blocked``: the queries the first round answered with a cycle or
+  open-query-bound blocker (``engine._local.blocked``), whose
+  derivations none of the counted caches keeps.
 
 Run it from any tree: ``python3 scripts/workcount.py`` (census seeds
 1-5 with 1,500 terms and 6,000 pairs each).  The counts do not depend
@@ -72,6 +75,7 @@ def work(seed: int, pool_size: int, n_pairs: int) -> dict[str, int]:
     pairs = [(pool[i], pool[j]) for i, j in inputs["pairs"]]
     engine = Engine()
     calls = profiled_round(engine, pairs)
+    blocked = engine._local.blocked
     again = Engine()
     again._memo.update(engine._memo)
     return {
@@ -82,6 +86,7 @@ def work(seed: int, pool_size: int, n_pairs: int) -> dict[str, int]:
         "nf": len(engine._nf),
         "memo": len(engine._memo),
         "renormalize": sum(profiled_round(again, pairs).values()),
+        "blocked": blocked,
     }
 
 

@@ -91,7 +91,9 @@ when its step prints it (N-mono's bounds).  In-progress queries
 re-entered during their own derivation yield UNKNOWN for that path
 (coinductive failure).  At most ``MAX_OPEN_QUERIES`` queries are open
 at once on a thread, those opened while normalizing included: a query
-asked past that bound is UNKNOWN with a "depth" blocker.
+asked past that bound is UNKNOWN with a "depth" blocker.  Each block
+adds one to the thread's ``blocked`` count; no UNKNOWN, normal form or
+side-set resplit derived while that count moved is cached.
 
 The CB-type is an invariant of equivalence, so N-lex and L-gst, which
 read only the two types, answer a raw pair as they would its normal
@@ -105,7 +107,7 @@ root rule that fires on them, so its trace is the one the full path
 gives.  It holds its engine weakly, so the engine's memo does not keep
 the engine alive; read after the engine is gone, it derives its steps
 on a fresh engine, which gives the same steps because normal forms and
-verdicts do not depend on the engine.
+verdicts do not depend on the engine, blocked queries or not.
 
 An :class:`Engine` owns its memo and its normal-form cache, and runs
 normalization on itself: the rewrite rules that decide reducibilities
@@ -252,20 +254,21 @@ def _NOT_LE(*steps: Step) -> Verdict:
 
 class _QueryState(threading.local):
     """The state of the derivations in flight on one thread: the pairs
-    being decided, and one taint mark per open query.  Taint marks a
-    computation that saw a cycle or hit ``MAX_OPEN_QUERIES``; its UNKNOWN is
-    context-dependent and must not be cached."""
+    being decided, one per open query, and ``blocked``, the number of
+    queries answered with a cycle or ``MAX_OPEN_QUERIES`` blocker.  What
+    was derived while it moved depends on the open queries, so no cache
+    keeps it."""
 
     def __init__(self) -> None:
         self.in_progress: set[tuple[Term, Term]] = set()
-        self.taint: list[bool] = []
+        self.blocked = 0
 
 
 class Engine:
     """Holds the memo table and the normal-form cache; safe for
     concurrent readers, and writes are idempotent (verdicts for a pair
     and normal forms never change).  The state of an in-flight
-    derivation (the query stack and taint marks) is kept per-thread."""
+    derivation (the open queries and the blocked count) is kept per-thread."""
 
     def __init__(self) -> None:
         self._memo: dict[tuple[Term, Term], Verdict] = {}
@@ -323,29 +326,25 @@ class Engine:
         if hit is not None:
             return hit
         local = self._local
-        in_progress, taint = local.in_progress, local.taint
+        in_progress = local.in_progress
         if key in in_progress:
-            if taint:
-                taint[-1] = True
+            local.blocked += 1
             return Verdict(Outcome.UNKNOWN, (_step("blocked:cycle", f, g),))
-        if len(taint) >= MAX_OPEN_QUERIES:
-            taint[-1] = True
+        if len(in_progress) >= MAX_OPEN_QUERIES:
+            local.blocked += 1
             return Verdict(Outcome.UNKNOWN, (_step("blocked:depth", f, g),))
         # the root rules that read only the types, without the rule loop
         typed = _type_rule(f._type_key, g._type_key)
         if typed is not None:
             verdict = self._memo[key] = Verdict(typed[0], (), (self._ref, f, g))
             return verdict
+        blocked = local.blocked
         in_progress.add(key)
-        taint.append(False)
         try:
             verdict = self._decide(f, g)
         finally:
             in_progress.discard(key)
-            tainted = taint.pop()
-            if tainted and taint:
-                taint[-1] = True
-        if verdict.outcome is not Outcome.UNKNOWN or not tainted:
+        if verdict.outcome is not Outcome.UNKNOWN or local.blocked == blocked:
             self._memo[key] = verdict
         return verdict
 

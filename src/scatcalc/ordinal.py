@@ -43,15 +43,6 @@ class OrdinalSyntaxError(ValueError):
         self.position = position
 
 
-# a Value subclass's __eq__ and __hash__, over its fields
-_VALUE_METHODS = """
-def __eq__(self, other):
-    return {same} if other.__class__ is self.__class__ else NotImplemented
-def __hash__(self):
-    return hash(({values}))
-"""
-
-
 class Value:
     """An immutable value.  A subclass names its fields in ``_fields``,
     in constructor order, and sets them with ``object.__setattr__``.
@@ -65,13 +56,14 @@ class Value:
         super().__init_subclass__()
         # the fields as one tuple, read at C level
         cls._values = attrgetter(*cls._fields)
-        # equality and hashing read the fields by name, as code written
-        # for the class would: cheaper per call than through _values
-        same = " and ".join(f"self.{n} == other.{n}" for n in cls._fields)
-        values = "".join(f"self.{n}, " for n in cls._fields)
-        methods: dict = {}
-        exec(_VALUE_METHODS.format(same=same, values=values), methods)
-        cls.__eq__, cls.__hash__ = methods["__eq__"], methods["__hash__"]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -96,7 +96,7 @@ of the six fires counts once against it (a wedge's step always
 counts).  A fixpoint's input, each term a rule or step returns and the
 normal form map to the normal form in the engine's cache, and a pass
 that meets a cached term stops there, so each node is reduced at most
-once per engine.
+once per engine, unless a query was blocked while it was reduced.
 
 ``R-pgl-members``, ``R-absorb`` and ``R-wedge-reduce`` decide
 reducibilities.  Normalization runs on an :class:`~scatcalc.compare.Engine`:
@@ -167,9 +167,10 @@ def normalize(t: Term, engine: Engine) -> Term:
     The rules' comparisons run on ``engine``, which also caches the
     result: the input, each term a rule or step returns and the normal
     form map to the normal form there, so each node is reduced at most
-    once per engine.  Every node is reduced with its children in one
-    step, which builds only the term it returns: no node with normal
-    children and no shape between is built or cached.  At most
+    once per engine, unless a query was blocked while it was reduced.
+    Every node is reduced with its children in one step, which builds
+    only the term it returns: no node with normal children and no shape
+    between is built or cached.  At most
     ``DEFAULT_CAP_FACTOR * term_size(t)`` steps that fire a rule other
     than ``R-minmax`` are made before :class:`NormalizationLimitError`
     is raised; a failed chain caches none of its shapes.
@@ -186,8 +187,10 @@ def _fix(counter: list[int], engine: Engine, t: Term) -> Term:
     if nf is not None:
         return nf
     # the shapes met so far, all of which map to the normal form; they
-    # are cached only once it is reached, so a failed chain leaves none
+    # are cached only once it is reached, so a failed chain leaves none,
+    # and only if no query was blocked meanwhile
     shapes = [t]
+    blocked = engine._local.blocked
     normalize_child = partial(_fix, counter, engine)
     while True:
         # each constructor is one step with its children, which builds
@@ -231,8 +234,9 @@ def _fix(counter: list[int], engine: Engine, t: Term) -> Term:
             nf = rewritten
             break
         t = rewritten
-    for shape in shapes:
-        cache[shape] = nf
+    if engine._local.blocked == blocked:
+        for shape in shapes:
+            cache[shape] = nf
     return nf
 
 
@@ -364,11 +368,15 @@ def _pgl_wedge(members: tuple[Term, ...]) -> Optional[PglSet]:
 
 
 def _canonical_side_set(members: tuple[Term, ...], engine: Engine) -> tuple[Term, ...]:
-    """``_resplit(members)``, computed once per side set per engine."""
+    """``_resplit(members)``, computed once per side set per engine
+    unless a query was blocked while it was computed."""
     sides = engine._sides
     parts = sides.get(members)
     if parts is None:
-        parts = sides[members] = _resplit(members, engine)
+        blocked = engine._local.blocked
+        parts = _resplit(members, engine)
+        if engine._local.blocked == blocked:
+            sides[members] = parts
     return parts
 
 

@@ -383,6 +383,19 @@ def test_depth_bound_yields_unknown(monkeypatch):
     assert "blocked:depth" in rules
 
 
+def test_a_blocked_unknown_is_not_memoized(monkeypatch):
+    compare_module = sys.modules["scatcalc.compare"]
+    f, g = parse_term("min(2)"), parse_term("min(3)")
+    engine = Engine()
+    monkeypatch.setattr(compare_module, "MAX_OPEN_QUERIES", 1)
+    assert engine.compare(f, g).outcome is Outcome.UNKNOWN
+    assert engine._memo == {}
+    # with the bound restored the same engine decides the pair afresh
+    monkeypatch.undo()
+    assert engine.compare(f, g).outcome is Outcome.LE
+    assert Engine().compare(f, g).outcome is Outcome.LE
+
+
 @given(terms(), terms())
 @settings(max_examples=25, deadline=None)
 def test_no_rule_runs_past_the_open_query_bound(f, g):
@@ -390,7 +403,7 @@ def test_no_rule_runs_past_the_open_query_bound(f, g):
     plain, opened = Engine._decide, []
 
     def spy(engine, *args):
-        opened.append((len(engine._local.taint), compare_module.MAX_OPEN_QUERIES))
+        opened.append((len(engine._local.in_progress), compare_module.MAX_OPEN_QUERIES))
         return plain(engine, *args)
 
     pairs = [(parse_term("min(2)"), parse_term("min(3)")), (f, g), (g, f)]

@@ -376,6 +376,24 @@ def test_each_side_set_is_resplit_once_per_engine(monkeypatch):
     assert len(asked) == len(set(asked)) == len(engine._sides)
 
 
+def test_nothing_derived_under_a_blocked_query_is_cached(monkeypatch):
+    inputs = census_inputs(1, 1500, 6000)
+    pool = [parse_term(text) for text in inputs["pool_text"]]
+    engine = Engine()
+    # at this bound many queries block, normalizing ones among them
+    monkeypatch.setattr(sys.modules["scatcalc.compare"], "MAX_OPEN_QUERIES", 2)
+    for i, j in inputs["pairs"][:300]:
+        engine.compare(pool[i], pool[j])
+    monkeypatch.undo()
+    # what the engine cached is what a fresh engine derives unblocked
+    assert engine._nf and engine._sides
+    for t, nf in engine._nf.items():
+        assert normalize(t, Engine()) is nf
+    for members, parts in engine._sides.items():
+        assert rewrite._resplit(members, Engine()) == parts
+    assert engine._local.blocked > 0
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -99,7 +99,9 @@ def test_workcount_counts_a_cold_round():
     for line in lines:
         fields = line.split(": ", 1)[1].split("  ")
         counts = {name: int(value) for name, value in (f.split(" ") for f in fields)}
-        assert list(counts) == ["calls", "decide", "fix", "built", "nf", "memo", "renormalize"]
+        assert list(counts) == [
+            "calls", "decide", "fix", "built", "nf", "memo", "renormalize", "blocked"
+        ]
         # the memo holds the pairs and the rules' sub-queries; most
         # pairs are settled by their types, and the memo spares the
         # second round its decisions
@@ -109,6 +111,8 @@ def test_workcount_counts_a_cold_round():
         # build, besides most of the nodes the round builds
         assert 0 < counts["built"] < counts["nf"]
         assert 0 < counts["renormalize"] < counts["calls"]
+        # census traffic stays far below the bound on open queries
+        assert counts["blocked"] == 0
     # the counts depend on the inputs alone
     assert run_script("workcount.py", *args).splitlines() == lines
 
