@@ -16,12 +16,15 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
 
+import gen  # bench/gen.py
 from scatcalc.compare import Engine, Outcome
 from scatcalc.generators import generator_raw
 from scatcalc.ordinal import parse_ordinal
-from scatcalc.sample import random_term
+from scatcalc.term import parse_term
 
 
 def census(pairs, engine: Engine) -> collections.Counter:
@@ -57,7 +60,7 @@ def main() -> int:
         show(f"generators {level}", counts, time.perf_counter() - t0)
 
     rng = random.Random(args.seed)
-    pool = [random_term(rng, args.depth) for _ in range(2000)]
+    pool = [parse_term(gen.text(gen.random_tree(rng, args.depth))) for _ in range(2000)]
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(args.random_pairs)]
     t0 = time.perf_counter()
     counts = census(pairs, engine)

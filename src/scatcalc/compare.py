@@ -92,8 +92,9 @@ re-entered during their own derivation yield UNKNOWN for that path
 (coinductive failure).  At most ``MAX_OPEN_QUERIES`` queries are open
 at once on a thread, those opened while normalizing included: a query
 asked past that bound is UNKNOWN with a "depth" blocker.  Each block
-adds one to the thread's ``blocked`` count; no UNKNOWN, normal form or
-side-set resplit derived while that count moved is cached.
+adds one to the thread's ``blocked`` count; no normal form or side-set
+resplit derived while that count moved is cached, and such an UNKNOWN
+only until its root query returns (a later hit counts as a block).
 
 The CB-type is an invariant of equivalence, so N-lex and L-gst, which
 read only the two types, answer a raw pair as they would its normal
@@ -257,11 +258,12 @@ class _QueryState(threading.local):
     being decided, one per open query, and ``blocked``, the number of
     queries answered with a cycle or ``MAX_OPEN_QUERIES`` blocker.  What
     was derived while it moved depends on the open queries, so no cache
-    keeps it."""
+    keeps it: ``scratch`` holds such UNKNOWNs until the root returns."""
 
     def __init__(self) -> None:
         self.in_progress: set[tuple[Term, Term]] = set()
         self.blocked = 0
+        self.scratch: dict[tuple[Term, Term], Verdict] = {}
 
 
 class Engine:
@@ -326,6 +328,10 @@ class Engine:
         if hit is not None:
             return hit
         local = self._local
+        scratch = local.scratch
+        if scratch and key in scratch:
+            local.blocked += 1
+            return scratch[key]
         in_progress = local.in_progress
         if key in in_progress:
             local.blocked += 1
@@ -344,8 +350,12 @@ class Engine:
             verdict = self._decide(f, g)
         finally:
             in_progress.discard(key)
+            if not in_progress:
+                scratch.clear()
         if verdict.outcome is not Outcome.UNKNOWN or local.blocked == blocked:
             self._memo[key] = verdict
+        elif in_progress:
+            scratch[key] = verdict
         return verdict
 
     def _root_steps(self, f: Term, g: Term) -> tuple[Step, ...]:

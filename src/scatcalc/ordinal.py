@@ -139,7 +139,6 @@ class Ordinal(Value):
 
 ZERO = Ordinal()
 ONE_ORD = Ordinal((), 1)
-OMEGA_ORD = Ordinal(((1, 1),), 0)
 
 
 def from_int(n: int) -> Ordinal:

@@ -7,10 +7,23 @@ import pytest
 from hypothesis import strategies as st
 
 from scatcalc.ordinal import Ordinal
-from scatcalc.sample import random_term
+from scatcalc.term import parse_term
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+# the benchmark's input generator, ``bench/gen.py``
+_spec = importlib.util.spec_from_file_location(
+    "bench_gen", Path(__file__).resolve().parent.parent / "bench" / "gen.py"
+)
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
+
+
+def random_term(rng, depth=5):
+    """A seeded random scattered term of nesting depth at most ``depth``,
+    drawn by ``bench/gen.random_tree``."""
+    return parse_term(gen.text(gen.random_tree(rng, depth)))
 
 
 @st.composite
@@ -42,10 +55,6 @@ def rng():
 def census_inputs(seed, pool_size, pairs):
     """``bench/gen.census_inputs``: the benchmark's random census pool
     and pairs for ``seed``."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("bench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
     return gen.census_inputs(seed, pool_size, pairs)
 
 

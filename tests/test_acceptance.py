@@ -23,6 +23,7 @@ from scatcalc.ordinal import Ordinal, double, from_int, parse_ordinal as po, suc
 from scatcalc.rank import cb_type, lex_le
 from scatcalc.rewrite import normalize
 from scatcalc.term import (
+    EMPTY,
     Glue,
     MaxFn,
     MinFn,
@@ -33,6 +34,8 @@ from scatcalc.term import (
     format_term,
     parse_term,
 )
+
+from conftest import random_term
 
 
 class Timer:
@@ -211,8 +214,6 @@ def test_criterion_8_generator_count_level_2(capsys):
 
 
 def test_criterion_9_property_suites(capsys):
-    from scatcalc.sample import random_term, random_nonempty_members
-
     rng = random.Random(9)
     engine = Engine()
     with Timer(60.0) as t:
@@ -242,7 +243,9 @@ def test_criterion_9_property_suites(capsys):
 
         # (e) a finite gluing sits below its pointed gluing
         for _ in range(1000):
-            members = random_nonempty_members(rng, 3, 3)
+            members = [
+                t for t in (random_term(rng, 3) for _ in range(rng.randint(1, 3))) if t != EMPTY
+            ] or [ONE]
             flat = Glue(members) if len(members) > 1 else members[0]
             assert engine.compare(flat, PglSet(members)).outcome is Outcome.LE
     with capsys.disabled():

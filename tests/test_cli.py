@@ -275,6 +275,11 @@ def test_deep_terms_answer_or_exit_65(capsys, argv, answer):
         assert (code, out, err) == (65, "", "error: term nested too deeply\n")
 
 
+def test_a_term_nested_too_deeply_exits_65(capsys):
+    # min(5000) normalizes to 4,999 nested pointed gluings
+    assert run(capsys, "normalize", "min(5000)") == (65, "", "error: term nested too deeply\n")
+
+
 def test_type_answers_on_900_nested_pointed_gluings(capsys):
     # the parser takes one frame per nesting level
     code, out, err = run(capsys, "type", "pgl{" * 900 + "one" + "}" * 900)
@@ -331,12 +336,13 @@ def test_cli_never_crashes(argv):
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+def run_fresh(code: str, *argv: str, timeout: float = 60) -> subprocess.CompletedProcess:
     """``code`` in a new interpreter that imports scatcalc from this tree."""
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code, *argv],
+        env=env, capture_output=True, text=True, timeout=timeout,
     )
 
 
@@ -380,6 +386,21 @@ def test_type_answers_on_deep_terms(text, answer):
     # a fresh process: in this one, interned subterms may carry their types
     done = run_fresh("import sys; from scatcalc.cli import main; sys.exit(main())", "type", text)
     assert (done.returncode, done.stdout, done.stderr) == (0, answer + "\n", "")
+
+
+@pytest.mark.parametrize(
+    "n, code, answer",
+    [(64, 0, "LE"), (65, 2, "UNKNOWN"), (200, 2, "UNKNOWN"), (900, 2, "UNKNOWN")],
+)
+def test_pointed_gluing_towers_get_an_answer(n, code, answer):
+    # L-pgl-mono holds one query open per level, so past MAX_OPEN_QUERIES
+    # the tower is UNKNOWN; it must not derive the blocked queries below
+    # each level again (a subprocess, since a hung thread cannot be stopped)
+    f = "pgl{" * n + "one" + "}" * n
+    g = "pgl{" * n + "omega(one)" + "}" * n
+    script = "import sys; from scatcalc.cli import main; sys.exit(main())"
+    done = run_fresh(script, "compare", f, g, timeout=10)
+    assert (done.returncode, done.stdout, done.stderr) == (code, answer + "\n", "")
 
 
 # the package's exports by defining submodule; the submodules are exported too

@@ -24,10 +24,9 @@ from scatcalc.compare import (
 from scatcalc.ordinal import double, parse_ordinal as po
 from scatcalc.rank import cb_type, lex_le
 from scatcalc.rewrite import normalize
-from scatcalc.sample import random_term
 from scatcalc.term import Glue, MinFn, ONE, Omega, PglSet, parse_term, summands_of
 
-from conftest import load_script, terms
+from conftest import load_script, random_term, terms
 
 
 def outcome(a, b):
@@ -356,8 +355,6 @@ def test_a_memo_hit_on_normal_forms_makes_no_query(left, right):
 
 
 def test_verdicts_do_not_depend_on_query_order():
-    from scatcalc.sample import random_term
-
     rng = random.Random(7)
     pool = [random_term(rng, 4) for _ in range(120)]
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(400)]
@@ -394,6 +391,33 @@ def test_a_blocked_unknown_is_not_memoized(monkeypatch):
     monkeypatch.undo()
     assert engine.compare(f, g).outcome is Outcome.LE
     assert Engine().compare(f, g).outcome is Outcome.LE
+
+
+def test_a_query_reentered_while_open_is_blocked(monkeypatch):
+    compare_module = sys.modules["scatcalc.compare"]
+
+    def ask_again(engine, f, g, tf, tg):
+        return engine._query(f, g)
+
+    monkeypatch.setattr(compare_module, "_RULES", (ask_again,) + compare_module._RULES)
+    f, g = parse_term("min(2)"), parse_term("min(3)")
+    engine = Engine()
+    verdict = engine.compare(f, g)
+    assert verdict.outcome is Outcome.UNKNOWN
+    assert verdict.trace[0][0] == "blocked:cycle"
+    assert engine._local.blocked == 1
+    assert (normalize(f, engine), normalize(g, engine)) not in engine._memo
+
+
+def test_blocked_verdicts_do_not_outlive_their_root_query(monkeypatch):
+    compare_module = sys.modules["scatcalc.compare"]
+    monkeypatch.setattr(compare_module, "MAX_OPEN_QUERIES", 4)
+    f = parse_term("pgl{" * 8 + "one" + "}" * 8)
+    g = parse_term("pgl{" * 8 + "omega(one)" + "}" * 8)
+    engine = Engine()
+    assert engine.compare(f, g).outcome is Outcome.UNKNOWN
+    assert engine._local.blocked > 0
+    assert engine._local.scratch == {}
 
 
 @given(terms(), terms())
@@ -464,8 +488,6 @@ def test_context_monotonicity_sampled(rng):
     """Gluing, omega and pointed gluing are monotone, so a proven
     reduction must never be refuted once both sides are wrapped in the
     same context (Unknown is acceptable, NOT_LE is a bug)."""
-    from scatcalc.sample import random_term
-
     engine = Engine()
     pool = [random_term(rng, 3) for _ in range(250)]
     checked = 0
@@ -482,8 +504,6 @@ def test_context_monotonicity_sampled(rng):
 
 
 def test_no_le_le_notle_triangle_sampled(rng):
-    from scatcalc.sample import random_term
-
     engine = Engine()
     pool = [random_term(rng, 4) for _ in range(300)]
     for _ in range(2000):

@@ -23,7 +23,6 @@ from scatcalc.ordinal import Ordinal, from_int, parse_ordinal as po, split
 from scatcalc.oracle import FiniteFn
 from scatcalc.rank import CbType, cb_type
 from scatcalc.rewrite import normalize
-from scatcalc.sample import random_term
 from scatcalc.term import (
     Glue,
     MaxFn,
@@ -37,6 +36,8 @@ from scatcalc.term import (
     sort_key,
     term_size,
 )
+
+from conftest import random_term
 
 
 def test_generator_base_case():
@@ -307,7 +308,7 @@ def first_unknown_pair(items, engine):
 
 
 def random_terms_with_duplicates():
-    # classes of several normal forms, and undecided pairs between them
+    # items sharing a normal form, and undecided pairs between classes
     rng = random.Random(3)
     items = [random_term(rng, 3) for _ in range(80)]
     return items + items[::9]
@@ -327,8 +328,16 @@ def shuffled_generators_at_2():
         lambda: centered_raw(po("w+2")),
         shuffled_generators_at_2,
         random_terms_with_duplicates,
+        # three distinct normal forms of one class, merged by the union-find
+        lambda: [parse_term(t) for t in ("pgl{one}", "pgl{2*one}", "pgl{3*one}", "one")],
     ],
-    ids=["centered 3", "centered w+2", "shuffled generators 2", "random terms"],
+    ids=[
+        "centered 3",
+        "centered w+2",
+        "shuffled generators 2",
+        "random terms",
+        "equivalent normal forms",
+    ],
 )
 def test_equivalence_classes_match_the_all_pairs_reference(make):
     items = make()
