@@ -8,6 +8,8 @@ One line per seed gives:
 
 * ``calls``: the round's Python call events (``call`` events of the
   profiler: function calls and generator resumptions, not C calls);
+* ``asked``: the ``Engine.compare`` calls among them: every question,
+  the round's pairs and those the rules and the rewrite rules ask;
 * ``decide``: the ``Engine._decide`` runs among them;
 * ``fix``: the ``rewrite._fix`` calls among them;
 * ``built``: the term nodes the round built, counted as the call
@@ -80,6 +82,7 @@ def work(seed: int, pool_size: int, n_pairs: int) -> dict[str, int]:
     again._memo.update(engine._memo)
     return {
         "calls": sum(calls.values()),
+        "asked": calls[Engine.compare.__code__],
         "decide": calls[Engine._decide.__code__],
         "fix": calls[rewrite._fix.__code__],
         "built": sum(calls[code] for code in MEASURES),

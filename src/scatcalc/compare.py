@@ -58,7 +58,12 @@ NotLe-rules
              Below the target rank, that centered member refuted by
              every target member (the center at the top point) and the
              source refuted by every target member (the center inside
-             one ray) refute the pair.
+             one ray) refute the pair.  That branch never fires: a
+             pair whose source rank is below its target's is refuted
+             by no rule but N-centered, N-mono and this branch, and
+             each of those needs such a pair refuted first (with the
+             target's top-rank summand, omega body, wedge upper bound
+             or top-rank member, or with a lower bound of the source).
     N-capacity
              top-rank summands of a gluing, when simple and centered,
              must occupy distinct degree-slots of the target's
@@ -84,31 +89,28 @@ ask each question once per distinct summand: copies of a source
 summand share its matching edges, and copies of a target add slots.
 
 Verdicts carry a shallow trace naming the rule and the sub-queries it
-used, formatted to text only when read.  ``Engine._query`` normalizes
-its pair and memoizes the verdict on the normal forms, so a rule asks
-about the terms it builds as built, and normalizes a term itself only
-when its step prints it (N-mono's bounds).  In-progress queries
-re-entered during their own derivation yield UNKNOWN for that path
-(coinductive failure).  At most ``MAX_OPEN_QUERIES`` queries are open
-at once on a thread, those opened while normalizing included: a query
-asked past that bound is UNKNOWN with a "depth" blocker.  Each block
-adds one to the thread's ``blocked`` count; no normal form or side-set
-resplit derived while that count moved is cached, and such an UNKNOWN
-only until its root query returns (a later hit counts as a block).
+used, formatted to text only when read.  Every question, the caller's
+and each one a rule asks, enters through ``Engine.compare``.  N-lex and
+L-gst read only the CB-types, an invariant of equivalence, so
+``compare`` asks them first, from the type keys the terms store, and a
+pair they settle opens no query.  Such a verdict is memoized under the
+pair as asked and derives its steps when first read, from the root
+rule that fires on the normal forms: the trace the full path gives.
+It holds its engine weakly; read after the engine is gone, it derives
+its steps on a fresh engine, with the same result, since normal forms
+and verdicts do not depend on the engine, blocked queries or not.
 
-The CB-type is an invariant of equivalence, so N-lex and L-gst, which
-read only the two types, answer a raw pair as they would its normal
-forms.  ``Engine.compare`` therefore asks them, from the type keys
-the two terms store, before normalizing a pair whose normal forms are
-not both cached, and ``Engine._query`` asks them of its normalized
-pair before the rule loop (past its memo, cycle and depth checks).
-Such a type-decided verdict is memoized under its pair, and derives
-its steps when first read: it normalizes both terms and takes the
-root rule that fires on them, so its trace is the one the full path
-gives.  It holds its engine weakly, so the engine's memo does not keep
-the engine alive; read after the engine is gone, it derives its steps
-on a fresh engine, which gives the same steps because normal forms and
-verdicts do not depend on the engine, blocked queries or not.
+Any other pair is a query (``Engine._query``): normalized, and its
+verdict memoized on the normal forms.  So a rule asks about the terms
+it builds as built, and normalizes a term itself only when its step
+prints it (N-mono's bounds).  A query re-entered during its own
+derivation is UNKNOWN for that path (coinductive failure).  At most
+``MAX_OPEN_QUERIES`` queries are open at once on a thread, those
+opened while normalizing included: a query asked past that bound is
+UNKNOWN with a "depth" blocker.  Each block adds one to the thread's
+``blocked`` count; no normal form or side-set resplit derived while
+that count moved is cached, and such an UNKNOWN only until its root
+query returns (a later hit counts as a block).
 
 An :class:`Engine` owns its memo and its normal-form cache, and runs
 normalization on itself: the rewrite rules that decide reducibilities
@@ -164,10 +166,9 @@ Step = tuple[str, Term, Term, tuple]
 
 class Verdict:
     """An outcome and the steps of its derivation.  A verdict that
-    ``Engine.compare`` or ``Engine._query`` took from the CB-types
-    alone holds a weak reference to its engine and its pair instead,
-    and derives its steps when they are first read, on a fresh engine
-    if its own is gone."""
+    ``Engine.compare`` took from the CB-types alone holds a weak
+    reference to its engine and its pair instead, and derives its steps
+    when they are first read, on a fresh engine if its own is gone."""
 
     __slots__ = ("outcome", "_steps", "_pending")
 
@@ -291,7 +292,9 @@ class Engine:
             ng = self._nf.get(g)
             if ng is not None:
                 hit = self._memo.get((nf, ng))
-                return hit if hit is not None else self._query(nf, ng)
+                if hit is not None:
+                    return hit
+                f, g = nf, ng
         key = (f, g)
         hit = self._memo.get(key)
         if hit is not None:
@@ -317,8 +320,8 @@ class Engine:
     # -- core query ---------------------------------------------------
 
     def _query(self, f: Term, g: Term) -> Verdict:
-        """The verdict on the normal forms of ``f`` and ``g``; a rule
-        passes the terms it builds as built."""
+        """The verdict on the normal forms of ``f`` and ``g``, for a
+        pair ``compare`` found neither in the memo nor settled by type."""
         nf = self._nf.get(f)
         f = nf if nf is not None else rewrite.normalize(f, self)
         nf = self._nf.get(g)
@@ -339,11 +342,6 @@ class Engine:
         if len(in_progress) >= MAX_OPEN_QUERIES:
             local.blocked += 1
             return Verdict(Outcome.UNKNOWN, (_step("blocked:depth", f, g),))
-        # the root rules that read only the types, without the rule loop
-        typed = _type_rule(f._type_key, g._type_key)
-        if typed is not None:
-            verdict = self._memo[key] = Verdict(typed[0], (), (self._ref, f, g))
-            return verdict
         blocked = local.blocked
         in_progress.add(key)
         try:
@@ -367,10 +365,10 @@ class Engine:
         return self._decide(nf, ng).steps
 
     def _le(self, f: Term, g: Term) -> bool:
-        return self._query(f, g).outcome is Outcome.LE
+        return self.compare(f, g).outcome is Outcome.LE
 
     def _not_le(self, f: Term, g: Term) -> bool:
-        return self._query(f, g).outcome is Outcome.NOT_LE
+        return self.compare(f, g).outcome is Outcome.NOT_LE
 
     def _decide(self, f: Term, g: Term) -> Verdict:
         v = _sentinel_verdict(f, g)
@@ -539,7 +537,8 @@ class Engine:
         uniform in the prefix length: an omega-degree member set cannot
         land in any finite-degree prefix, and a centered member set
         would have to land in a single member.  With source rank below
-        target rank both cases must be refuted."""
+        target rank both cases must be refuted; that branch never
+        fires (see N-pgl-deg in the module docstring)."""
         if not (isinstance(f, PglSet) and isinstance(g, PglSet)):
             return None
         centered_member_refuted = len(f.members) == 1 and isinstance(
@@ -585,7 +584,7 @@ class Engine:
         for s, n in ftops.items():
             row = []
             for j, t in enumerate(gtops):
-                v = self._query(s, t)
+                v = self.compare(s, t)
                 if v.outcome is Outcome.UNKNOWN:
                     return None
                 if v.outcome is Outcome.LE:

@@ -103,7 +103,7 @@ reducibilities.  Normalization runs on an :class:`~scatcalc.compare.Engine`:
 every rule asks that engine, and the normal forms are cached on it, so
 an engine's normal forms and verdicts depend on nothing outside it.
 A rule passes the terms it holds as they are, normal or not: the
-engine's ``_query`` normalizes each pair it is asked about.
+engine's ``compare`` normalizes each pair that its CB-types leave open.
 The queries a rule opens count against the engine's bound on open
 queries, like those of the derivation that asked for the normal form.
 :func:`normalize` and :func:`apply_rule` take that engine as a required

@@ -280,6 +280,15 @@ def test_a_term_nested_too_deeply_exits_65(capsys):
     assert run(capsys, "normalize", "min(5000)") == (65, "", "error: term nested too deeply\n")
 
 
+def test_a_verdict_whose_trace_is_nested_too_deeply(capsys):
+    # L-gst settles the pair from the types without normalizing; the
+    # trace prints normal forms, and min(5000) cannot be normalized
+    assert run(capsys, "compare", "min(5000)", "max(w)") == (0, "LE\n", "")
+    deep = (65, "", "error: term nested too deeply\n")
+    assert run(capsys, "compare", "min(5000)", "max(w)", "--trace") == deep
+    assert run(capsys, "compare", "min(5000)", "max(w)", "--json") == deep
+
+
 def test_type_answers_on_900_nested_pointed_gluings(capsys):
     # the parser takes one frame per nesting level
     code, out, err = run(capsys, "type", "pgl{" * 900 + "one" + "}" * 900)

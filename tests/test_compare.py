@@ -156,8 +156,8 @@ def test_type_decided_verdicts_match_the_full_path(f, g):
 @pytest.mark.parametrize("source", ["census 1", "census 2", "centered 2", "centered w+1"])
 def test_the_type_check_agrees_with_the_rule_loop(source):
     # every ordered pair of normal forms, on a fresh engine, where
-    # compare and _query answer N-lex and L-gst from the type keys,
-    # has the outcome and steps of _decide, which runs the rule loop
+    # compare answers N-lex and L-gst from the type keys, has the
+    # outcome and steps of _decide, which runs the rule loop
     audit = load_script("audit.py")
     kind, arg = source.split()
     loop = Engine()
@@ -372,7 +372,7 @@ def test_depth_bound_yields_unknown(monkeypatch):
         rules.append(rule)
         return plain(rule, *args)
 
-    f, g = parse_term("min(2)"), parse_term("min(3)")
+    f, g = parse_term("max(2)"), parse_term("max(3)")
     assert Engine().compare(f, g).outcome is Outcome.LE
     monkeypatch.setattr(compare_module, "_step", spy)
     monkeypatch.setattr(compare_module, "MAX_OPEN_QUERIES", 1)
@@ -380,9 +380,21 @@ def test_depth_bound_yields_unknown(monkeypatch):
     assert "blocked:depth" in rules
 
 
+def test_a_question_the_types_settle_is_answered_past_the_bound(monkeypatch):
+    # the pair is pgl{one} <=? pgl{pgl{one}}, and L-pgl-mono asks
+    # one <=? pgl{one}, which L-gst settles from the types: no query opens
+    compare_module = sys.modules["scatcalc.compare"]
+    monkeypatch.setattr(compare_module, "MAX_OPEN_QUERIES", 1)
+    engine = Engine()
+    verdict = engine.compare(parse_term("min(2)"), parse_term("min(3)"))
+    assert verdict.outcome is Outcome.LE
+    assert verdict.trace[0][0] == "L-pgl-mono"
+    assert engine._local.blocked == 0
+
+
 def test_a_blocked_unknown_is_not_memoized(monkeypatch):
     compare_module = sys.modules["scatcalc.compare"]
-    f, g = parse_term("min(2)"), parse_term("min(3)")
+    f, g = parse_term("max(2)"), parse_term("max(3)")
     engine = Engine()
     monkeypatch.setattr(compare_module, "MAX_OPEN_QUERIES", 1)
     assert engine.compare(f, g).outcome is Outcome.UNKNOWN
@@ -397,7 +409,7 @@ def test_a_query_reentered_while_open_is_blocked(monkeypatch):
     compare_module = sys.modules["scatcalc.compare"]
 
     def ask_again(engine, f, g, tf, tg):
-        return engine._query(f, g)
+        return engine.compare(f, g)
 
     monkeypatch.setattr(compare_module, "_RULES", (ask_again,) + compare_module._RULES)
     f, g = parse_term("min(2)"), parse_term("min(3)")
@@ -633,15 +645,16 @@ def test_repeated_summands_are_asked_once(left, right):
     # made 158,804 and 79,801 queries
     engine = Engine()
     queries = []
-    plain = engine._query
+    plain = engine.compare
 
     def query(a, b):
         queries.append((a, b))
         return plain(a, b)
 
-    engine._query = query
+    engine.compare = query
     assert engine.compare(parse_term(left), parse_term(right)).outcome is Outcome.LE
-    assert len(queries) <= 10
+    # the root question and the rules' questions, all through compare
+    assert 1 < len(queries) <= 10
 
 
 def per_copy_glue_match(engine, f, g, tf, tg):
@@ -673,7 +686,7 @@ def per_copy_capacity(engine, f, g, tf, tg):
     edges = {i: [] for i in range(len(ftops))}
     for i, s in enumerate(ftops):
         for j, t in enumerate(gtops):
-            v = engine._query(s, t)
+            v = engine.compare(s, t)
             if v.outcome is Outcome.UNKNOWN:
                 return None
             if v.outcome is Outcome.LE:

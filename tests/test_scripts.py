@@ -100,12 +100,14 @@ def test_workcount_counts_a_cold_round():
         fields = line.split(": ", 1)[1].split("  ")
         counts = {name: int(value) for name, value in (f.split(" ") for f in fields)}
         assert list(counts) == [
-            "calls", "decide", "fix", "built", "nf", "memo", "renormalize", "blocked"
+            "calls", "asked", "decide", "fix", "built", "nf", "memo", "renormalize", "blocked"
         ]
         # the memo holds the pairs and the rules' sub-queries; most
         # pairs are settled by their types, and the memo spares the
         # second round its decisions
         assert 800 < counts["memo"] and 0 < counts["decide"] < 800
+        # every question enters through compare, the rules' ones too
+        assert 800 <= counts["asked"] and counts["decide"] < counts["asked"]
         assert 0 < counts["fix"] and 0 < counts["nf"]
         # the cache holds the pool's terms, which the round does not
         # build, besides most of the nodes the round builds
