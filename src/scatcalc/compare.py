@@ -29,7 +29,11 @@ Le-rules
              summand normalization drops is one L-glue would absorb.
     L-pgl-mono
              pointed gluings are monotone under memberwise reduction
-             into finite gluings of the target members.
+             into finite gluings of the target members: it holds when
+             every summand of every source member is below some target
+             member, since each summand then takes its own copy of that
+             member, and the source member is below as many copies of
+             the glued member set as it has summands.
     L-pgl-lower
              omega copies of the glued member set reduce into the
              pointed gluing, so anything below the former is below the
@@ -204,9 +208,6 @@ class Verdict:
         steps = "pending" if self._pending is not None else repr(self._steps)
         return f"Verdict({self.outcome}, {steps})"
 
-
-# k-range for member-into-finite-gluing searches
-FIN_GLUE_BOUND = 3
 
 # the most queries open at once on one thread; one asked past it is UNKNOWN
 MAX_OPEN_QUERIES = 64
@@ -433,19 +434,13 @@ class Engine:
     def _rule_pgl_mono(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
         if not (isinstance(f, PglSet) and isinstance(g, PglSet)):
             return None
+        # each summand takes its own copy of a member above it, so m is
+        # below len(summands_of(m)) copies of the glued member set
         for m in f.members:
-            bound = max(len(summands_of(m)), FIN_GLUE_BOUND)
-            if not self._le_fin_glue(m, g.members, bound):
-                return None
+            for s in summands_of(m):
+                if not any(self._le(s, t) for t in g.members):
+                    return None
         return _LE(_step("L-pgl-mono", f, g, "memberwise into finite gluings"))
-
-    def _le_fin_glue(self, x: Term, members: tuple[Term, ...], bound: int) -> bool:
-        """Whether ``x`` reduces to k copies of the glued member set
-        for some k <= ``bound``."""
-        for k in range(1, bound + 1):
-            if self._le(x, glue_of(members * k)):
-                return True
-        return False
 
     # L-glue: multiset matching with absorbing targets
 

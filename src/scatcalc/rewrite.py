@@ -61,8 +61,11 @@ Rule set (names are the public identifiers accepted by
     resplit from their gluings' normal forms, (a) vertical families
     shrink to a domination-maximal antichain, (b) dominated diagonal
     members drop, then (c) one vertical over an empty diagonal is a
-    pointed gluing, or (d) verticals that all reduce to finite gluings
-    over the diagonal collapse to omega copies of the diagonal.
+    pointed gluing, or (d) when each vertical's pointed gluing is below
+    the gluing of the diagonal, the wedge collapses to omega copies of
+    the diagonal.  One copy is as strong as any finite number:
+    ``pgl{v}`` is centered, so by N-centered's principle it goes into a
+    single summand of any gluing of copies.
 
 One pass normalizes bottom-up: each node is reduced in one step with
 its normal children, and the step applies the rules for the node's
@@ -496,7 +499,7 @@ def _reduce_wedge(verticals: Sequence[tuple], diagonal: tuple, engine: Engine) -
         return PglSet(family[0])
 
     # (d) collapse to omega copies of the diagonal
-    if diagonal and all(engine._le_fin_glue(PglSet(v), diagonal, 1) for v in family):
+    if diagonal and all(engine._le(PglSet(v), glue_of(diagonal)) for v in family):
         return Glue([Omega(h) for h in diagonal])
     return Wedge(family, diagonal)
 

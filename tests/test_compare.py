@@ -102,6 +102,33 @@ def test_pgl_monotone_across_ranks():
     assert outcome("pgl{pgl{one}}", "pgl{omega(one)}") is Outcome.NOT_LE
 
 
+PGL_MONO_SPREAD = [
+    # the summands of one source member lie below distinct target members
+    ("pgl{glue(pgl{omega(one)}, omega(pgl{one}))}", "pgl{pgl{omega(one)}, omega(pgl{one})}"),
+    # each copy of a repeated summand takes its own copy of the target member
+    ("pgl{glue(3*pgl{omega(one)}, omega(pgl{one}))}", "pgl{pgl{omega(one)}, omega(pgl{one})}"),
+    ("pgl{glue(5*pgl{omega(one)}, omega(pgl{one}))}", "pgl{pgl{omega(one)}, omega(pgl{one})}"),
+    ("pgl{glue(pgl{max(w)}, omega(min(w+1)))}", "pgl{pgl{max(w)}, omega(min(w+1))}"),
+]
+
+
+@pytest.mark.parametrize("f, g", PGL_MONO_SPREAD)
+def test_pgl_mono_places_each_summand_below_a_target_member(f, g):
+    v = Engine().compare(parse_term(f), parse_term(g))
+    assert v.outcome is Outcome.LE
+    assert v.trace[0][0] == "L-pgl-mono"
+
+
+def test_pgl_mono_needs_every_summand_below_a_target_member():
+    # omega(pgl{one}) is below no member of the target, so the pair is
+    # refuted although the member's other summand fits
+    v = Engine().compare(
+        parse_term("pgl{glue(pgl{omega(one)}, omega(pgl{one}))}"), parse_term("pgl{pgl{omega(one)}}")
+    )
+    assert v.outcome is Outcome.NOT_LE
+    assert v.trace[0][0] == "N-pgl-deg"
+
+
 def test_equivalent_examples():
     engine = Engine()
     assert engine.equivalent(parse_term("glue(one, omega(one))"), parse_term("omega(one)")) == "Yes"
