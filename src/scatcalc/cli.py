@@ -190,6 +190,7 @@ def render_dot(terms, edges, engine: Engine) -> str:
 
     from . import rewrite
 
+    @cache  # one hash per node, however many edges name it
     def node_id(t) -> str:
         digest = hashlib.sha256(format_term(rewrite.normalize(t, engine)).encode()).hexdigest()
         return "n" + digest[:12]

@@ -112,9 +112,9 @@ derivation is UNKNOWN for that path (coinductive failure).  At most
 ``MAX_OPEN_QUERIES`` queries are open at once on a thread, those
 opened while normalizing included: a query asked past that bound is
 UNKNOWN with a "depth" blocker.  Each block adds one to the thread's
-``blocked`` count; no normal form or side-set resplit derived while
-that count moved is cached, and such an UNKNOWN only until its root
-query returns (a later hit counts as a block).
+``blocked`` count; no normal form derived while that count moved is
+cached, and such an UNKNOWN only until its root query returns (a later
+hit counts as a block).
 
 An :class:`Engine` owns its memo and its normal-form cache, and runs
 normalization on itself: the rewrite rules that decide reducibilities
@@ -148,6 +148,7 @@ from .term import (
     PglSet,
     Term,
     Wedge,
+    _glue_type,
     format_term,
     glue_of,
     multiplicities,
@@ -278,8 +279,6 @@ class Engine:
         self._memo: dict[tuple[Term, Term], Verdict] = {}
         # term -> normal form, filled by rewrite.normalize
         self._nf: dict[Term, Term] = {}
-        # wedge side set -> its canonical resplit, see rewrite._canonical_side_set
-        self._sides: dict[tuple[Term, ...], tuple[Term, ...]] = {}
         self._local = _QueryState()
         # held by type-decided verdicts in the memo, so no cycle keeps
         # the engine alive
@@ -542,8 +541,8 @@ class Engine:
         if tf.rank == tg.rank:
             # top maps to top, so source rays land in finite prefixes of
             # target rays; the degree comparison is meaningful here
-            deg_f = cb_type(glue_of(f.members)).degree
-            deg_g = cb_type(glue_of(g.members)).degree
+            _, _, deg_f = _glue_type(f.members)
+            _, _, deg_g = _glue_type(g.members)
             if deg_f == OMEGA_DEGREE and deg_g != OMEGA_DEGREE:
                 return _NOT_LE(
                     _step("N-pgl-deg", f, g, "rays of omega degree cannot land finitely")

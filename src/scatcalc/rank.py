@@ -106,17 +106,14 @@ def cb_type(t: Term) -> CbType:
     only reads it, and maps it to the ``CbType`` that every node of
     that type shares: a ``CbType`` is built only for a type not seen
     before, and comparing the types of many terms reads few objects.
-    The node keeps its ``CbType``, so a second call reads one slot."""
-    tp = t._cb_type
+    Nothing is kept on the term, so every call maps its key again."""
+    key = t._type_key
+    tp = _stored_types.get(key)
     if tp is None:
-        key = t._type_key
-        tp = _stored_types.get(key)
-        if tp is None:
-            if key is None:
-                raise NotScatteredError("rank undefined for non-scattered function")
-            terms, finite, degree = key
-            tp = _stored_types.setdefault(key, CbType(Ordinal(terms, finite), degree))
-        object.__setattr__(t, "_cb_type", tp)
+        if key is None:
+            raise NotScatteredError("rank undefined for non-scattered function")
+        terms, finite, degree = key
+        tp = _stored_types.setdefault(key, CbType(Ordinal(terms, finite), degree))
     return tp
 
 

@@ -370,23 +370,12 @@ def _pgl_wedge(members: tuple[Term, ...]) -> Optional[PglSet]:
     return None
 
 
-def _canonical_side_set(members: tuple[Term, ...], engine: Engine) -> tuple[Term, ...]:
-    """``_resplit(members)``, computed once per side set per engine
-    unless a query was blocked while it was computed."""
-    sides = engine._sides
-    parts = sides.get(members)
-    if parts is None:
-        blocked = engine._local.blocked
-        parts = _resplit(members, engine)
-        if engine._local.blocked == blocked:
-            sides[members] = parts
-    return parts
-
-
 def _resplit(members: tuple[Term, ...], engine: Engine) -> tuple[Term, ...]:
     """Normalize the gluing a wedge side set denotes, and resplit it
     into a set when the normal form is duplicate-free.  Duplicated
-    summands (which a set cannot spell) leave the set unchanged."""
+    summands (which a set cannot spell) leave the set unchanged.  A
+    side set asked again finds its gluing interned and its normal form
+    in the engine's cache, so nothing else keeps the resplit."""
     if not members:
         return members
     n = normalize(glue_of(members), engine)
@@ -471,8 +460,8 @@ def _reduce_wedge(verticals: Sequence[tuple], diagonal: tuple, engine: Engine) -
     # resplit of that normal form denotes the same verticals/diagonal;
     # sets are deduplicated and sorted as merged_wedge does
     family = sorted({_sorted_set(v) for v in verticals}, key=_family_key)
-    family = sorted({_canonical_side_set(v, engine) for v in family}, key=_family_key)
-    diagonal = _canonical_side_set(_sorted_set(diagonal), engine)
+    family = sorted({_resplit(v, engine) for v in family}, key=_family_key)
+    diagonal = _resplit(_sorted_set(diagonal), engine)
 
     # (a) vertical family -> antichain of domination-maximal sets
     def fam_le(a: tuple[Term, ...], b: tuple[Term, ...]) -> bool:
@@ -492,7 +481,7 @@ def _reduce_wedge(verticals: Sequence[tuple], diagonal: tuple, engine: Engine) -
                 keep.append(h)
         if len(keep) == len(diagonal):
             break
-        diagonal = _canonical_side_set(tuple(keep), engine)
+        diagonal = _resplit(tuple(keep), engine)
 
     # (c) a single vertical over an empty diagonal is a pointed gluing
     if not diagonal and len(family) == 1:

@@ -28,8 +28,9 @@ are by identity.  A node's sort key, size and type key are computed
 once, at construction, from its children's.  The type key is the
 node's CB-type as ``(rank terms, rank finite part, degree)``, derived
 by the rules in the ``rank`` docstring, or ``None`` for the
-non-scattered sentinels; ``rank.cb_type`` reads it and keeps the
-shared ``CbType`` it maps to on the node.  The intern table maps each
+non-scattered sentinels; ``rank.cb_type`` maps it to the ``CbType``
+that every node of that type shares.  No field is written after a node
+is published, so a node never changes.  The intern table maps each
 node's fields to a weak reference to it, and the entry leaves the table
 when the node dies.  A lookup that finds a live node takes no lock;
 building and inserting a node does, and re-checks the table under it,
@@ -106,7 +107,7 @@ class Term:
     ``_variant`` and returns ``(sort key, size, type key)`` from
     ``_measure``; an atom gives its type key as ``_atom_type``."""
 
-    __slots__ = ("_key", "_size", "_type_key", "_cb_type", "__weakref__")
+    __slots__ = ("_key", "_size", "_type_key", "__weakref__")
     _variant: int
     _atom_type: tuple | None = None
 
@@ -160,7 +161,6 @@ def _intern(cls, *fields) -> Term:
             object.__setattr__(node, "_key", key)
             object.__setattr__(node, "_size", size)
             object.__setattr__(node, "_type_key", type_key)
-            object.__setattr__(node, "_cb_type", None)
             ref = _NodeRef(node, _forget)
             ref.ident = ident
             # published only now, fully built, for the lock-free lookups

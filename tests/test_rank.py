@@ -31,6 +31,7 @@ from scatcalc.term import (
     Omega,
     One,
     PglSet,
+    Term,
     Wedge,
     parse_term,
 )
@@ -70,6 +71,23 @@ def test_cb_types_carry_their_comparison_keys():
         assert t.double_key == (double(t.rank).terms, double(t.rank).finite)
     # terms of equal type share one stored CbType
     assert tp("one") is tp("min(1)") and tp("omega(one)") is tp("max(1)")
+
+
+def test_typing_a_term_writes_nothing_on_it():
+    assert Term.__slots__ == ("_key", "_size", "_type_key", "__weakref__")
+    # a type no other test reads, so the first call builds its CbType
+    s, t = parse_term("7*pgl{max(w^3+5)}"), parse_term("glue(7*min(w^3+6), one)")
+
+    def slot_values(u):
+        names = [n for cls in type(u).__mro__ for n in getattr(cls, "__slots__", ())]
+        return [getattr(u, n) for n in names if n != "__weakref__"]
+
+    before = [slot_values(s), slot_values(t)]
+    a, b = cb_type(s), cb_type(t)
+    assert a is b and a == CbType(po("w^3+6"), 7)
+    for u, values in zip((s, t), before):
+        assert all(x is y for x, y in zip(slot_values(u), values, strict=True))
+    assert cb_type(s) is a
 
 
 def test_cb_type_rejects_sentinels():

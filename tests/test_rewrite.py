@@ -358,22 +358,26 @@ def test_each_rule_runs_once_per_distinct_term(monkeypatch):
     assert all(isinstance(t, steps[step]) for step, t in runs)
 
 
-def test_each_side_set_is_resplit_once_per_engine(monkeypatch):
+def test_each_side_set_resplit_is_what_a_fresh_engine_gives(monkeypatch):
     inputs = census_inputs(1, 1500, 6000)
     pool = [parse_term(text) for text in inputs["pool_text"]]
-    resplit, asked = rewrite._resplit, []
+    resplit, answers = rewrite._resplit, {}
 
     def spy(members, engine):
-        asked.append(members)
-        return resplit(members, engine)
+        parts = resplit(members, engine)
+        answers.setdefault(members, set()).add(parts)
+        return parts
 
     monkeypatch.setattr(rewrite, "_resplit", spy)
     engine = Engine()
     for i, j in inputs["pairs"]:
         engine.compare(pool[i], pool[j])
-    # the round asks about 2,125 side sets, 540 of them distinct
-    assert len(asked) > 500
-    assert len(asked) == len(set(asked)) == len(engine._sides)
+    monkeypatch.undo()
+    # the round asks about 2,125 side sets, 540 of them distinct; a
+    # repeat is answered from the engine's normal forms, the same way
+    assert len(answers) > 500
+    for members, parts in answers.items():
+        assert parts == {resplit(members, Engine())}
 
 
 def test_nothing_derived_under_a_blocked_query_is_cached(monkeypatch):
@@ -386,11 +390,9 @@ def test_nothing_derived_under_a_blocked_query_is_cached(monkeypatch):
         engine.compare(pool[i], pool[j])
     monkeypatch.undo()
     # what the engine cached is what a fresh engine derives unblocked
-    assert engine._nf and engine._sides
+    assert engine._nf
     for t, nf in engine._nf.items():
         assert normalize(t, Engine()) is nf
-    for members, parts in engine._sides.items():
-        assert rewrite._resplit(members, Engine()) == parts
     assert engine._local.blocked > 0
 
 
