@@ -32,7 +32,7 @@ normal forms and single rule steps on these inputs.  Sections:
   fresh engine: each outcome, each trace rendered after all the
   verdicts, and each term's normal form;
 * ``golden <name>``: the rows ``tests/test_golden.py`` compares with
-  ``tests/data/golden_verdicts.txt``.
+  ``tests/data/golden_verdicts.txt``, built by ``tests/golden.py``.
 
 Run it from any tree: ``python3 scripts/fingerprint.py`` (census seeds
 1-5 with 1,500 terms and 6,000 pairs each, every levels set, the
@@ -41,7 +41,6 @@ multiplicity section, every golden section).
 
 import argparse
 import hashlib
-import importlib.util
 import itertools
 import random
 import sys
@@ -50,8 +49,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 import gen  # noqa: E402  (bench/gen.py)
+import golden  # noqa: E402  (tests/golden.py, which needs no pytest)
 from scatcalc.compare import Engine  # noqa: E402
 from scatcalc.generators import (  # noqa: E402
     UndecidedPairError,
@@ -186,15 +187,7 @@ def multiplicity_sections():
     yield "normal-forms", digest(format_term(normalize(t, engine)) for t in terms)
 
 
-def load_golden():
-    spec = importlib.util.spec_from_file_location("golden", ROOT / "tests" / "test_golden.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def main() -> int:
-    golden = load_golden()
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2, 3, 4, 5])
     parser.add_argument("--pool", type=int, default=1500, help="census pool size")

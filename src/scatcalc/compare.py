@@ -162,6 +162,12 @@ class Outcome(Enum):
     UNKNOWN = "unknown"
 
 
+# read as module globals: before Python 3.12 every attribute read on an
+# Enum class (``Outcome.LE``) goes through ``EnumMeta.__getattr__``, and
+# costs more than a type-decided question's dict work (README)
+LE, NOT_LE, UNKNOWN = Outcome.LE, Outcome.NOT_LE, Outcome.UNKNOWN
+
+
 _SENTINELS = (IdQ, IdBaire)
 
 TraceStep = tuple[str, str]
@@ -226,6 +232,13 @@ def _render(rule: str, f: Term, g: Term, note: tuple) -> TraceStep:
     return (rule, text)
 
 
+# the four results of _type_rule, shared by every call
+_N_LEX = (NOT_LE, "")
+_GST_LIMIT = (LE, "limit target rank")
+_GST_DOUBLED = (LE, "doubled rank below target")
+_GST_FINITE = (LE, "finite ranks")
+
+
 def _type_rule(kf: tuple | None, kg: tuple | None) -> Optional[tuple[Outcome, str]]:
     """N-lex or L-gst on the type keys ``(rank terms, rank finite part,
     degree)`` of two terms, all that either rule reads of the CB-types:
@@ -236,24 +249,24 @@ def _type_rule(kf: tuple | None, kg: tuple | None) -> Optional[tuple[Outcome, st
     if kf is None or kg is None:
         return None
     if kf > kg:
-        return Outcome.NOT_LE, ""
+        return _N_LEX
     terms, finite, _ = kf
     gterms, gfinite, _ = kg
     if gterms and not gfinite:
-        return Outcome.LE, "limit target rank"
+        return _GST_LIMIT
     if (terms, 2 * finite) < (gterms, gfinite):
-        return Outcome.LE, "doubled rank below target"
+        return _GST_DOUBLED
     if not terms and not gterms and 2 * finite <= gfinite:
-        return Outcome.LE, "finite ranks"
+        return _GST_FINITE
     return None
 
 
 def _LE(*steps: Step) -> Verdict:
-    return Verdict(Outcome.LE, tuple(steps))
+    return Verdict(LE, tuple(steps))
 
 
 def _NOT_LE(*steps: Step) -> Verdict:
-    return Verdict(Outcome.NOT_LE, tuple(steps))
+    return Verdict(NOT_LE, tuple(steps))
 
 
 class _QueryState(threading.local):
@@ -287,18 +300,23 @@ class Engine:
     # -- public API ---------------------------------------------------
 
     def compare(self, f: Term, g: Term) -> Verdict:
+        # one memo probe: under the normal forms when both are cached,
+        # else under the pair as asked.  A hit under the normal forms
+        # binds no local before its probe, which keeps the warm path of
+        # the levels workload as fast as it was
         nf = self._nf.get(f)
-        if nf is not None:
-            ng = self._nf.get(g)
-            if ng is not None:
-                hit = self._memo.get((nf, ng))
-                if hit is not None:
-                    return hit
-                f, g = nf, ng
-        key = (f, g)
-        hit = self._memo.get(key)
-        if hit is not None:
-            return hit
+        ng = None if nf is None else self._nf.get(g)
+        if ng is not None:
+            hit = self._memo.get((nf, ng))
+            if hit is not None:
+                return hit
+            f, g = nf, ng
+            key = (f, g)
+        else:
+            key = (f, g)
+            hit = self._memo.get(key)
+            if hit is not None:
+                return hit
         # N-lex and L-gst read only the CB-types, which normalization
         # preserves, so they settle the raw pair as they would its
         # normal forms; the steps are derived when read (_root_steps)
@@ -311,9 +329,9 @@ class Engine:
     def equivalent(self, f: Term, g: Term) -> str:
         fwd = self.compare(f, g).outcome
         bwd = self.compare(g, f).outcome
-        if fwd is Outcome.LE and bwd is Outcome.LE:
+        if fwd is LE and bwd is LE:
             return "Yes"
-        if fwd is Outcome.NOT_LE or bwd is Outcome.NOT_LE:
+        if fwd is NOT_LE or bwd is NOT_LE:
             return "No"
         return "Unknown"
 
@@ -338,10 +356,10 @@ class Engine:
         in_progress = local.in_progress
         if key in in_progress:
             local.blocked += 1
-            return Verdict(Outcome.UNKNOWN, (_step("blocked:cycle", f, g),))
+            return Verdict(UNKNOWN, (_step("blocked:cycle", f, g),))
         if len(in_progress) >= MAX_OPEN_QUERIES:
             local.blocked += 1
-            return Verdict(Outcome.UNKNOWN, (_step("blocked:depth", f, g),))
+            return Verdict(UNKNOWN, (_step("blocked:depth", f, g),))
         blocked = local.blocked
         in_progress.add(key)
         try:
@@ -350,7 +368,7 @@ class Engine:
             in_progress.discard(key)
             if not in_progress:
                 scratch.clear()
-        if verdict.outcome is not Outcome.UNKNOWN or local.blocked == blocked:
+        if verdict.outcome is not UNKNOWN or local.blocked == blocked:
             self._memo[key] = verdict
         elif in_progress:
             scratch[key] = verdict
@@ -365,10 +383,10 @@ class Engine:
         return self._decide(nf, ng).steps
 
     def _le(self, f: Term, g: Term) -> bool:
-        return self.compare(f, g).outcome is Outcome.LE
+        return self.compare(f, g).outcome is LE
 
     def _not_le(self, f: Term, g: Term) -> bool:
-        return self.compare(f, g).outcome is Outcome.NOT_LE
+        return self.compare(f, g).outcome is NOT_LE
 
     def _decide(self, f: Term, g: Term) -> Verdict:
         v = _sentinel_verdict(f, g)
@@ -379,7 +397,7 @@ class Engine:
             v = rule(self, f, g, tf, tg)
             if v is not None:
                 return v
-        return Verdict(Outcome.UNKNOWN, (_step("blocked:rules", f, g),))
+        return Verdict(UNKNOWN, (_step("blocked:rules", f, g),))
 
     # -- the rules, in the order of _RULES -----------------------------
 
@@ -388,7 +406,7 @@ class Engine:
 
     def _rule_lex(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
         typed = _type_rule(tf.lex_key, tg.lex_key)
-        if typed is None or typed[0] is Outcome.LE:
+        if typed is None or typed[0] is LE:
             return None
         return _NOT_LE(_step("N-lex", f, g, "tp ", tf, " > tp ", tg))
 
@@ -414,7 +432,7 @@ class Engine:
 
     def _rule_gst(self, f: Term, g: Term, tf, tg) -> Optional[Verdict]:
         typed = _type_rule(tf.lex_key, tg.lex_key)
-        if typed is None or typed[0] is Outcome.NOT_LE:
+        if typed is None or typed[0] is NOT_LE:
             return None
         return _LE(_step("L-gst", f, g, typed[1]))
 
@@ -579,9 +597,9 @@ class Engine:
             row = []
             for j, t in enumerate(gtops):
                 v = self.compare(s, t)
-                if v.outcome is Outcome.UNKNOWN:
+                if v.outcome is UNKNOWN:
                     return None
-                if v.outcome is Outcome.LE:
+                if v.outcome is LE:
                     row.append(j)
             edges += [row] * n
         # each copy of a target summand of degree d has d degree-slots

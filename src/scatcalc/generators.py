@@ -22,7 +22,7 @@ from typing import Iterable
 
 from . import ordinal as ord_mod
 from . import rewrite
-from .compare import Engine, Outcome
+from .compare import LE, NOT_LE, UNKNOWN, Engine
 from .ordinal import Ordinal, Value
 from .term import (
     MaxFn,
@@ -227,13 +227,13 @@ def hasse(terms: Iterable[Term], engine: Engine) -> list[tuple[Term, Term]]:
     items = list(terms)
     forms = list(dict.fromkeys(rewrite.normalize(t, engine) for t in items))
     if any(
-        p is not q and engine.compare(p, q).outcome is Outcome.UNKNOWN
+        p is not q and engine.compare(p, q).outcome is UNKNOWN
         for p in forms
         for q in forms
     ):
         for i in range(len(items)):
             for j in range(len(items)):
-                if i != j and engine.compare(items[i], items[j]).outcome is Outcome.UNKNOWN:
+                if i != j and engine.compare(items[i], items[j]).outcome is UNKNOWN:
                     raise UndecidedPairError(items[i], items[j])
     classes, _ = equivalence_classes(items, engine)
     reps = [rep for rep, _ in classes]
@@ -241,8 +241,8 @@ def hasse(terms: Iterable[Term], engine: Engine) -> list[tuple[Term, Term]]:
         (a, b)
         for a in reps
         for b in reps
-        if engine.compare(a, b).outcome is Outcome.LE
-        and engine.compare(b, a).outcome is Outcome.NOT_LE
+        if engine.compare(a, b).outcome is LE
+        and engine.compare(b, a).outcome is NOT_LE
     }
     return [
         (a, b)

@@ -1,3 +1,4 @@
+import ast
 import gc
 import itertools
 import random
@@ -5,6 +6,7 @@ import sys
 import threading
 import time
 import weakref
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +21,10 @@ from scatcalc.compare import (
     Outcome,
     _bipartite_saturates,
     _step,
+    _type_rule,
     le_compact,
 )
+from scatcalc.generators import centered_raw
 from scatcalc.ordinal import double, parse_ordinal as po
 from scatcalc.rank import cb_type, lex_le
 from scatcalc.rewrite import normalize
@@ -133,6 +137,25 @@ def test_equivalent_examples():
     engine = Engine()
     assert engine.equivalent(parse_term("glue(one, omega(one))"), parse_term("omega(one)")) == "Yes"
     assert engine.equivalent(parse_term("min(2)"), parse_term("max(1)")) == "No"
+
+
+def test_equivalent_reads_both_directions():
+    # "Yes" iff both directions are LE, "No" iff either is NOT_LE, else
+    # "Unknown"; at 3 the set has pairs of each kind
+    items = centered_raw(po("3"))[:40]
+    engine, ref = Engine(), Engine()
+    answers = set()
+    for f, g in itertools.permutations(items, 2):
+        fwd, bwd = ref.compare(f, g).outcome, ref.compare(g, f).outcome
+        if fwd is Outcome.LE and bwd is Outcome.LE:
+            expected = "Yes"
+        elif Outcome.NOT_LE in (fwd, bwd):
+            expected = "No"
+        else:
+            expected = "Unknown"
+        assert engine.equivalent(f, g) == expected, (f, g)
+        answers.add(expected)
+    assert {"Yes", "No"} <= answers
 
 
 def test_trace_text_is_formatted_only_when_read(monkeypatch):
@@ -299,6 +322,35 @@ def test_compare_module_is_reachable():
 
     assert compare_module.Engine is Engine
     assert scatcalc.compare.Engine is Engine
+
+
+def test_engine_questions_read_no_enum_member_through_the_class():
+    # Outcome.LE inside a function is an attribute read on the Enum
+    # class, which before Python 3.12 goes through the metaclass's
+    # __getattr__; the modules read the names bound beside the class
+    import scatcalc.compare as compare_module
+    import scatcalc.generators as generators_module
+
+    reads = []
+    for module in (compare_module, generators_module):
+        tree = ast.parse(Path(module.__file__).read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "Outcome"
+                    and node.attr in Outcome.__members__
+                ):
+                    reads.append(f"{module.__name__}:{node.lineno}")
+    assert not reads
+    # the type check returns shared results, not a new pair per call
+    key = lambda text: parse_term(text)._type_key  # noqa: E731
+    assert _type_rule(key("2*pgl{one}"), key("max(w)")) is _type_rule(key("one"), key("max(w*2)"))
+    assert _type_rule(key("max(w+1)"), key("one")) is _type_rule(key("min(3)"), key("2*one"))
+    assert _type_rule(key("one"), key("min(3)")) is _type_rule(key("pgl{one}"), key("max(w+3)"))
 
 
 class _NoDefaultEngine:

@@ -14,7 +14,7 @@ import time
 import pytest
 
 from conftest import SCRIPTS, load_script
-from test_golden import load as load_golden
+from golden import load as load_golden
 
 
 def run_script(name: str, *args: str) -> str:
