@@ -13,12 +13,13 @@ doubling, which on lambda+n means 2*(lambda+n) = lambda+2n; see
 :func:`double`.
 
 Text is read in tokens, and ``TOKEN`` is the one token pattern of both
-grammars, ordinals and terms: after optional whitespace it matches
-decimal digits (those ``int`` reads, not every ``str.isdigit``
-character), a word of letters, digits and underscores, one other
-character, or "" at the end.  A text is split into its tokens by one
-``TOKEN.findall`` and read by index; :func:`token_start` scans again
-for a character position only when an error names one.
+grammars, ordinals and terms: decimal digits (those ``int`` reads, not
+every ``str.isdigit`` character), a word of letters, digits and
+underscores, or one other character that is not whitespace; whitespace
+between tokens is skipped.  :func:`tokens` splits a text by one
+``TOKEN.findall`` and adds "" for its end, and readers walk that list
+by index; :func:`token_start` scans again for a character position only
+when an error names one.
 :func:`read_ordinal` reads an ordinal inside a term's token list, so
 its errors name positions in the term's text; both grammars raise
 :class:`OrdinalSyntaxError`.
@@ -202,16 +203,24 @@ def sup(ordinals: Iterable[Ordinal]) -> Ordinal:
     return max(items)
 
 
-# one token at a position, after any whitespace: decimal digits, a
-# word, one other character, or "" at the end; the term grammar reads
-# the same tokens
-TOKEN = re.compile(r"\s*(\d+|\w+|.|)", re.S)
+# one token: decimal digits, a word, or one other character that is
+# not whitespace; the term grammar reads the same tokens
+TOKEN = re.compile(r"\d+|\w+|\S")
+
+
+def tokens(text: str) -> list[str]:
+    """The tokens of ``text``, then "" for its end."""
+    toks = TOKEN.findall(text)
+    toks.append("")
+    return toks
 
 
 def token_start(text: str, k: int) -> int:
-    """The character position of token ``k`` of ``text``.  Readers keep
-    token indices and scan again for a position only on an error."""
-    return next(islice(TOKEN.finditer(text), k, None)).start(1)
+    """The character position of token ``k`` of ``text``, or its length
+    for the end.  Readers keep token indices and scan again for a
+    position only on an error."""
+    m = next(islice(TOKEN.finditer(text), k, None), None)
+    return len(text) if m is None else m.start()
 
 
 def parse_ordinal(text: str) -> Ordinal:
@@ -223,7 +232,7 @@ def parse_ordinal(text: str) -> Ordinal:
     canonical form.  Exponent 0 is rejected: write the finite part as a
     plain integer.
     """
-    return read_ordinal(text, TOKEN.findall(text), 0)[0]
+    return read_ordinal(text, tokens(text), 0)[0]
 
 
 def read_ordinal(text: str, toks: list[str], i: int, closing: str = "") -> tuple[Ordinal, int]:

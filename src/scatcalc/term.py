@@ -44,11 +44,16 @@ term of its own; callers needing one must pick an equivalent ``PglSet``
 form by hand.  Points, spaces and reducing maps are never materialized.
 
 The concrete syntax is read by recursive descent, one frame per
-nesting level, over the list of ``ordinal.TOKEN`` tokens that one
-``findall`` makes of the text, so whitespace may stand between any two
-tokens and only decimal digits spell a count.  ``min(...)`` and
-``max(...)`` read their rank from the same list with
-``ordinal.read_ordinal``.  Every syntax error is one
+nesting level, over the list of tokens that ``ordinal.tokens`` makes of
+the text in one pass, so whitespace may stand between any two tokens
+and only decimal digits spell a count.  ``min(...)`` and ``max(...)``
+read their rank from the same list with ``ordinal.read_ordinal``.  A
+rank holds no parenthesis, so the first ")" closes the atom, and the
+atom's tokens from its word to that ")" are its spelling: a spelling
+that parsed before gives back the atom it built, without being read
+again.  The spelling map holds its atoms weakly, as the intern table
+does, and records only spellings that parsed, so a rejected one raises
+the same error at each parse.  Every syntax error is one
 ``TermSyntaxError``, the class ``ordinal.OrdinalSyntaxError``, naming a
 character position in the term text, worked out only for the error.
 """
@@ -63,7 +68,7 @@ from itertools import chain
 from operator import attrgetter
 
 from . import ordinal as ord_mod
-from .ordinal import TOKEN, Ordinal, OrdinalSyntaxError, read_ordinal, token_start
+from .ordinal import Ordinal, OrdinalSyntaxError, read_ordinal, token_start, tokens
 
 # one syntax-error class for the term and the ordinal grammar
 TermSyntaxError = OrdinalSyntaxError
@@ -82,7 +87,8 @@ class TermTooLargeError(RuntimeError):
 
 
 class _NodeRef(weakref.ref):
-    """A weak reference to an interned node that knows its table key."""
+    """A weak reference to an interned node that knows its key in the
+    intern table or the spelling map."""
 
     __slots__ = ("ident",)
 
@@ -491,29 +497,29 @@ def parse_term(text: str) -> Term:
     return t
 
 
+def _forget_spelling(ref: _NodeRef) -> None:
+    _remove_dead_weakref(_spellings, ref.ident)
+
+
+# the tokens of a min/max atom, its word to its ")" -> a weak reference
+# to the atom; only spellings that parsed are recorded
+_spellings: dict[tuple[str, ...], _NodeRef] = {}
+
+
 class _Parser:
     """Recursive descent, one frame per nesting level, over the tokens
     of one text: ``toks[i]`` is the next one, and the last is ""."""
 
     def __init__(self, text: str) -> None:
-        self.text, self.toks, self.i = text, TOKEN.findall(text), 0
+        self.text, self.toks, self.i = text, tokens(text), 0
         self.widths: dict[Term, int] = {}  # parsed gluing -> the summands it flattens to
 
     def error(self, message: str, k: int) -> TermSyntaxError:
         return TermSyntaxError(message, token_start(self.text, k))
 
-    def eat(self, tok: str) -> None:
-        """Consume the next token, which must be ``tok``."""
-        i = self.i
-        if self.toks[i] != tok:
-            raise self.error(f"expected {tok!r}", i)
-        self.i = i + 1
-
-    def build(self, ctor, at: int, *args):
-        try:
-            return ctor(*args)
-        except ValueError as exc:
-            raise self.error(str(exc), at) from exc
+    def missing(self, tok: str, k: int) -> TermSyntaxError:
+        """The error for token ``k``, which should have been ``tok``."""
+        return self.error(f"expected {tok!r}", k)
 
     def build_glue(self, at: int, summands: list[Term], repeat: int = 1) -> Term:
         """The gluing of ``repeat`` copies of ``summands``, refused
@@ -523,59 +529,110 @@ class _Parser:
             raise TermTooLargeError(
                 f"a gluing of {width} summands exceeds the bound of {MAX_SUMMANDS}"
             )
-        t = self.build(Glue, at, summands * repeat)
+        try:
+            t = Glue(summands * repeat)
+        except ValueError as exc:
+            raise self.error(str(exc), at) from exc
         self.widths[t] = width
         return t
+
+    def rank_atom(self, word: str, at: int) -> Term:
+        """The ``min(...)`` or ``max(...)`` atom whose word is token
+        ``at``.  The rank holds no parenthesis, so the first ")" ends
+        the atom, and a spelling that parsed before is not read again."""
+        toks, i = self.toks, at + 1
+        if toks[i] != "(":
+            raise self.missing("(", i)
+        try:
+            end = toks.index(")", i)
+        except ValueError:  # no ")", so no recorded spelling: the rank fails to read
+            end = i
+        spelling = tuple(toks[at : end + 1])
+        ref = _spellings.get(spelling)
+        node = None if ref is None else ref()
+        if node is not None:
+            self.i = end + 1
+            return node
+        rank, i = read_ordinal(self.text, toks, i + 1, ")")
+        if toks[i] != ")":
+            raise self.missing(")", i)
+        self.i = i + 1
+        try:
+            node = (MinFn if word == "min" else MaxFn)(rank)
+        except ValueError as exc:
+            raise self.error(str(exc), at) from exc
+        if i == end:  # the rank ended at the first ")", as it does whenever it reads
+            ref = _NodeRef(node, _forget_spelling)
+            ref.ident = spelling
+            _spellings[spelling] = ref
+        return node
 
     def parse_term(self) -> Term:
         toks, at = self.toks, self.i
         word = toks[at]
-        self.i = at + 1
-        if word in _ATOMS:
-            return _ATOMS[word]
+        i = at + 1
+        atom = _ATOMS.get(word)
+        if atom is not None:
+            self.i = i
+            return atom
+        if word == "min" or word == "max":
+            return self.rank_atom(word, at)
         if word.isdecimal():
             count = int(word)
-            self.eat("*")
+            if toks[i] != "*":
+                raise self.missing("*", i)
+            self.i = i + 1
             return self.build_glue(at, [self.parse_term()], count)
-        if word == "min" or word == "max":
-            self.eat("(")
-            rank, self.i = read_ordinal(self.text, toks, self.i, ")")
-            self.eat(")")
-            return self.build(MinFn if word == "min" else MaxFn, at, rank)
-        if word == "omega":
-            self.eat("(")
-            body = self.parse_term()
-            self.eat(")")
-            return self.build(Omega, at, body)
-        if word == "glue" or word == "pgl":
-            self.eat("(" if word == "glue" else "{")
+        if word == "omega" or word == "glue" or word == "pgl":
+            opening, closing = ("{", "}") if word == "pgl" else ("(", ")")
+            if toks[i] != opening:
+                raise self.missing(opening, i)
+            self.i = i + 1
             items = [self.parse_term()]
-            while toks[self.i] == ",":
+            while word != "omega" and toks[self.i] == ",":
                 self.i += 1
                 items.append(self.parse_term())
+            i = self.i
+            if toks[i] != closing:
+                raise self.missing(closing, i)
+            self.i = i + 1
             if word == "glue":
-                self.eat(")")
                 return self.build_glue(at, items)
-            self.eat("}")
-            return self.build(PglSet, at, items)
-        if word == "wedge":
-            self.eat("(")
+            # omega read one item, its body
+            ctor, args = (PglSet, (items,)) if word == "pgl" else (Omega, items)
+        elif word == "wedge":
+            if toks[i] != "(":
+                raise self.missing("(", i)
             sets, diagonal = [], False  # the vertical sets, then the diagonal
             while True:
-                self.eat("{")
-                items = [] if toks[self.i] == "}" else [self.parse_term()]
+                i += 1
+                if toks[i] != "{":
+                    raise self.missing("{", i)
+                self.i = i + 1
+                items = [] if toks[i + 1] == "}" else [self.parse_term()]
                 while items and toks[self.i] == ",":
                     self.i += 1
                     items.append(self.parse_term())
-                self.eat("}")
+                i = self.i
+                if toks[i] != "}":
+                    raise self.missing("}", i)
                 sets.append(items)
+                i += 1
                 if diagonal:
                     break
-                diagonal = toks[self.i] != ","
-                self.eat("|" if diagonal else ",")
-            self.eat(")")
-            return self.build(Wedge, at, sets[:-1], sets[-1])
-        if word == "{" or word == "}":
+                diagonal = toks[i] != ","
+                if diagonal and toks[i] != "|":
+                    raise self.missing("|", i)
+            if toks[i] != ")":
+                raise self.missing(")", i)
+            self.i = i + 1
+            ctor, args = Wedge, (sets[:-1], sets[-1])
+        elif word == "{" or word == "}":
             raise self.error("a set is not a term here", at)
-        is_word = word.isalnum() or "_" in word  # a word token, not one other character
-        raise self.error(f"unknown term {word!r}" if is_word else "expected a term", at)
+        else:
+            is_word = word.isalnum() or "_" in word  # a word token, not one other character
+            raise self.error(f"unknown term {word!r}" if is_word else "expected a term", at)
+        try:
+            return ctor(*args)
+        except ValueError as exc:
+            raise self.error(str(exc), at) from exc

@@ -1,7 +1,7 @@
 """The character-position token parser that ``term.parse_term`` and
 ``ordinal.parse_ordinal`` replaced, kept as a test oracle.
 
-It reads one ``ordinal.TOKEN`` match per token and keeps each match's
+It reads one ``TOKEN`` match per token and keeps each match's
 position; ``min(...)`` and ``max(...)`` hand the text up to their
 closing parenthesis to ``read_ordinal``, which tokenizes it again and
 adds its atoms one at a time.  The readers in ``scatcalc`` must build
@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from scatcalc.ordinal import TOKEN, Ordinal, OrdinalSyntaxError, add, from_int, omega_power
+from scatcalc.ordinal import Ordinal, OrdinalSyntaxError, add, from_int, omega_power
 from scatcalc.term import (
     EMPTY,
     ID_BAIRE,
@@ -29,6 +29,11 @@ from scatcalc.term import (
     TermTooLargeError,
     Wedge,
 )
+
+# one token at a position, after any whitespace: decimal digits, a
+# word, one other character, or "" at the end.  The oracle keeps its
+# own pattern, so the differential tests compare two tokenizers.
+TOKEN = re.compile(r"\s*(\d+|\w+|.|)", re.S)
 
 
 def parse_ordinal(text: str) -> Ordinal:

@@ -174,6 +174,8 @@ def test_census_texts_and_mutations_parse_as_the_reference(seed):
     rng = random.Random(seed)
     for text in census_inputs(seed, 1500, 6000)["pool_text"]:
         for mutated in with_mutations(text, rng):
+            # the second parse finds every atom that parsed in the spelling map
+            assert_parses_as_reference(mutated)
             assert_parses_as_reference(mutated)
 
 
@@ -215,13 +217,40 @@ def test_ordinals_read_as_the_reference(text):
     assert new == old, text
 
 
+def spelling(text):
+    """The key of the atom ``text`` in the spelling map."""
+    return tuple(ordinal.tokens(text)[:-1])
+
+
 def test_a_canonical_rank_builds_one_ordinal(monkeypatch):
     added = []
     add = ordinal.add
     monkeypatch.setattr(ordinal, "add", lambda a, b: added.append(b) or add(a, b))
-    assert parse_term("min(w^2*3+w+4)").rank == Ordinal(((2, 3), (1, 1)), 4)
-    assert parse_term("max(0)").rank == Ordinal() and not added
-    assert parse_term("max(w+w^2+1+2)").rank == Ordinal(((2, 1),), 3) and len(added) == 4
+    # spellings no other test uses, so each is read, not looked up
+    texts = ["min(w^15*3+w+4)", "max(9091)", "max(w^15+w^16+1+2)"]
+    assert not any(spelling(text) in term._spellings for text in texts)
+    assert parse_term(texts[0]).rank == Ordinal(((15, 3), (1, 1)), 4)
+    assert parse_term(texts[1]).rank == Ordinal((), 9091) and not added
+    assert parse_term(texts[2]).rank == Ordinal(((16, 1),), 3) and len(added) == 4
+
+
+def test_an_atom_spelled_again_is_the_same_node():
+    texts = ["min(w+1)", "min( w + 1 )"]
+    nodes = [parse_term(text) for text in texts * 2]
+    assert all(node is nodes[0] for node in nodes)
+    assert nodes[0] is MinFn(parse_ordinal("w+1"))
+    assert term._spellings[spelling(texts[1])]() is nodes[0]
+
+
+@pytest.mark.parametrize("atom, similar", [("min(w)", "min(w+1)"), ("min(w+)", "min(w+1)"),
+                                           ("max(3", "max(3)"), ("max(w^0)", "max(w^1)")])
+def test_a_rejected_spelling_fails_alike_at_every_parse(atom, similar):
+    for text in (atom, f"glue(one, {atom})"):
+        first = outcome(parse_term, text)
+        assert first[0] is TermSyntaxError and first == outcome(parse_term, text)
+        parse_term(similar)
+        assert outcome(parse_term, text) == first == outcome(reference_parser.parse_term, text)
+        assert spelling(atom) not in term._spellings
 
 
 def test_nesting_costs_one_frame_per_level():
@@ -328,30 +357,47 @@ def test_deep_terms_need_no_recursion():
     assert term_size(normalize(parse_term("min(300)"), Engine())) == 300
 
 
-def test_concurrent_construction_interns_once():
-    # threads build the same fresh terms at once; a lost race between
-    # lookup and insert would hand two threads two distinct nodes
+def parse_in_threads(texts, n=8):
+    """What each of ``n`` threads, parsing ``texts`` at once, built."""
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for r in range(1, 6):
-            texts = [f"pgl{{glue(min({n}), omega(max(w^{r}*{n}+{k})))}}"
-                     for n in range(2, 12) for k in range(30)]
-            results: list[list] = []
-            threads = [
-                threading.Thread(target=lambda: results.append(list(map(parse_term, texts))))
-                for _ in range(8)
-            ]
-            for th in threads:
-                th.start()
-            for th in threads:
-                th.join(timeout=60)
-            assert not any(th.is_alive() for th in threads)
-            assert len(results) == len(threads)
-            for built in results[1:]:
-                assert all(a is b for a, b in zip(built, results[0]))
+        results: list[list] = []
+        threads = [
+            threading.Thread(target=lambda: results.append(list(map(parse_term, texts))))
+            for _ in range(n)
+        ]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+        assert not any(th.is_alive() for th in threads)
+        assert len(results) == n
+        return results
     finally:
         sys.setswitchinterval(old)
+
+
+def test_concurrent_construction_interns_once():
+    # threads build the same fresh terms at once; a lost race between
+    # lookup and insert would hand two threads two distinct nodes
+    for r in range(1, 6):
+        texts = [f"pgl{{glue(min({n}), omega(max(w^{r}*{n}+{k})))}}"
+                 for n in range(2, 12) for k in range(30)]
+        results = parse_in_threads(texts)
+        for built in results[1:]:
+            assert all(a is b for a, b in zip(built, results[0]))
+
+
+def test_threads_reading_a_new_spelling_get_one_node():
+    pairs = [(f"max(w^13*{n}+{k})", f"min( w^13*{n} + {k + 1} )")
+             for n in range(1, 11) for k in range(30)]
+    assert not any(spelling(atom) in term._spellings for pair in pairs for atom in pair)
+    results = parse_in_threads([f"glue({a}, {b})" for a, b in pairs])
+    for built in results[1:]:
+        assert all(a is b for a, b in zip(built, results[0]))
+    for t, pair in zip(results[0], pairs):
+        assert {term._spellings[spelling(atom)]() for atom in pair} == set(t.summands)
 
 
 def test_dropped_terms_leave_the_intern_table():
@@ -362,6 +408,16 @@ def test_dropped_terms_leave_the_intern_table():
     del batch
     # each entry leaves with its node, with no help from the collector
     assert len(term._table) == before
+
+
+def test_dropped_atoms_leave_the_spelling_map():
+    gc.collect()
+    before = len(term._spellings), len(term._table)
+    batch = [parse_term(f"max(w^14*{n}+1)") for n in range(1, 201)]
+    assert (len(term._spellings), len(term._table)) == (before[0] + 200, before[1] + 200)
+    del batch
+    # each spelling leaves with its atom, with no help from the collector
+    assert (len(term._spellings), len(term._table)) == before
 
 
 def test_a_term_rebuilt_after_its_node_died_is_interned_again():
