@@ -15,10 +15,13 @@ One line per seed gives:
 * ``built``: the term nodes the round built, counted as the call
   events of ``term``'s ``_measure`` methods, which run once per new
   node;
-* ``nf`` and ``memo``: the engine's normal-form cache and memo entries
-  after the round;
+* ``nf``: the engine's normal-form cache entries after the round;
+* ``memo``: the verdicts stored in the engine's memo after the round,
+  counted once per distinct row (a row is shared by a normal form and
+  the terms pointed at it);
 * ``renormalize``: the call events of the same round on a second fresh
-  engine that starts with a copy of the first engine's memo but no
+  engine that starts with a copy of the first engine's memo rows, its
+  own dicts shared among its terms as the first engine's are, but no
   normal forms, so it only normalizes again.
 * ``blocked``: the queries the first round answered with a cycle or
   open-query-bound blocker (``engine._local.blocked``), whose
@@ -78,8 +81,14 @@ def work(seed: int, pool_size: int, n_pairs: int) -> dict[str, int]:
     engine = Engine()
     calls = profiled_round(engine, pairs)
     blocked = engine._local.blocked
+    # a row is shared by its normal form and every term pointed at it:
+    # count each distinct row once, and copy each once, so the second
+    # engine shares rows among its terms as the first does, but no dict
+    # with it
+    rows = {id(row): row for row in engine._memo.values()}
+    copies = {key: row.copy() for key, row in rows.items()}
     again = Engine()
-    again._memo.update(engine._memo)
+    again._memo.update((t, copies[id(row)]) for t, row in engine._memo.items())
     return {
         "calls": sum(calls.values()),
         "asked": calls[Engine.compare.__code__],
@@ -87,7 +96,7 @@ def work(seed: int, pool_size: int, n_pairs: int) -> dict[str, int]:
         "fix": calls[rewrite._fix.__code__],
         "built": sum(calls[code] for code in MEASURES),
         "nf": len(engine._nf),
-        "memo": len(engine._memo),
+        "memo": sum(map(len, rows.values())),
         "renormalize": sum(profiled_round(again, pairs).values()),
         "blocked": blocked,
     }

@@ -97,12 +97,13 @@ used, formatted to text only when read.  Every question, the caller's
 and each one a rule asks, enters through ``Engine.compare``.  N-lex and
 L-gst read only the CB-types, an invariant of equivalence, so
 ``compare`` asks them first, from the type keys the terms store, and a
-pair they settle opens no query.  Such a verdict is memoized under the
-pair as asked and derives its steps when first read, from the root
-rule that fires on the normal forms: the trace the full path gives.
-It holds its engine weakly; read after the engine is gone, it derives
-its steps on a fresh engine, with the same result, since normal forms
-and verdicts do not depend on the engine, blocked queries or not.
+pair they settle opens no query.  Such a verdict is memoized in its
+source's row (below) and derives its steps when first read, from the
+root rule that fires on the normal forms: the trace the full path
+gives.  It holds its engine weakly; read after the engine is gone, it
+derives its steps on a fresh engine, with the same result, since
+normal forms and verdicts do not depend on the engine, blocked queries
+or not.
 
 Any other pair is a query (``Engine._query``): normalized, and its
 verdict memoized on the normal forms.  So a rule asks about the terms
@@ -113,8 +114,20 @@ derivation is UNKNOWN for that path (coinductive failure).  At most
 opened while normalizing included: a query asked past that bound is
 UNKNOWN with a "depth" blocker.  Each block adds one to the thread's
 ``blocked`` count; no normal form derived while that count moved is
-cached, and such an UNKNOWN only until its root query returns (a later
-hit counts as a block).
+cached, nor is its term pointed at a row, and such an UNKNOWN is kept
+only until its root query returns (a later hit counts as a block).
+
+The memo holds one row per normal form, a dict from target to verdict:
+``_memo[nf][ng]`` is the verdict on a pair of normal forms.  A query
+points each side whose normal form is cached at that normal form's
+row, so every spelling of a normal form reads one row.  Until then a
+raw source has a row of its own, which holds only verdicts the types
+settled, under the target's normal form when cached and under the
+target as asked otherwise; the query merges it into the shared row.
+So a repeated question costs ``compare`` three dict probes (the
+target's normal form, the source's row, the verdict in it) and builds
+no pair tuple; only a query keys its open pairs and its blocked
+UNKNOWNs by the pair.
 
 An :class:`Engine` owns its memo and its normal-form cache, and runs
 normalization on itself: the rewrite rules that decide reducibilities
@@ -283,13 +296,19 @@ class _QueryState(threading.local):
 
 
 class Engine:
-    """Holds the memo table and the normal-form cache; safe for
-    concurrent readers, and writes are idempotent (verdicts for a pair
-    and normal forms never change).  The state of an in-flight
-    derivation (the open queries and the blocked count) is kept per-thread."""
+    """Holds the memo and the normal-form cache; safe for concurrent
+    readers, and writes are idempotent (verdicts for a pair and normal
+    forms never change).  The memo maps a term to its row, the verdicts
+    with that term as source keyed by target: each normal form has one
+    row, shared by the terms a query pointed at it, and a source no
+    query has normalized has its own, of type-decided verdicts.  A row
+    is merged into the shared one from a copy, so a thread still adding
+    to it makes no merge fail; a verdict added after the copy is only
+    asked again.  The state of an in-flight derivation (the open
+    queries and the blocked count) is kept per-thread."""
 
     def __init__(self) -> None:
-        self._memo: dict[tuple[Term, Term], Verdict] = {}
+        self._memo: dict[Term, dict[Term, Verdict]] = {}
         # term -> normal form, filled by rewrite.normalize
         self._nf: dict[Term, Term] = {}
         self._local = _QueryState()
@@ -300,21 +319,15 @@ class Engine:
     # -- public API ---------------------------------------------------
 
     def compare(self, f: Term, g: Term) -> Verdict:
-        # one memo probe: under the normal forms when both are cached,
-        # else under the pair as asked.  A hit under the normal forms
-        # binds no local before its probe, which keeps the warm path of
-        # the levels workload as fast as it was
-        nf = self._nf.get(f)
-        ng = None if nf is None else self._nf.get(g)
-        if ng is not None:
-            hit = self._memo.get((nf, ng))
-            if hit is not None:
-                return hit
-            f, g = nf, ng
-            key = (f, g)
-        else:
-            key = (f, g)
-            hit = self._memo.get(key)
+        # three probes and no tuple: the target's normal form, the
+        # source's row (its normal form's, once a query pointed it
+        # there) and the verdict in it, under the target's normal form
+        # when cached, else under the target as asked
+        ng = self._nf.get(g)
+        key = g if ng is None else ng
+        row = self._memo.get(f)
+        if row is not None:
+            hit = row.get(key)
             if hit is not None:
                 return hit
         # N-lex and L-gst read only the CB-types, which normalization
@@ -322,7 +335,9 @@ class Engine:
         # normal forms; the steps are derived when read (_root_steps)
         typed = _type_rule(f._type_key, g._type_key)
         if typed is not None:
-            verdict = self._memo[key] = Verdict(typed[0], (), (self._ref, f, g))
+            if row is None:
+                row = self._memo.setdefault(f, {})
+            verdict = row[key] = Verdict(typed[0], (), (self._ref, f, key))
             return verdict
         return self._query(f, g)
 
@@ -339,15 +354,14 @@ class Engine:
 
     def _query(self, f: Term, g: Term) -> Verdict:
         """The verdict on the normal forms of ``f`` and ``g``, for a
-        pair ``compare`` found neither in the memo nor settled by type."""
-        nf = self._nf.get(f)
-        f = nf if nf is not None else rewrite.normalize(f, self)
-        nf = self._nf.get(g)
-        g = nf if nf is not None else rewrite.normalize(g, self)
-        key = (f, g)
-        hit = self._memo.get(key)
+        pair ``compare`` found neither in the memo nor settled by type,
+        memoized in the row of ``f``'s normal form."""
+        f, row = self._row(f)
+        g = self._row(g)[0]
+        hit = row.get(g)
         if hit is not None:
             return hit
+        key = (f, g)
         local = self._local
         scratch = local.scratch
         if scratch and key in scratch:
@@ -369,10 +383,34 @@ class Engine:
             if not in_progress:
                 scratch.clear()
         if verdict.outcome is not UNKNOWN or local.blocked == blocked:
-            self._memo[key] = verdict
+            row[g] = verdict
         elif in_progress:
             scratch[key] = verdict
         return verdict
+
+    def _row(self, t: Term) -> tuple[Term, dict[Term, Verdict]]:
+        """The normal form of ``t`` and its row.  Once the normal form
+        is cached, ``t`` points at that row, and the verdicts in a row
+        of its own (type-decided, asked before) are merged into it."""
+        memo = self._memo
+        nt = self._nf.get(t)
+        if nt is None:
+            nt = rewrite.normalize(t, self)
+        row = memo.get(nt)
+        if row is None:
+            row = memo.setdefault(nt, {})
+        # a query blocked while normalizing leaves t uncached, and what
+        # it normalized to perhaps not fully reduced: t keeps its own row
+        if t is not nt and self._nf.get(t) is nt:
+            own = memo.get(t)
+            if own is not row:
+                memo[t] = row
+                if own:
+                    # from a copy, since another thread may still be
+                    # growing the old row; a verdict already shared stays
+                    for key, verdict in own.copy().items():
+                        row.setdefault(key, verdict)
+        return nt, row
 
     def _root_steps(self, f: Term, g: Term) -> tuple[Step, ...]:
         """The steps of a type-decided verdict: those the full path

@@ -22,7 +22,9 @@ by index; :func:`token_start` scans again for a character position only
 when an error names one.
 :func:`read_ordinal` reads an ordinal inside a term's token list, so
 its errors name positions in the term's text; both grammars raise
-:class:`OrdinalSyntaxError`.
+:class:`OrdinalSyntaxError`, and read every integer with
+:func:`read_int`, so a digit run too long for ``int`` fails the same
+way.
 """
 
 from __future__ import annotations
@@ -247,7 +249,7 @@ def read_ordinal(text: str, toks: list[str], i: int, closing: str = "") -> tuple
     while True:
         tok = toks[i]
         if tok.isdecimal():
-            exp, coeff = 0, int(tok)
+            exp, coeff = 0, read_int(text, toks, i)
             i += 1
         elif tok == "w":
             exp = coeff = 1
@@ -293,12 +295,24 @@ def _position(text: str, toks: list[str], first: int, k: int, closing: str) -> i
     return token_start(text, k)
 
 
+def read_int(text: str, toks: list[str], k: int) -> int:
+    """The integer that the decimal token ``k`` of ``text`` spells.  A
+    token longer than ``int`` converts (4,300 digits by default) is a
+    syntax error at that token."""
+    try:
+        return int(toks[k])
+    except ValueError:
+        raise OrdinalSyntaxError(
+            f"integer of {len(toks[k])} digits is too long", token_start(text, k)
+        ) from None
+
+
 def _positive(text: str, toks: list[str], first: int, k: int, closing: str, zero: str) -> int:
     """The integer token ``k`` holds; ``zero`` is the message that
     refuses 0."""
     if not toks[k].isdecimal():
         raise OrdinalSyntaxError("expected an integer", _position(text, toks, first, k, closing))
-    n = int(toks[k])
+    n = read_int(text, toks, k)
     if n == 0:
         raise OrdinalSyntaxError(zero, token_start(text, k))
     return n

@@ -68,7 +68,7 @@ from itertools import chain
 from operator import attrgetter
 
 from . import ordinal as ord_mod
-from .ordinal import Ordinal, OrdinalSyntaxError, read_ordinal, token_start, tokens
+from .ordinal import Ordinal, OrdinalSyntaxError, read_int, read_ordinal, token_start, tokens
 
 # one syntax-error class for the term and the ordinal grammar
 TermSyntaxError = OrdinalSyntaxError
@@ -578,7 +578,7 @@ class _Parser:
         if word == "min" or word == "max":
             return self.rank_atom(word, at)
         if word.isdecimal():
-            count = int(word)
+            count = read_int(self.text, toks, at)
             if toks[i] != "*":
                 raise self.missing("*", i)
             self.i = i + 1

@@ -206,6 +206,9 @@ def test_parse_error_exit(capsys):
         (["normalize", "min(w+ )"], "expected an ordinal atom (at position 6)"),
         (["generators", "w+ "], "expected an ordinal atom (at position 3)"),
         (["compare", "one", "pgl{max(w^x)}"], "expected an integer (at position 10)"),
+        # past the digits int() converts, at the count and in a rank
+        (["type", "1" * 5000 + "*one"], "integer of 5000 digits is too long (at position 0)"),
+        (["generators", "w*" + "1" * 5000], "integer of 5000 digits is too long (at position 2)"),
     ],
 )
 def test_a_parse_error_prints_one_line_with_its_position(capsys, argv, message):

@@ -30,7 +30,7 @@ from scatcalc.rank import cb_type, lex_le
 from scatcalc.rewrite import normalize
 from scatcalc.term import Glue, MinFn, ONE, Omega, PglSet, parse_term, summands_of
 
-from conftest import load_script, random_term, terms
+from conftest import census_inputs, load_script, random_term, terms
 
 
 def outcome(a, b):
@@ -421,16 +421,118 @@ def test_a_memo_hit_on_normal_forms_makes_no_query(left, right):
         return plain(a, b)
 
     engine._query = query
-    # a miss: both normal forms are cached, their pair is not
-    assert (nf, ng) not in engine._memo
+    # a miss: both normal forms are cached, their verdict is not
+    assert ng not in engine._memo.get(nf, {})
     first = engine.compare(f, g)
-    assert queries[0] == (nf, ng)
-    assert engine._memo[nf, ng] is first
-    # a hit: the memo's own verdict, and no query
+    assert queries[0] == (f, g)
+    assert engine._memo[nf][ng] is first
+    # the query pointed the source at its normal form's row
+    assert engine._memo[f] is engine._memo[nf]
+    # a hit: the row's own verdict, and no query
     queries.clear()
     assert engine.compare(f, g) is first
     assert engine.compare(nf, ng) is first
     assert queries == []
+
+
+def test_spellings_of_one_normal_form_share_its_row(monkeypatch):
+    # two spellings of pgl{one}, and a target of their CB-type, so no
+    # question here is settled by the types
+    f1, f2 = parse_term("min(2)"), parse_term("glue(one, min(2))")
+    g = parse_term("pgl{2*one}")
+    engine = Engine()
+    assert engine.compare(f1, f2).outcome is Outcome.LE
+    nf = normalize(f1, engine)
+    assert nf not in (f1, f2)
+    row = engine._memo[nf]
+    assert engine._memo[f1] is row and engine._memo[f2] is row
+    first = engine.compare(f1, g)
+    assert row[normalize(g, engine)] is first
+    queries = []
+    monkeypatch.setattr(engine, "_query", lambda a, b: queries.append((a, b)))
+    assert engine.compare(f2, g) is first
+    assert queries == []
+
+
+def test_a_type_decided_verdict_survives_the_normalization_of_its_source():
+    f, g = parse_term("glue(one, min(2))"), parse_term("max(w)")
+    engine = Engine()
+    ng = normalize(g, engine)
+    typed = engine.compare(f, g)
+    assert typed.outcome is Outcome.LE and f not in engine._nf
+    # the source's own row, until a query normalizes it
+    assert engine._memo[f] == {ng: typed}
+    assert engine.compare(f, parse_term("pgl{2*one}")).outcome is Outcome.LE
+    nf = engine._nf[f]
+    assert nf is not f and engine._memo[f] is engine._memo[nf]
+    assert engine.compare(f, g) is typed
+    assert engine.compare(nf, ng) is typed
+
+
+def ask_in_threads(questions, n=8):
+    """The outcomes ``n`` threads get, started at once on one engine,
+    each asking ``questions(k)``, its own list of pairs, in order."""
+    engine, barrier = Engine(), threading.Barrier(n)
+    results: dict[int, list] = {}
+
+    def ask(k):
+        barrier.wait(timeout=60)
+        results[k] = [engine.compare(f, g).outcome for f, g in questions(k)]
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=ask, args=(k,)) for k in range(n)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+        assert not any(th.is_alive() for th in threads)
+    finally:
+        sys.setswitchinterval(old)
+    assert sorted(results) == list(range(n))
+    return results
+
+
+def test_threads_sharing_an_engine_get_the_single_thread_verdicts():
+    inputs = census_inputs(1, 1500, 6000)
+    pool = [parse_term(text) for text in inputs["pool_text"]]
+    pairs = [(pool[i], pool[j]) for i, j in inputs["pairs"][:1500]]
+    alone = Engine()
+    expected = [alone.compare(f, g).outcome for f, g in pairs]
+    # each thread starts the round at its own offset
+    shifts = [k * len(pairs) // 8 for k in range(8)]
+    results = ask_in_threads(lambda k: pairs[shifts[k]:] + pairs[: shifts[k]])
+    for k, outcomes in results.items():
+        assert outcomes == expected[shifts[k]:] + expected[: shifts[k]]
+
+
+def test_a_row_is_merged_from_a_copy_while_another_thread_grows_it():
+    # the types settle the source against each max atom, in its own row
+    compare_file = sys.modules["scatcalc.compare"].__file__
+    f = parse_term("glue(one, min(2))")
+    targets = [parse_term(f"max(w*{j})") for j in range(1, 21)]
+    engine = Engine()
+    asked = [engine.compare(f, g) for g in targets]
+    own = engine._memo[f]
+    more = (parse_term(f"max(w*{j})") for j in itertools.count(21))
+
+    def grow(frame, event, arg):
+        # at each C call of the engine's code, as a thread that read the
+        # old row before the query pointed the source elsewhere would
+        if event == "c_call" and frame.f_code.co_filename == compare_file:
+            g = next(more)
+            own[g] = Engine().compare(f, g)
+
+    sys.setprofile(grow)
+    try:
+        verdict = engine.compare(f, parse_term("pgl{2*one}"))
+    finally:
+        sys.setprofile(None)
+    assert verdict.outcome is Outcome.LE
+    row = engine._memo[f]
+    assert row is engine._memo[engine._nf[f]] and row is not own
+    assert all(row[g] is v for g, v in zip(targets, asked))
 
 
 def test_verdicts_do_not_depend_on_query_order():
@@ -477,11 +579,22 @@ def test_a_blocked_unknown_is_not_memoized(monkeypatch):
     engine = Engine()
     monkeypatch.setattr(compare_module, "MAX_OPEN_QUERIES", 1)
     assert engine.compare(f, g).outcome is Outcome.UNKNOWN
-    assert engine._memo == {}
+    assert not any(engine._memo.values())
     # with the bound restored the same engine decides the pair afresh
     monkeypatch.undo()
     assert engine.compare(f, g).outcome is Outcome.LE
     assert Engine().compare(f, g).outcome is Outcome.LE
+
+
+def test_a_term_whose_normalization_was_blocked_points_at_no_row(monkeypatch):
+    compare_module = sys.modules["scatcalc.compare"]
+    monkeypatch.setattr(compare_module, "MAX_OPEN_QUERIES", 0)
+    f = parse_term("pgl{wedge({one} | {one})}")
+    engine = Engine()
+    assert engine.compare(f, parse_term("pgl{pgl{pgl{one}}}")).outcome is Outcome.UNKNOWN
+    assert engine._local.blocked > 0
+    # what it normalized to may be reduced less than its normal form
+    assert f not in engine._nf and f not in engine._memo
 
 
 def test_a_query_reentered_while_open_is_blocked(monkeypatch):
@@ -497,7 +610,7 @@ def test_a_query_reentered_while_open_is_blocked(monkeypatch):
     assert verdict.outcome is Outcome.UNKNOWN
     assert verdict.trace[0][0] == "blocked:cycle"
     assert engine._local.blocked == 1
-    assert (normalize(f, engine), normalize(g, engine)) not in engine._memo
+    assert normalize(g, engine) not in engine._memo.get(normalize(f, engine), {})
 
 
 def test_blocked_verdicts_do_not_outlive_their_root_query(monkeypatch):

@@ -133,6 +133,10 @@ PARSE_ERRORS = [
     # only decimal digits are digits: '²' is a word character
     ("²*one", "unknown term '²'", 0),
     ("min(²)", "unexpected character '²'", 4),
+    # a count, a finite rank and an exponent past the digits int() converts
+    pytest.param("1" * 5000 + "*one", "integer of 5000 digits is too long", 0, id="long-count"),
+    pytest.param("min(" + "1" * 5000 + ")", "integer of 5000 digits is too long", 4, id="long-rank"),
+    pytest.param("max(w^" + "1" * 5000 + ")", "integer of 5000 digits is too long", 6, id="long-exp"),
 ]
 
 
